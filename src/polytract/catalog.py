@@ -30,7 +30,7 @@ from .encoding import (
     decode_pair,
     encode_pair,
 )
-from .errors import MalformedInstance, UnknownProblem
+from .errors import MalformedInstance, UnknownPreposition, UnknownProblem
 from .factorization import CrFactorization, FactoredLanguage, identity_factorization
 from .preprocessing import PreprocessingWitness
 from .reductions import FcrReduction, FReduction
@@ -51,16 +51,22 @@ def qbds_instance_bytes(g: bds.NumberedGraph, u: int, v: int) -> Instance:
     return encode_pair(Pair(bds.graph_to_bytes(g), f"{u} {v}".encode("ascii")))
 
 
+def as_qbds(x: Instance) -> Instance:
+    """Join a bds instance's graph block and query tail with '#'; bytes
+    that do not split come back unchanged."""
+    try:
+        block, tail = bds.split_block_tail(x)
+    except MalformedInstance:
+        return x
+    return block + b"#" + tail
+
+
 def qbds_member(y: Instance) -> bool:
     try:
         pair = decode_pair(y)
-        g = bds.parse_graph(pair.data)
-        fields = pair.query.split()
-        if len(fields) != 2:
-            return False
-        return bds.bds_decide(g, int(fields[0]), int(fields[1]))
-    except (MalformedInstance, bds.SameNode, bds.UnknownNode, ValueError):
+    except MalformedInstance:
         return False
+    return _qbds_pair_member(pair.data, pair.query)
 
 
 def absorb_factorization() -> CrFactorization:
@@ -123,8 +129,10 @@ def one_bit_true_language() -> LanguageOfPairs:
 class ProblemEntry:
     name: str
     member: Callable[[Instance], bool]
-    generate: Callable[[int, random.Random], Instance]
     describe: str
+    # (seed, cap, budget) -> instances for the suite's checks, members or
+    # not; None for problems no check samples directly
+    sample: Callable[[int, int, int], list[Instance]] | None = None
 
 
 @dataclass(frozen=True)
@@ -145,8 +153,6 @@ class FcrEntry:
     reduction: FcrReduction
     source_member: Callable[[Instance], bool]
     target_member: Callable[[Instance], bool]
-    # (seed, cap, budget) -> factored pairs to probe
-    sample_pairs: Callable[[int, int, int], list[Pair]]
 
 
 @dataclass(frozen=True)
@@ -169,9 +175,11 @@ class Catalog:
     def problem(self, name: str) -> ProblemEntry:
         return _lookup(self.problems, name, "problem")
 
-    def generate(self, problem: str, size: int, seed: int) -> Instance:
-        rng = random.Random(f"{seed}:{problem}:{size}")
-        return self.problem(problem).generate(size, rng)
+    def sampler(self, name: str) -> Callable[[int, int, int], list[Instance]]:
+        """Sampler of the problem an entry is named after: every factored
+        language and reduction name starts with its source problem, so
+        'qbds-absorb' samples qbds instances."""
+        return self.problem(name.split("-", 1)[0]).sample
 
 
 def _lookup(table: dict, name: str, what: str):
@@ -185,13 +193,13 @@ def _lookup(table: dict, name: str, what: str):
 # ---------------------------------------------------------------- builders
 
 
-def _bds_samplers(edge_prob: float):
-    def instances(seed: int, cap: int, budget: int, max_n: int = 30) -> list[Instance]:
+def _bds_sampler(edge_prob: float):
+    def instances(seed: int, cap: int, budget: int) -> list[Instance]:
         """Exhaustive small instances plus random larger ones, members or not."""
         out = list(bds.enumerate_instances(cap))
         rng = random.Random(f"{seed}:bds-random")
         for _ in range(budget):
-            n = rng.randrange(5, max_n + 1)
+            n = rng.randrange(5, 31)
             out.append(bds.random_instance(n, rng, edge_prob))
         # A few malformed strays keep the oracles honest about totality.
         out.extend([b"", b"not a graph", b"2 1\n1 2\n", b"1 0\n1\n0 0"])
@@ -200,39 +208,40 @@ def _bds_samplers(edge_prob: float):
     return instances
 
 
+def _cvp_sampler(gate_weights, stream: str):
+    def instances(seed: int, cap: int, budget: int) -> list[Instance]:
+        """Every one-gate circuit plus random ones of 2-13 nodes; cap is
+        unused, the exhaustive part is fixed."""
+        rng = random.Random(f"{seed}:{stream}")
+        out = [cvp.circuit_to_bytes(c) for c in cvp.enumerate_circuits(1)]
+        for _ in range(budget):
+            c = cvp.random_circuit(rng.randrange(2, 14), rng, gate_weights)
+            out.append(cvp.circuit_to_bytes(c))
+        return out
+
+    return instances
+
+
 def _build_problems(cat: Catalog, config) -> None:
-    edge_prob = config.edge_prob
+    sample_bds = _bds_sampler(config.edge_prob)
 
-    def gen_bds(size: int, rng: random.Random) -> Instance:
-        n = max(2, size)
-        if n <= 512:
-            return bds.random_instance(n, rng, edge_prob)
-        return bds.random_sparse_instance(n, rng)
-
-    def gen_qbds(size: int, rng: random.Random) -> Instance:
-        x = gen_bds(size, rng)
-        block, tail = bds.split_block_tail(x)
-        return block + b"#" + tail
-
-    def gen_cvp(size: int, rng: random.Random) -> Instance:
-        return cvp.circuit_to_bytes(cvp.random_circuit(max(2, size), rng, config.gate_weights))
-
-    def gen_wordstats(size: int, rng: random.Random) -> Instance:
-        return wordstats.random_corpus_text(
-            max(1, size), rng, config.lexicon, config.preposition_rate
-        )
+    def sample_qbds(seed: int, cap: int, budget: int) -> list[Instance]:
+        return [as_qbds(x) for x in sample_bds(seed, cap, budget)]
 
     cat.problems["bds"] = ProblemEntry(
-        "bds", bds.bds_member, gen_bds,
-        "numbered graph with a visit-order query riding behind the block")
+        "bds", bds.bds_member,
+        "numbered graph with a visit-order query riding behind the block",
+        sample_bds)
     cat.problems["qbds"] = ProblemEntry(
-        "qbds", qbds_member, gen_qbds,
-        "the same instances with the query joined by '#'")
+        "qbds", qbds_member,
+        "the same instances with the query joined by '#'",
+        sample_qbds)
     cat.problems["cvp"] = ProblemEntry(
-        "cvp", cvp.cvp_member, gen_cvp,
-        "boolean circuit accepted iff it evaluates to true")
+        "cvp", cvp.cvp_member,
+        "boolean circuit accepted iff it evaluates to true",
+        _cvp_sampler(config.gate_weights, "cvp-instances"))
     cat.problems["wordstats"] = ProblemEntry(
-        "wordstats", lambda x: False, gen_wordstats,
+        "wordstats", lambda x: False,
         "corpus text; meaningful only as the data part of count queries")
 
 
@@ -390,11 +399,9 @@ def _build_witnesses(cat: Catalog, config) -> None:
         try:
             counts = wordstats.parse_digest_instance(d, m)
             word, k = wordstats.parse_query(q)
-        except MalformedInstance:
+            return wordstats.preposition_decide(counts, lexicon, word, k)
+        except (MalformedInstance, UnknownPreposition):
             return False
-        if word not in lexicon:
-            return False
-        return counts[lexicon.index(word)] >= k
 
     ws_witness = PreprocessingWitness(
         name="wordstats-count-digest",
@@ -449,19 +456,6 @@ def _build_witnesses(cat: Catalog, config) -> None:
 def _build_reductions(cat: Catalog, config) -> None:
     bds_fl = cat.factored["bds-all-data"]
     absorb_fl = cat.factored["qbds-absorb"]
-    instances = _bds_samplers(config.edge_prob)
-
-    def factored_pairs(fl: FactoredLanguage, to_instance):
-        def sample(seed: int, cap: int, budget: int) -> list[Pair]:
-            return [fl.pair_of(to_instance(x)) for x in instances(seed, cap, budget)]
-        return sample
-
-    def as_qbds(x: Instance) -> Instance:
-        try:
-            block, tail = bds.split_block_tail(x)
-        except MalformedInstance:
-            return x
-        return block + b"#" + tail
 
     def identity_map(z: Instance) -> Instance:
         return z
@@ -476,7 +470,6 @@ def _build_reductions(cat: Catalog, config) -> None:
         ),
         source_member=bds_fl.base,
         target_member=bds_fl.base,
-        sample_pairs=factored_pairs(bds_fl, lambda x: x),
     )
     cat.fcr_reductions["qbds-identity"] = FcrEntry(
         reduction=FcrReduction(
@@ -488,7 +481,6 @@ def _build_reductions(cat: Catalog, config) -> None:
         ),
         source_member=absorb_fl.base,
         target_member=absorb_fl.base,
-        sample_pairs=factored_pairs(absorb_fl, as_qbds),
     )
     # Re-splitting reduction: the absorbed data part of a joined instance
     # is literally a visit-order instance, so both maps are identities.
@@ -502,7 +494,6 @@ def _build_reductions(cat: Catalog, config) -> None:
         ),
         source_member=absorb_fl.base,
         target_member=bds_fl.base,
-        sample_pairs=factored_pairs(absorb_fl, as_qbds),
     )
 
     # Pair-to-pair reductions over circuit evaluation.
@@ -514,12 +505,10 @@ def _build_reductions(cat: Catalog, config) -> None:
         except MalformedInstance:
             return d
 
+    circuits = _cvp_sampler(config.gate_weights, "cvp-pairs")
+
     def cvp_pairs(seed: int, budget: int) -> list[Pair]:
-        rng = random.Random(f"{seed}:cvp-pairs")
-        out = [Pair(cvp.circuit_to_bytes(c), b"") for c in cvp.enumerate_circuits(1)]
-        for _ in range(budget):
-            c = cvp.random_circuit(rng.randrange(2, 14), rng, config.gate_weights)
-            out.append(Pair(cvp.circuit_to_bytes(c), b""))
+        out = [Pair(x, b"") for x in circuits(seed, 0, budget)]
         out.append(Pair(b"junk", b""))
         out.append(Pair(b"", b"stray-query"))
         return out

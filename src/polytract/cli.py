@@ -45,16 +45,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-factorization",
                        help="check split sizes, restore, and query growth")
     p.add_argument("name", help="catalog name, e.g. qbds-absorb")
+    p.set_defaults(check="factorization")
     _add_common(p)
 
     p = sub.add_parser("verify-witness",
                        help="check a preprocessing witness on labeled samples")
     p.add_argument("name", help="catalog name, e.g. wordstats-count-digest")
+    p.set_defaults(check="witness")
     _add_common(p)
 
     p = sub.add_parser("verify-reduction",
                        help="check membership agreement along a reduction")
     p.add_argument("name", help="catalog name, e.g. qbds-to-bds")
+    p.set_defaults(check="reduction")
     _add_common(p)
 
     p = sub.add_parser("separate",
@@ -67,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench",
                        help="fit preprocessing and query latency growth")
+    p.set_defaults(check="runtime-fits")
     _add_common(p)
 
     p = sub.add_parser("run-suite", help="run every registered check")
@@ -110,22 +114,12 @@ def _emit(report: Report | harness.SuiteReport, args) -> int:
     return EXIT_PASS if verdict else EXIT_FAIL
 
 
-def _cmd_verify_factorization(args) -> int:
+def _cmd_check(args) -> int:
+    """verify-* and bench: build the catalog and run one named check."""
     cfg = _config_from_args(args)
     cat = catalog_mod.build_catalog(cfg)
-    return _emit(harness.run_factorization_check(cat, cfg, args.name), args)
-
-
-def _cmd_verify_witness(args) -> int:
-    cfg = _config_from_args(args)
-    cat = catalog_mod.build_catalog(cfg)
-    return _emit(harness.run_witness_check(cat, cfg, args.name), args)
-
-
-def _cmd_verify_reduction(args) -> int:
-    cfg = _config_from_args(args)
-    cat = catalog_mod.build_catalog(cfg)
-    return _emit(harness.run_reduction_check(cat, cfg, args.name), args)
+    stage = f"{args.check}:{args.name}" if hasattr(args, "name") else args.check
+    return _emit(harness.run_check(cat, cfg, stage), args)
 
 
 def _cmd_separate(args) -> int:
@@ -156,12 +150,6 @@ def _cmd_separate(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _cmd_bench(args) -> int:
-    cfg = _config_from_args(args)
-    cat = catalog_mod.build_catalog(cfg)
-    return _emit(harness.run_fit_checks(cat, cfg), args)
-
-
 def _cmd_run_suite(args) -> int:
     cfg = _config_from_args(args)
     suite = harness.run_suite(cfg)
@@ -184,11 +172,11 @@ def _cmd_list(args) -> int:
 
 
 _COMMANDS = {
-    "verify-factorization": _cmd_verify_factorization,
-    "verify-witness": _cmd_verify_witness,
-    "verify-reduction": _cmd_verify_reduction,
+    "verify-factorization": _cmd_check,
+    "verify-witness": _cmd_check,
+    "verify-reduction": _cmd_check,
     "separate": _cmd_separate,
-    "bench": _cmd_bench,
+    "bench": _cmd_check,
     "run-suite": _cmd_run_suite,
     "list": _cmd_list,
 }

@@ -109,18 +109,8 @@ def decode_pair(x: Instance) -> Pair:
 
 
 def pack_at(x1: Instance, x2: Instance) -> Instance:
-    """Join two instances into one, recoverable with front/back."""
+    """Join two instances into one, recoverable with split_packed."""
     return escape_payload(x1) + b"@" + escape_payload(x2)
-
-
-def front(z: Instance) -> Instance:
-    left, _ = _split_once(z, AT, "'@'")
-    return unescape_payload(left)
-
-
-def back(z: Instance) -> Instance:
-    _, right = _split_once(z, AT, "'@'")
-    return unescape_payload(right)
 
 
 def split_packed(z: Instance) -> tuple[Instance, Instance]:

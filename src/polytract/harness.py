@@ -1,4 +1,4 @@
-"""Suite configuration, runtime fitting, and the consolidated check runner.
+"""Suite configuration, timing, runtime fits, and the table of named checks.
 
 Configuration files are plain key = value text (see the README for the
 grammar). All randomness flows from one seed through stable string-keyed
@@ -26,7 +26,7 @@ from .encoding import (
     parse_bound,
 )
 from .errors import ConfigError, InsufficientData
-from .factorization import check_prop1, verify_factorization
+from .factorization import apply_factorization, check_prop1, verify_factorization
 from .preprocessing import digest_size_ladder, verify_witness
 from .problems import bds
 from .reductions import (
@@ -157,18 +157,6 @@ def config_echo(cfg: SuiteConfig) -> dict:
 # ------------------------------------------------------------------ timing
 
 
-def time_call_ns(fn, *args, warmups: int = 3, reps: int = 5) -> int:
-    """Median of reps wall-clock samples after a few warm-up calls."""
-    for _ in range(warmups):
-        fn(*args)
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        fn(*args)
-        samples.append(time.perf_counter_ns() - t0)
-    return int(statistics.median(samples))
-
-
 def time_interleaved_ns(tasks, rounds: int = 7) -> list[float]:
     """Per-call floor for each (fn, calls) task, interleaving the tasks.
 
@@ -236,50 +224,23 @@ def fit_runtime(measurements, model: str = "poly-n") -> FitResult:
     return FitResult(model, slope, intercept, residual)
 
 
-# ------------------------------------------------------- check runners
+# ------------------------------------------------------------ the checks
+#
+# Each suite stage is one named check. A check body takes the catalog and
+# the config and returns one Report; run_check dispatches to it by name.
 
 
-def _member_instances(entry, sampler, cap, budget, seed):
-    return [x for x in sampler(seed, cap, budget) if entry.base(x)]
-
-
-def run_factorization_check(cat, config: SuiteConfig, name: str) -> Report:
+def _factorization_check(cat, config: SuiteConfig, name: str) -> Report:
     fl = catalog_mod._lookup(cat.factored, name, "factored language")
     cap = config.exhaustive_caps.get("bds", 3)
-    sampler = catalog_mod._bds_samplers(config.edge_prob)
-    if name.startswith("qbds"):
-        raw = sampler(config.seed, cap, config.random_budget)
-        raw = [_to_qbds(x) for x in raw]
-    elif name.startswith("cvp"):
-        raw = _cvp_instances(config)
-    else:
-        raw = sampler(config.seed, cap, config.random_budget)
+    raw = cat.sampler(name)(config.seed, cap, config.random_budget)
     members = [x for x in raw if fl.base(x)]
     rep = verify_factorization(fl, members)
     rep.extend(check_prop1(fl, members))
     return rep
 
 
-def _to_qbds(x):
-    try:
-        block, tail = bds.split_block_tail(x)
-    except Exception:
-        return x
-    return block + b"#" + tail
-
-
-def _cvp_instances(config: SuiteConfig):
-    rng = random.Random(f"{config.seed}:cvp-instances")
-    out = [catalog_mod.cvp.circuit_to_bytes(c)
-           for c in catalog_mod.cvp.enumerate_circuits(1)]
-    for _ in range(config.random_budget):
-        c = catalog_mod.cvp.random_circuit(
-            rng.randrange(2, 14), rng, config.gate_weights)
-        out.append(catalog_mod.cvp.circuit_to_bytes(c))
-    return out
-
-
-def run_witness_check(cat, config: SuiteConfig, name: str) -> Report:
+def _witness_check(cat, config: SuiteConfig, name: str) -> Report:
     entry = catalog_mod._lookup(cat.witnesses, name, "witness")
     pos, neg = entry.sample_pairs(config.seed, config.witness_samples)
     rep = verify_witness(entry.language, entry.witness, pos, neg)
@@ -296,11 +257,12 @@ def run_witness_check(cat, config: SuiteConfig, name: str) -> Report:
     return rep
 
 
-def run_reduction_check(cat, config: SuiteConfig, name: str) -> Report:
+def _reduction_check(cat, config: SuiteConfig, name: str) -> Report:
     if name in cat.fcr_reductions:
         entry = cat.fcr_reductions[name]
         cap = config.exhaustive_caps.get("bds", 3)
-        pairs = entry.sample_pairs(config.seed, cap, config.random_budget)
+        raw = cat.sampler(name)(config.seed, cap, config.random_budget)
+        pairs = [apply_factorization(entry.reduction.source_fact, x) for x in raw]
         return verify_fcr_reduction(
             entry.reduction, entry.source_member, entry.target_member, pairs)
     entry = catalog_mod._lookup(cat.f_reductions, name, "reduction")
@@ -308,7 +270,7 @@ def run_reduction_check(cat, config: SuiteConfig, name: str) -> Report:
     return verify_f_reduction(entry.reduction, entry.source, entry.target, pairs)
 
 
-def run_composition_checks(cat, config: SuiteConfig) -> Report:
+def _composition_checks(cat, config: SuiteConfig) -> Report:
     """Build three compositions and verify each, constants included."""
     rep = Report("compositions")
     cap = config.exhaustive_caps.get("bds", 3)
@@ -321,15 +283,12 @@ def run_composition_checks(cat, config: SuiteConfig) -> Report:
     for first_name, second_name in cases:
         first = cat.fcr_reductions[first_name]
         second = cat.fcr_reductions[second_name]
-        probes = [x for x in
-                  catalog_mod._bds_samplers(config.edge_prob)(config.seed, 2, 20)
+        middle = first.reduction.target_fact
+        probes = [x for x in cat.sampler(middle.name)(config.seed, 2, 20)
                   if first.target_member(x)]
-        if first.reduction.target_fact.name.startswith("qbds"):
-            probes = [_to_qbds(x) for x in probes]
-            probes = [y for y in probes if first.target_member(y)]
         composed = compose_fcr(
             first.reduction, second.reduction,
-            (first.reduction.target_fact, second.reduction.source_fact),
+            (middle, second.reduction.source_fact),
             first.target_member, probes)
         label = composed.name
         ok_c = (
@@ -343,7 +302,7 @@ def run_composition_checks(cat, config: SuiteConfig) -> Report:
                        second.reduction.target_fact.redundancy + 1))
         pairs = [
             Pair(composed.source_fact.data_part(raw), b"")
-            for raw in _composition_raws(first_name, config, cap, budget)
+            for raw in cat.sampler(first_name)(config.seed, cap, budget)
         ]
         sub = verify_fcr_reduction(
             composed, first.source_member, second.target_member, pairs)
@@ -360,14 +319,7 @@ def run_composition_checks(cat, config: SuiteConfig) -> Report:
     return rep
 
 
-def _composition_raws(first_name: str, config: SuiteConfig, cap: int, budget: int):
-    raw = catalog_mod._bds_samplers(config.edge_prob)(config.seed, cap, budget)
-    if first_name.startswith("qbds"):
-        return [_to_qbds(x) for x in raw]
-    return raw
-
-
-def run_transfer_check(cat, config: SuiteConfig) -> Report:
+def _transfer_check(cat, config: SuiteConfig) -> Report:
     """Pull the verdict-bit witness back through the re-splitting reduction."""
     rep = Report("witness-transfer")
     entry = cat.fcr_reductions["qbds-to-bds"]
@@ -380,8 +332,7 @@ def run_transfer_check(cat, config: SuiteConfig) -> Report:
             bound=entry.reduction.source_fact.redundancy + 1)
 
     cap = config.exhaustive_caps.get("bds", 3)
-    sampler = catalog_mod._bds_samplers(config.edge_prob)
-    raw = [_to_qbds(x) for x in sampler(config.seed, cap, config.random_budget)]
+    raw = cat.problems["qbds"].sample(config.seed, cap, config.random_budget)
     induced = LanguageOfPairs(
         name="pairs(packed qbds)",
         membership=lambda d, q: entry.source_member(new_fact.restore(d, q)),
@@ -399,7 +350,7 @@ def run_transfer_check(cat, config: SuiteConfig) -> Report:
         out = []
         for _ in range(2):
             x = bds.random_sparse_instance(max(4, size), rng)
-            out.append(new_fact.data_part(_to_qbds(x)))
+            out.append(new_fact.data_part(catalog_mod.as_qbds(x)))
         return out
 
     ladder = digest_size_ladder(new_witness, ladder_gen, config.ladder,
@@ -410,7 +361,7 @@ def run_transfer_check(cat, config: SuiteConfig) -> Report:
     return rep
 
 
-def run_hardness_check(cat, config: SuiteConfig) -> Report:
+def _hardness_check(cat, config: SuiteConfig) -> Report:
     """Wrap the join-dropping map into a reduction onto visit-order search."""
     rep = Report("hardness-pack")
     entry_bds = cat.factored["bds-all-data"]
@@ -418,8 +369,7 @@ def run_hardness_check(cat, config: SuiteConfig) -> Report:
     absorb = cat.factored["qbds-absorb"].fact
 
     cap = config.exhaustive_caps.get("bds", 3)
-    sampler = catalog_mod._bds_samplers(config.edge_prob)
-    ys = [_to_qbds(x) for x in sampler(config.seed, cap, config.random_budget)]
+    ys = cat.problems["qbds"].sample(config.seed, cap, config.random_budget)
     packed = hardness_pack(
         qbds_member, absorb.data_part, entry_bds.fact, entry_bds.base,
         samples=ys[: min(len(ys), 500)])
@@ -433,7 +383,7 @@ def run_hardness_check(cat, config: SuiteConfig) -> Report:
     return rep
 
 
-def run_pullback_check(cat, config: SuiteConfig) -> Report:
+def _pullback_check(cat, config: SuiteConfig) -> Report:
     """Pull the circuit verdict witness back along double negation."""
     rep = Report("witness-pullback")
     fentry = cat.f_reductions["cvp-double-negation"]
@@ -445,7 +395,7 @@ def run_pullback_check(cat, config: SuiteConfig) -> Report:
     return rep
 
 
-def run_short_query_checks(cat, config: SuiteConfig) -> Report:
+def _short_query_checks(cat, config: SuiteConfig) -> Report:
     rep = Report("short-query")
     wentry = cat.witnesses["wordstats-count-digest"]
     pos, _ = wentry.sample_pairs(config.seed + 2, 40)
@@ -463,7 +413,7 @@ def run_short_query_checks(cat, config: SuiteConfig) -> Report:
     return rep
 
 
-def run_separation_check(config: SuiteConfig) -> Report:
+def _separation_check(cat, config: SuiteConfig) -> Report:
     rep = Report("separation")
     cap = config.exhaustive_caps.get("separation", 5)
     bound = config.bounds.get("separation", PolylogBound(1.0, 2, 0.0))
@@ -482,18 +432,16 @@ def run_separation_check(config: SuiteConfig) -> Report:
     return rep
 
 
-def run_fit_checks(cat, config: SuiteConfig) -> Report:
+def _fit_checks(cat, config: SuiteConfig) -> Report:
     """Preprocessing stays polynomial; post-digest queries stay polylog."""
     rep = Report("runtime-fits")
     wentry = cat.witnesses["wordstats-count-digest"]
     centry = cat.witnesses["cvp-verdict-bit"]
 
-    pre_points = []
-    for size in config.ladder:
-        corpus = wentry.ladder_gen(size, config.seed)[0]
-        pre_points.append(
-            (len(corpus), time_call_ns(wentry.witness.preprocess, corpus)))
-    fit = fit_runtime(pre_points, "poly-n")
+    corpora = [wentry.ladder_gen(size, config.seed)[0] for size in config.ladder]
+    floors = time_interleaved_ns(
+        [(wentry.witness.preprocess, [(corpus,)]) for corpus in corpora])
+    fit = fit_runtime([(len(c), t) for c, t in zip(corpora, floors)], "poly-n")
     rep.add("preprocess-poly-degree:wordstats",
             fit.exponent <= config.ptime_max_degree + config.slope_slack
             and fit.residual <= config.fit_residual_max,
@@ -523,6 +471,45 @@ def run_fit_checks(cat, config: SuiteConfig) -> Report:
     return rep
 
 
+# A stage is named "<kind>:<catalog name>" for the kinds in _NAMED_CHECKS
+# and by its bare name for the checks in _CHECKS.
+_NAMED_CHECKS = {
+    "factorization": _factorization_check,
+    "witness": _witness_check,
+    "reduction": _reduction_check,
+}
+_CHECKS = {
+    "compositions": _composition_checks,
+    "witness-transfer": _transfer_check,
+    "hardness-pack": _hardness_check,
+    "witness-pullback": _pullback_check,
+    "short-query": _short_query_checks,
+    "separation": _separation_check,
+    "runtime-fits": _fit_checks,
+}
+
+# The stages run_suite runs, in report order.
+SUITE_STAGES = (
+    "short-query",
+    "factorization:bds-all-data", "factorization:qbds-absorb",
+    "witness:bds-verdict-bit", "witness:cvp-verdict-bit",
+    "witness:wordstats-count-digest",
+    "reduction:bds-identity", "reduction:qbds-identity", "reduction:qbds-to-bds",
+    "reduction:cvp-identity", "reduction:cvp-double-negation",
+    "compositions", "witness-transfer", "hardness-pack", "witness-pullback",
+    "separation", "runtime-fits",
+)
+
+
+def run_check(cat, config: SuiteConfig, stage: str) -> Report:
+    """Run the check a stage names, e.g. 'witness:bds-verdict-bit' or
+    'compositions'; an unknown name raises UnknownProblem."""
+    kind, sep, name = stage.partition(":")
+    if sep:
+        return catalog_mod._lookup(_NAMED_CHECKS, kind, "check kind")(cat, config, name)
+    return catalog_mod._lookup(_CHECKS, stage, "check")(cat, config)
+
+
 # ------------------------------------------------------------- the suite
 
 
@@ -547,33 +534,16 @@ class SuiteReport:
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Run every registered check with the configured budgets."""
+    """Run every stage of SUITE_STAGES with the configured budgets."""
     if len(config.ladder) < 4:
         raise InsufficientData("suite ladder needs at least 4 rungs")
     cat = catalog_mod.build_catalog(config)
     reports: list[Report] = []
     timings: dict[str, int] = {}
-
-    def staged(name, fn, *args):
+    for stage in SUITE_STAGES:
         t0 = time.perf_counter_ns()
-        rep = fn(*args)
-        timings[name] = time.perf_counter_ns() - t0
-        reports.append(rep)
-
-    staged("short-query", run_short_query_checks, cat, config)
-    for fname in ("bds-all-data", "qbds-absorb"):
-        staged(f"factorization:{fname}", run_factorization_check, cat, config, fname)
-    for wname in ("bds-verdict-bit", "cvp-verdict-bit", "wordstats-count-digest"):
-        staged(f"witness:{wname}", run_witness_check, cat, config, wname)
-    for rname in ("bds-identity", "qbds-identity", "qbds-to-bds",
-                  "cvp-identity", "cvp-double-negation"):
-        staged(f"reduction:{rname}", run_reduction_check, cat, config, rname)
-    staged("compositions", run_composition_checks, cat, config)
-    staged("witness-transfer", run_transfer_check, cat, config)
-    staged("hardness-pack", run_hardness_check, cat, config)
-    staged("witness-pullback", run_pullback_check, cat, config)
-    staged("separation", run_separation_check, config)
-    staged("runtime-fits", run_fit_checks, cat, config)
+        reports.append(run_check(cat, config, stage))
+        timings[stage] = time.perf_counter_ns() - t0
 
     verdict = all(r.passed for r in reports)
     return SuiteReport(

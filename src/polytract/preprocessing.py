@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Sequence
 
 from .encoding import Instance, LanguageOfPairs, Pair, PolylogBound
 from .errors import GeneratorExhausted, InsufficientData, MislabeledSample
-from .factorization import FactoredLanguage
 from .report import Report
 
 
@@ -173,22 +172,3 @@ def digest_size_ladder(
         exponent_cap=witness.output_bound.k + slope_slack,
         bound_ok=bound_ok,
     )
-
-
-def made_tractable_witness(
-    fl: FactoredLanguage,
-    witness: PreprocessingWitness,
-    members: Sequence[Instance],
-    nonmembers: Sequence[Instance],
-) -> Report:
-    """Verify a witness against the pair language induced by a factorization.
-
-    Samples are whole instances; each is split by the factorization and
-    the resulting pair labeled through the restore-then-decide oracle.
-    """
-    induced = fl.induced_pairs_language()
-    positives = [fl.pair_of(x) for x in members]
-    negatives = [fl.pair_of(x) for x in nonmembers]
-    rep = verify_witness(induced, witness, positives, negatives)
-    rep.name = f"made-tractable:{fl.name}"
-    return rep

@@ -50,10 +50,6 @@ def corpus_from_text(text: Instance, lexicon=DEFAULT_LEXICON) -> Corpus:
     return Corpus(tuple(w.lower() for w in decoded.split()), tuple(lexicon))
 
 
-def corpus_to_bytes(corpus: Corpus) -> Instance:
-    return " ".join(corpus.words).encode("utf-8")
-
-
 def preposition_digest(corpus: Corpus) -> tuple[int, ...]:
     """Occurrence count of every lexicon word, in lexicon order."""
     counts = Counter(corpus.words)
@@ -87,24 +83,6 @@ def pack_counts(counts, n: int) -> tuple[bytes, int]:
     return payload, total_bits
 
 
-def unpack_counts(payload: bytes, n: int, m: int) -> tuple[int, ...]:
-    w = count_width(n)
-    total_bits = w * m
-    if len(payload) != (total_bits + 7) // 8:
-        raise MalformedInstance("packed digest has the wrong length")
-    if total_bits == 0:
-        return (0,) * m
-    acc = int.from_bytes(payload, "big")
-    if acc >> total_bits:
-        raise MalformedInstance("packed digest has nonzero padding bits")
-    mask = (1 << w) - 1
-    out = []
-    for i in range(m):
-        shift = (m - 1 - i) * w
-        out.append(acc >> shift & mask)
-    return tuple(out)
-
-
 def digest_instance(counts, n: int) -> Instance:
     """Self-contained digest: one width byte, then the packed counts."""
     w = count_width(n)
@@ -136,7 +114,10 @@ def query_bytes(word: str, k: int) -> Instance:
 
 
 def parse_query(q: Instance) -> tuple[str, int]:
-    parts = q.decode("utf-8").split()
+    try:
+        parts = q.decode("utf-8").split()
+    except UnicodeDecodeError:
+        raise MalformedInstance("query is not valid UTF-8") from None
     if len(parts) != 2:
         raise MalformedInstance("query must be '<word> <count>'")
     try:

@@ -18,10 +18,8 @@ from polytract.factorization import check_prop1, verify_factorization
 from polytract.harness import (
     SuiteConfig,
     fit_runtime,
-    run_composition_checks,
-    run_fit_checks,
+    run_check,
     run_suite,
-    run_transfer_check,
 )
 from polytract.preprocessing import digest_size_ladder, verify_witness
 from polytract.problems import bds, cvp
@@ -201,7 +199,7 @@ def _as_qbds(x: bytes) -> bytes:
 def test_acceptance_06_composition_with_exact_constants():
     cfg = SuiteConfig(random_budget=120)
     cat = build_catalog(cfg)
-    rep = run_composition_checks(cat, cfg)
+    rep = run_check(cat, cfg, "compositions")
     labels = {c.name for c in rep.checks}
     has_identity_pair = any("bds-identity*bds-identity" in name for name in labels)
     pair_count = sum(1 for name in labels if name.startswith("constants:"))
@@ -213,11 +211,11 @@ def test_acceptance_06_composition_with_exact_constants():
 
 def test_acceptance_07_witness_transfer_and_fault_injection():
     cfg = SuiteConfig(random_budget=120)
-    honest = run_transfer_check(build_catalog(cfg), cfg)
+    honest = run_check(build_catalog(cfg), cfg, "witness-transfer")
 
     cfg_bad = SuiteConfig(
         random_budget=120, inject=("identity-preprocessing:bds-verdict-bit",))
-    injected = run_transfer_check(build_catalog(cfg_bad), cfg_bad)
+    injected = run_check(build_catalog(cfg_bad), cfg_bad, "witness-transfer")
     ladder_rows = [c for c in injected.checks if c.name == "ladder:transferred"]
     ok = honest.passed and len(ladder_rows) == 1 and not ladder_rows[0].passed
     announce(7, ok,
@@ -266,7 +264,7 @@ def test_acceptance_09_runtime_fits():
     synth_ok = abs(quad.exponent - 2.0) <= 0.1 and abs(cubiclog.exponent - 3.0) <= 0.2
 
     cfg = SuiteConfig(ladder=(2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16, 2 ** 18, 2 ** 20))
-    rep = run_fit_checks(build_catalog(cfg), cfg)
+    rep = run_check(build_catalog(cfg), cfg, "runtime-fits")
     latency_rows = [c for c in rep.checks if c.name.startswith("query-latency")]
     latency_ok = len(latency_rows) == 2 and all(c.passed for c in latency_rows)
     ok = synth_ok and latency_ok

@@ -1,0 +1,59 @@
+"""Totality of the catalog: every oracle and map it builds accepts any bytes.
+
+Membership oracles and post languages must answer with a bool and maps
+must return bytes, whatever they are given; a malformed input is a
+non-member, never an exception. Arguments are arbitrary bytes or
+well-formed specimens (instances, queries, digests), so a valid data part
+can meet a garbage query and the other way round.
+"""
+import pytest
+from hypothesis import given, strategies as st
+
+from polytract import SuiteConfig, build_catalog
+
+CAT = build_catalog(SuiteConfig())
+
+
+def _total_callables():
+    """(label, function, number of byte arguments, return type)."""
+    out = []
+    for name, entry in sorted(CAT.problems.items()):
+        out.append((f"member:{name}", entry.member, 1, bool))
+    for name, lang in sorted(CAT.pair_languages.items()):
+        out.append((f"membership:{name}", lang.membership, 2, bool))
+    for name, entry in sorted(CAT.witnesses.items()):
+        w = entry.witness
+        out.append((f"preprocess:{name}", w.preprocess, 1, bytes))
+        out.append((f"post:{name}", w.post_language.membership, 2, bool))
+    for name, fl in sorted(CAT.factored.items()):
+        out.append((f"data_part:{name}", fl.fact.data_part, 1, bytes))
+        out.append((f"query_part:{name}", fl.fact.query_part, 1, bytes))
+        out.append((f"restore:{name}", fl.fact.restore, 2, bytes))
+    reductions = {**CAT.fcr_reductions, **CAT.f_reductions}
+    for name, entry in sorted(reductions.items()):
+        out.append((f"map_data:{name}", entry.reduction.map_data, 1, bytes))
+        out.append((f"map_query:{name}", entry.reduction.map_query, 1, bytes))
+    return out
+
+
+def _specimens():
+    out = set()
+    for entry in CAT.witnesses.values():
+        pos, neg = entry.sample_pairs(0, 2)
+        for pair in pos + neg:
+            out.update((pair.data, pair.query, entry.witness.preprocess(pair.data)))
+    for name in ("bds", "qbds", "cvp"):
+        out.update(CAT.problems[name].sample(0, 1, 2))
+    return sorted(out)
+
+
+TOTAL = _total_callables()
+BYTES = st.one_of(st.binary(max_size=64), st.sampled_from(_specimens()))
+
+
+@pytest.mark.parametrize("fn, arity, returns",
+                         [case[1:] for case in TOTAL],
+                         ids=[case[0] for case in TOTAL])
+@given(args=st.lists(BYTES, min_size=2, max_size=2))
+def test_catalog_callables_are_total(fn, arity, returns, args):
+    assert type(fn(*args[:arity])) is returns

@@ -5,17 +5,14 @@ import pytest
 
 from polytract.catalog import _negated_circuit_bytes, build_catalog
 from polytract.encoding import PolylogBound
-from polytract.errors import ConfigError, InsufficientData
+from polytract.errors import ConfigError, InsufficientData, UnknownProblem
 from polytract.harness import (
     SuiteConfig,
     config_echo,
     fit_runtime,
     load_config,
     parse_config,
-    run_composition_checks,
-    run_hardness_check,
-    run_reduction_check,
-    run_short_query_checks,
+    run_check,
     time_interleaved_ns,
 )
 from polytract.problems import cvp
@@ -151,12 +148,12 @@ SMALL = SuiteConfig(random_budget=25, witness_samples=10)
 def test_reduction_checks_small_budget():
     cat = build_catalog(SMALL)
     for name in ("bds-identity", "qbds-to-bds", "cvp-double-negation"):
-        assert run_reduction_check(cat, SMALL, name).passed
+        assert run_check(cat, SMALL, f"reduction:{name}").passed
 
 
 def test_composition_checks_small_budget():
     cat = build_catalog(SMALL)
-    rep = run_composition_checks(cat, SMALL)
+    rep = run_check(cat, SMALL, "compositions")
     assert rep.passed
     names = [c.name for c in rep.checks]
     assert any(n.startswith("constants:") for n in names)
@@ -164,9 +161,16 @@ def test_composition_checks_small_budget():
 
 def test_hardness_check_small_budget():
     cat = build_catalog(SMALL)
-    assert run_hardness_check(cat, SMALL).passed
+    assert run_check(cat, SMALL, "hardness-pack").passed
 
 
 def test_short_query_checks_small_budget():
     cat = build_catalog(SMALL)
-    assert run_short_query_checks(cat, SMALL).passed
+    assert run_check(cat, SMALL, "short-query").passed
+
+
+def test_run_check_rejects_unknown_names():
+    cat = build_catalog(SMALL)
+    for stage in ("no-such-check", "witness:no-such-witness", "frobnicate:bds"):
+        with pytest.raises(UnknownProblem):
+            run_check(cat, SMALL, stage)

@@ -8,6 +8,11 @@ from polytract.problems import wordstats as ws
 from oracles import count_word_oracle
 
 
+def unpack(payload: bytes, n: int, m: int) -> tuple[int, ...]:
+    """Counts packed for an n-token corpus, read back through the digest parser."""
+    return ws.parse_digest_instance(bytes([ws.count_width(n)]) + payload, m)
+
+
 def test_digest_counts_pinned():
     corpus = ws.corpus_from_text(b"in the house in the dark")
     digest = ws.preposition_digest(corpus)
@@ -44,7 +49,7 @@ def test_pack_counts_exact_bits():
     payload, bits = ws.pack_counts(values, 1023)
     assert bits == 5 * 10 == 50
     assert len(payload) == 7  # ceil(50 / 8)
-    assert ws.unpack_counts(payload, 1023, 5) == tuple(values)
+    assert unpack(payload, 1023, 5) == tuple(values)
 
 
 def test_pack_rejects_out_of_range():
@@ -57,9 +62,9 @@ def test_pack_rejects_out_of_range():
 def test_unpack_rejects_bad_payloads():
     payload, _ = ws.pack_counts([3, 1], 3)
     with pytest.raises(MalformedInstance):
-        ws.unpack_counts(payload + b"x", 3, 2)
+        unpack(payload + b"x", 3, 2)
     with pytest.raises(MalformedInstance):
-        ws.unpack_counts(b"\xff", 3, 2)  # nonzero padding bits
+        unpack(b"\xff", 3, 2)  # nonzero padding bits
 
 
 def test_pack_roundtrip_random():
@@ -70,7 +75,7 @@ def test_pack_roundtrip_random():
         values = [rng.randrange(0, n + 1) for _ in range(m)]
         payload, bits = ws.pack_counts(values, n)
         assert bits == m * ws.count_width(n)
-        assert ws.unpack_counts(payload, n, m) == tuple(values)
+        assert unpack(payload, n, m) == tuple(values)
 
 
 def test_digest_instance_roundtrip():
@@ -109,6 +114,18 @@ def test_pair_member_total():
     assert ws.pair_member(text, b"not a query") is False
     # k = 0 holds for any lexicon word, even an absent one
     assert ws.pair_member(text, ws.query_bytes("onto", 0)) is True
+
+
+def test_non_utf8_query_is_rejected():
+    from polytract import SuiteConfig, build_catalog
+
+    with pytest.raises(MalformedInstance):
+        ws.parse_query(b"\xff 1")
+    assert ws.pair_member(b"in in", b"\xff 1") is False
+    witness = build_catalog(SuiteConfig()).witnesses["wordstats-count-digest"].witness
+    digest = witness.preprocess(b"in in")
+    assert witness.post_language.membership(digest, b"in 1") is True
+    assert witness.post_language.membership(digest, b"\xff 1") is False
 
 
 def test_random_corpus_rate():
