@@ -1,0 +1,54 @@
+"""Pinned output of the large-instance generators and the stream they leave.
+
+Every ladder, sampler and report downstream is a function of these
+bytes, so a faster generator must draw exactly what the plain one drew:
+same instance bytes and the same random state afterwards, which the next
+`rng.random()` shows. The bds sizes straddle n = 21, where
+`random.Random.sample` switches from its pool branch to its set branch.
+"""
+import hashlib
+import random
+
+import pytest
+
+from polytract.problems import bds, cvp
+
+BDS = {
+    5: ("a00b9eea555820dabf90163ed966e2e5c9aa45545d944848052ec142b8b3ac46",
+        0.9569008890579226),
+    21: ("8af38f909fa4d25078f467758eaecc6aef8d651acee8cf7ebf6d8c7c61bf3209",
+         0.43740465391848105),
+    22: ("571996245f034b6a76f67521beec90993721ccde431e803c84371f9f0e71f7e3",
+         0.37091769480107695),
+    1024: ("10d1cd556b6cfd8fe8b956576515f516555e097c61fea187072a36071fe47d29",
+           0.3437292523254083),
+    65536: ("680b61b25cc9ef1b8b7c914c7cf7ad9a77e7de3471a7a55da3891e2116b93c73",
+            0.07537499736443776),
+}
+
+CVP = {
+    4: ("8806c099d83f1b59a632ad8e96fede723fe52a6ea849514e9de33eeafd0e26e0",
+        0.9824832696309496),
+    1024: ("b189199aa846c5acb843181a5a280a00515df665e55a3b9630ccded9983d570f",
+           0.47888191941257485),
+    65536: ("ff705021b48e710e0bc411c590f0bb15a7d180ca2dafe0a44f577e4510190df5",
+            0.28739867711466593),
+}
+
+
+def _sha256(x: bytes) -> str:
+    return hashlib.sha256(x).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(BDS))
+def test_sparse_bds_stream_is_pinned(n):
+    rng = random.Random(f"streams:bds:{n}")
+    x = bds.random_sparse_instance(n, rng)
+    assert (_sha256(x), rng.random()) == BDS[n]
+
+
+@pytest.mark.parametrize("n", sorted(CVP))
+def test_circuit_stream_is_pinned(n):
+    rng = random.Random(f"streams:cvp:{n}")
+    x = cvp.circuit_to_bytes(cvp.random_circuit(n, rng))
+    assert (_sha256(x), rng.random()) == CVP[n]
