@@ -1,0 +1,123 @@
+"""Stage and layer timings of the large-instance path, as a JSON record.
+
+    python -m polytract.bench --json BENCH.json [--label change]
+
+Runs run_suite(SuiteConfig()) at seed 42 once and records its wall time,
+each stage's time, the process's peak RSS right after it and the
+stripped report's sha256. Then it times each large-instance kernel at
+every DEFAULT_LADDER rung with time_interleaved_ns: the rungs of one
+kernel are swept together and each keeps its fastest sweep. Inputs come
+from fixed string seeds.
+
+The record is stored under LABEL in the JSON file and other labels
+already there are kept, so running this file against two checkouts puts
+their columns side by side. It uses only functions older checkouts have
+too. `polytract bench` is a different thing: the suite's growth-fit check.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import random
+import resource
+import time
+
+from .catalog import as_qbds
+from .encoding import decode_pair, escape_payload, unescape_payload
+from .harness import DEFAULT_LADDER, SuiteConfig, run_suite, time_interleaved_ns
+from .problems import bds, cvp
+from .report import dump_json, strip_timings
+
+SEED = 42
+
+
+def _suite(seed: int) -> dict:
+    t0 = time.perf_counter_ns()
+    report = run_suite(SuiteConfig(seed=seed))
+    wall = time.perf_counter_ns() - t0
+    stripped = dump_json(strip_timings(report.to_dict()))
+    return {
+        "wall_s": round(wall / 1e9, 3),
+        "stages_s": {k: round(v / 1e9, 3) for k, v in report.timings.items()},
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "report_sha256": hashlib.sha256(stripped.encode("utf-8")).hexdigest(),
+        "verdict": "pass" if report.verdict else "fail",
+    }
+
+
+def _layer_tasks(n: int, seed: int) -> dict:
+    """layer name -> (fn, calls) at rung n."""
+    g = bds.random_sparse_graph(n, random.Random(f"{seed}:bench-graph:{n}"))
+    block = bds.graph_to_bytes(g)
+    instance = block + b"1 2"
+    circuit = cvp.random_circuit(n, random.Random(f"{seed}:bench-circuit:{n}"))
+    text = cvp.circuit_to_bytes(circuit)
+    # An escaped payload of the block's size, about a quarter of whose
+    # bytes are delimiters or the escape byte before escaping.
+    rng = random.Random(f"{seed}:bench-payload:{n}")
+    escaped = escape_payload(bytes(rng.choices(b"#@\\abcdefgh", k=len(block))))
+    return {
+        "bds.random_sparse_graph": (
+            lambda: bds.random_sparse_graph(n, random.Random(f"{seed}:bench-graph:{n}")), [()]),
+        "bds.graph_to_bytes": (bds.graph_to_bytes, [(g,)]),
+        "bds.parse_instance": (bds.parse_instance, [(instance,)]),
+        "bds.bds_order (uncached)": (bds.bds_order.__wrapped__, [(g,)]),
+        "encoding.decode_pair (qbds form)": (decode_pair, [(as_qbds(instance),)]),
+        "encoding.unescape_payload (escape-dense)": (unescape_payload, [(escaped,)]),
+        "cvp.random_circuit": (
+            lambda: cvp.random_circuit(n, random.Random(f"{seed}:bench-circuit:{n}")), [()]),
+        "cvp.circuit_to_bytes": (cvp.circuit_to_bytes, [(circuit,)]),
+        "cvp.parse_circuit": (cvp.parse_circuit, [(text,)]),
+        "cvp.cvp_member": (cvp.cvp_member, [(text,)]),
+    }
+
+
+def layer_ns(seed: int, ladder=DEFAULT_LADDER) -> dict:
+    """layer name -> [[rung, ns per call], ...] in ladder order."""
+    rungs = {n: _layer_tasks(n, seed) for n in ladder}
+    out = {}
+    for layer in rungs[ladder[0]]:
+        floors = time_interleaved_ns([rungs[n][layer] for n in ladder])
+        out[layer] = [[n, round(ns)] for n, ns in zip(ladder, floors)]
+    return out
+
+
+def measure() -> dict:
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "seed": SEED,
+        "suite": _suite(SEED),
+        "ns_per_call": layer_ns(SEED),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(
+        prog="python -m polytract.bench",
+        description="Record suite stage times and per-layer ns per call.")
+    ap.add_argument("--json", required=True, metavar="PATH",
+                    help="JSON file to add the record to")
+    ap.add_argument("--label", default="change",
+                    help="name of this record's column (default: change)")
+    args = ap.parse_args(argv)
+
+    record = measure()
+    try:
+        with open(args.json, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        doc = {"columns": {}}
+    doc["columns"][args.label] = record
+    dump_json(doc, args.json)
+    print(f"{args.label}: run_suite {record['suite']['wall_s']} s, "
+          f"peak RSS {record['suite']['peak_rss_mb']} MB -> {args.json}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

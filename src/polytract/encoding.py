@@ -15,6 +15,7 @@ byte inside a payload costs one more.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -27,9 +28,6 @@ HASH = 0x23    # '#'
 AT = 0x40      # '@'
 ESCAPE = 0x5C  # '\'
 
-_SPECIALS = frozenset((HASH, AT, ESCAPE))
-_UNESCAPES = {ord("h"): 0x23, ord("a"): 0x40, ord("\\"): 0x5C}
-
 
 def escape_payload(payload: Instance) -> Instance:
     # Escape byte first or it would re-escape the substitutions.
@@ -39,45 +37,56 @@ def escape_payload(payload: Instance) -> Instance:
 
 
 def unescape_payload(escaped: Instance) -> Instance:
-    """Invert escape_payload; rejects raw delimiters and bad escapes."""
-    if not any(b in _SPECIALS for b in escaped):
+    """Invert escape_payload; rejects raw delimiters and bad escapes.
+
+    Splitting at the escaped backslashes leaves pieces whose remaining
+    escapes are all two-byte \\h or \\a, so plain replaces decode them.
+    An input is a valid escaping exactly when re-escaping the result gives
+    it back; anything else is located by the token scan in _reject.
+    """
+    if b"\\" not in escaped and b"#" not in escaped and b"@" not in escaped:
         return escaped
-    out = bytearray()
-    i, n = 0, len(escaped)
-    while i < n:
-        b = escaped[i]
-        if b == ESCAPE:
-            if i + 1 >= n:
-                raise MalformedInstance("dangling escape byte at end of payload")
-            try:
-                out.append(_UNESCAPES[escaped[i + 1]])
-            except KeyError:
-                raise MalformedInstance(
-                    f"unknown escape sequence at offset {i}"
-                ) from None
-            i += 2
-        elif b in (HASH, AT):
-            raise MalformedInstance(f"unescaped delimiter at offset {i}")
-        else:
-            out.append(b)
-            i += 1
-    return bytes(out)
+    out = b"\\".join([
+        piece.replace(b"\\h", b"#").replace(b"\\a", b"@")
+        for piece in escaped.split(b"\\\\")
+    ])
+    if escape_payload(out) != escaped:
+        _reject(escaped)
+    return out
+
+
+# Longest prefix of well-formed tokens: plain bytes and the three escapes.
+_TOKENS = re.compile(rb"(?:[^#@\\]|\\[ha\\])*")
+
+
+def _reject(escaped: Instance):
+    """Raise for the first malformed token of an invalid escaping."""
+    at = _TOKENS.match(escaped).end()
+    if escaped[at] != ESCAPE:
+        raise MalformedInstance(f"unescaped delimiter at offset {at}")
+    if at + 1 == len(escaped):
+        raise MalformedInstance("dangling escape byte at end of payload")
+    raise MalformedInstance(f"unknown escape sequence at offset {at}")
 
 
 def escape_overhead(payload: Instance) -> int:
     """Extra bytes escaping adds: one per delimiter or escape occurrence."""
-    return sum(1 for b in payload if b in _SPECIALS)
+    return payload.count(b"#") + payload.count(b"@") + payload.count(b"\\")
 
 
 def _unescaped_positions(x: Instance, delim: int) -> list[int]:
     # A delimiter is structural iff an even number of escape bytes
     # immediately precede it.
     positions = []
-    run = 0
-    for i, b in enumerate(x):
-        if b == delim and run % 2 == 0:
+    sep = bytes((delim,))
+    i = x.find(sep)
+    while i >= 0:
+        j = i
+        while j and x[j - 1] == ESCAPE:
+            j -= 1
+        if (i - j) % 2 == 0:
             positions.append(i)
-        run = run + 1 if b == ESCAPE else 0
+        i = x.find(sep, i + 1)
     return positions
 
 

@@ -26,9 +26,11 @@ directly behind it with no separator byte.
 from __future__ import annotations
 
 import random
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations
+from functools import partial, update_wrapper
+from itertools import chain, combinations, permutations
+from operator import eq, itemgetter
 from typing import Iterator
 
 from ..encoding import Instance
@@ -52,25 +54,40 @@ def make_graph(n: int, numbering, edges) -> NumberedGraph:
     if n < 1:
         raise MalformedGraph("graph needs at least one node")
     numbering = tuple(numbering)
-    if sorted(numbering) != list(range(1, n + 1)):
+    if len(numbering) != n or set(numbering) != set(range(1, n + 1)):
         raise MalformedGraph("numbering is not a bijection onto 1..n")
-    canon = set()
+    edges = list(edges)
+    canon = frozenset({(u, v) if u < v else (v, u) for u, v in edges})
+    # Whole-set checks; a graph that fails one is walked edge by edge so
+    # the error names the first bad edge in input order.
+    if canon:
+        lows = list(map(itemgetter(0), canon))
+        highs = list(map(itemgetter(1), canon))
+        if (len(canon) != len(edges) or min(lows) < 1 or max(highs) > n
+                or any(map(eq, lows, highs))):
+            _reject_edges(n, edges)
+    return NumberedGraph(n, numbering, canon)
+
+
+def _reject_edges(n: int, edges) -> None:
+    """Raise for the first edge, in input order, that is a self-loop,
+    leaves 1..n or repeats an earlier one."""
+    seen = set()
     for u, v in edges:
         if u == v:
             raise MalformedGraph(f"self-loop at node {u}")
         if not (1 <= u <= n and 1 <= v <= n):
             raise MalformedGraph(f"edge ({u}, {v}) leaves the node range")
         e = (u, v) if u < v else (v, u)
-        if e in canon:
+        if e in seen:
             raise MalformedGraph(f"duplicate edge ({e[0]}, {e[1]})")
-        canon.add(e)
-    return NumberedGraph(n, numbering, frozenset(canon))
+        seen.add(e)
 
 
 def graph_to_bytes(g: NumberedGraph) -> bytes:
-    lines = [f"{g.n} {len(g.edges)}", " ".join(str(x) for x in g.numbering)]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return ("\n".join(lines) + "\n").encode("ascii")
+    edges = sorted(g.edges)
+    head = f"{g.n} {len(edges)}\n" + " ".join(map(str, g.numbering)) + "\n"
+    return (head + "%d %d\n" * len(edges) % tuple(chain.from_iterable(edges))).encode("ascii")
 
 
 def _int_fields(line: bytes, lineno: int, want: int) -> list[int]:
@@ -90,6 +107,14 @@ def split_block_tail(data: bytes) -> tuple[bytes, bytes]:
     the split point is determined without reserializing anything and the
     tail comes back raw.
     """
+    n, m, lines = _block_lines(data)
+    tail = lines[-1]
+    return data[:len(data) - len(tail)], tail
+
+
+def _block_lines(data: bytes) -> tuple[int, int, list[bytes]]:
+    """Header counts n, m and data cut into the block's m + 2 lines
+    followed by the raw tail."""
     first_nl = data.find(b"\n")
     if first_nl < 0:
         raise MalformedGraph("line 1: missing newline after header")
@@ -98,26 +123,30 @@ def split_block_tail(data: bytes) -> tuple[bytes, bytes]:
         raise MalformedGraph("line 1: node count must be positive")
     if m < 0:
         raise MalformedGraph("line 1: negative edge count")
-    pos = first_nl + 1
-    for lineno in range(2, 2 + m + 1):
-        nl = data.find(b"\n", pos)
-        if nl < 0:
-            raise MalformedGraph(f"line {lineno}: truncated block")
-        pos = nl + 1
-    return data[:pos], data[pos:]
+    # data has at most len(data) newlines; capping keeps a huge m legal
+    # for split and still reports the truncation.
+    lines = data.split(b"\n", min(m + 2, len(data)))
+    if len(lines) < m + 3:
+        raise MalformedGraph(f"line {len(lines)}: truncated block")
+    return n, m, lines
 
 
 def parse_graph_block(data: bytes) -> tuple[NumberedGraph, bytes]:
     """Parse a graph block off the front of data; return it and the rest."""
-    block, rest = split_block_tail(data)
-    lines = block.split(b"\n")  # header, numbering, m edges, trailing ""
-    n, m = _int_fields(lines[0], 1, 2)
+    n, m, lines = _block_lines(data)
     numbering = _int_fields(lines[1], 2, n)
     edges = []
-    for j in range(m):
-        u, v = _int_fields(lines[2 + j], 3 + j, 2)
-        edges.append((u, v))
-    return make_graph(n, numbering, edges), rest
+    append = edges.append
+    # _int_fields(line, lineno, 2) unrolled: this loop runs once per edge.
+    for lineno, line in enumerate(lines[2:m + 2], 3):
+        parts = line.split()
+        if len(parts) != 2:
+            raise MalformedGraph(f"line {lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise MalformedGraph(f"line {lineno}: non-integer field") from None
+    return make_graph(n, numbering, edges), lines[-1]
 
 
 def parse_graph(data: bytes) -> NumberedGraph:
@@ -144,37 +173,85 @@ def parse_instance(data: Instance) -> tuple[NumberedGraph, int, int]:
     return g, u, v
 
 
-@lru_cache(maxsize=1_000_000)
+class OrderCache:
+    """Least-recently-used memo of a function of graphs, bounded by the
+    total node count of the graphs it keeps rather than by their number.
+
+    Many small graphs fit at once, while a graph larger than the whole
+    budget is computed and not kept, so ladder-sized graphs do not stay
+    in memory after their one query.
+    """
+
+    def __init__(self, fn, max_nodes: int):
+        update_wrapper(self, fn)
+        self._fn = fn
+        self.max_nodes = max_nodes
+        self.cache_clear()
+
+    def __call__(self, g: NumberedGraph):
+        entries = self._entries
+        value = entries.get(g)
+        if value is not None:
+            self.hits += 1
+            entries.move_to_end(g)
+            return value
+        self.misses += 1
+        value = self._fn(g)
+        if g.n <= self.max_nodes:
+            entries[g] = value
+            self.nodes += g.n
+            while self.nodes > self.max_nodes:
+                self.nodes -= entries.popitem(last=False)[0].n
+        return value
+
+    def cache_info(self) -> "OrderCacheInfo":
+        return OrderCacheInfo(self.hits, self.misses, self.max_nodes,
+                              self.nodes, len(self._entries))
+
+    def cache_clear(self) -> None:
+        self._entries: OrderedDict[NumberedGraph, tuple[int, ...]] = OrderedDict()
+        self.nodes = self.hits = self.misses = 0
+
+
+OrderCacheInfo = namedtuple("OrderCacheInfo", "hits misses max_nodes nodes currsize")
+
+
+# 2^15 nodes: thousands of small graphs, or two of 16,384 nodes (about
+# 10 MB); a 65,536-node graph is computed and dropped.
+@partial(OrderCache, max_nodes=1 << 15)
 def bds_order(g: NumberedGraph) -> tuple[int, ...]:
     """Visit order of the breadth-depth traversal described above."""
+    # The traversal runs on numbers, where "smallest" is integer order,
+    # and maps the visited numbers back to nodes at the end.
     n = g.n
-    number = g.numbering
+    number = (0,) + g.numbering
     nbrs: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
+        a, b = number[u], number[v]
+        nbrs[a].append(b)
+        nbrs[b].append(a)
     for lst in nbrs:
-        lst.sort(key=lambda w: number[w - 1])
-    by_number = sorted(range(1, n + 1), key=lambda w: number[w - 1])
+        lst.sort()
     visited = [False] * (n + 1)
     order: list[int] = []
     stack: list[int] = []
-    restart = 0
+    restart = 1
     while len(order) < n:
         if stack:
             cur = stack.pop()
         else:
-            while visited[by_number[restart]]:
+            while visited[restart]:
                 restart += 1
-            cur = by_number[restart]
+            cur = restart
             visited[cur] = True
             order.append(cur)
         children = [w for w in nbrs[cur] if not visited[w]]
         for w in children:
             visited[w] = True
-            order.append(w)
+        order.extend(children)
         stack.extend(reversed(children))
-    return tuple(order)
+    node_of = sorted(range(n + 1), key=number.__getitem__)
+    return tuple(map(node_of.__getitem__, order))
 
 
 def bds_decide(g: NumberedGraph, u: int, v: int) -> bool:
@@ -227,10 +304,31 @@ def random_sparse_graph(n: int, rng: random.Random, avg_degree: float = 4.0) -> 
     rng.shuffle(numbering)
     target = min(int(avg_degree * n / 2), n * (n - 1) // 2)
     edges = set()
-    while len(edges) < target:
-        u, v = rng.sample(range(1, n + 1), 2)
-        edges.add((u, v) if u < v else (v, u))
+    if n <= _SAMPLE_POOL_MAX:
+        while len(edges) < target:
+            u, v = rng.sample(range(1, n + 1), 2)
+            edges.add((u, v) if u < v else (v, u))
+    else:
+        # rng.sample(range(1, n + 1), 2) inlined: above the pool size it
+        # draws getrandbits(n.bit_length()) until below n, then again
+        # until below n and different, so the stream stays the same.
+        bits = n.bit_length()
+        getrandbits = rng.getrandbits
+        add_edge = edges.add
+        while len(edges) < target:
+            i = getrandbits(bits)
+            while i >= n:
+                i = getrandbits(bits)
+            j = getrandbits(bits)
+            while j >= n or j == i:
+                j = getrandbits(bits)
+            add_edge((i + 1, j + 1) if i < j else (j + 1, i + 1))
     return NumberedGraph(n, tuple(numbering), frozenset(edges))
+
+
+# Largest population random.Random.sample(population, 2) draws from a
+# copied pool rather than by rejection.
+_SAMPLE_POOL_MAX = 21
 
 
 def random_sparse_instance(n: int, rng: random.Random, avg_degree: float = 4.0) -> Instance:

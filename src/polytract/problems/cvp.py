@@ -17,8 +17,10 @@ returns the output node's value.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 from ..encoding import Instance
 from ..errors import (
@@ -42,12 +44,16 @@ class Circuit:
 
 def circuit_to_bytes(c: Circuit) -> Instance:
     lines = []
+    append = lines.append
     for i, node in enumerate(c.nodes, 1):
-        kind, *args = node
+        kind = node[0]
         if kind == "input":
-            args = [1 if args[0] else 0]
-        lines.append(f"{i} {kind} " + " ".join(str(a) for a in args))
-    return ("\n".join(lines) + "\n").encode("ascii")
+            append(f"{i} input {1 if node[1] else 0}\n")
+        elif len(node) == 3:
+            append(f"{i} {kind} {node[1]} {node[2]}\n")
+        else:
+            append(f"{i} {kind} " + " ".join(map(str, node[1:])) + "\n")
+    return "".join(lines).encode("ascii")
 
 
 def parse_circuit(data: Instance) -> Circuit:
@@ -58,7 +64,14 @@ def parse_circuit(data: Instance) -> Circuit:
     raw_lines = text.split("\n")
     if raw_lines and raw_lines[-1] == "":
         raw_lines.pop()
+    # One pass parses every line and gathers what validate_circuit would
+    # check; its errors are raised after the pass, in its order.
+    n = len(raw_lines)
     nodes: list[Node] = []
+    append = nodes.append
+    outputs = []
+    dangling = None
+    backward = True  # every ref names an earlier node: acyclic for sure
     for lineno, line in enumerate(raw_lines, 1):
         parts = line.split()
         if len(parts) < 2:
@@ -72,25 +85,40 @@ def parse_circuit(data: Instance) -> Circuit:
                 f"line {lineno}: ids must be dense from 1, got {node_id}"
             )
         kind = parts[1]
-        if kind not in _ARITY:
+        arity = _ARITY.get(kind)
+        if arity is None:
             raise MalformedCircuit(f"line {lineno}: unknown kind {kind!r}")
-        args = parts[2:]
-        if len(args) != _ARITY[kind]:
+        if len(parts) - 2 != arity:
             raise ArityError(
-                f"line {lineno}: {kind} takes {_ARITY[kind]} argument(s), got {len(args)}"
+                f"line {lineno}: {kind} takes {arity} argument(s), got {len(parts) - 2}"
             )
         try:
-            values = [int(a) for a in args]
+            args = tuple(map(int, parts[2:]))
         except ValueError:
             raise MalformedCircuit(f"line {lineno}: non-integer argument") from None
         if kind == "input":
-            if values[0] not in (0, 1):
+            if args[0] not in (0, 1):
                 raise MalformedCircuit(f"line {lineno}: input must be 0 or 1")
-            nodes.append(("input", bool(values[0])))
-        else:
-            nodes.append((kind, *values))
+            append(("input", bool(args[0])))
+            continue
+        append((kind, *args))
+        if kind == "output":
+            outputs.append(lineno)
+        for ref in args:
+            if not 0 < ref < lineno:
+                backward = False
+                if dangling is None and not 1 <= ref <= n:
+                    dangling = f"node {lineno}: reference to missing node {ref}"
+    if n == 0:
+        raise MalformedCircuit("circuit has no nodes")
+    if dangling is not None:
+        raise DanglingRef(dangling)
+    if len(outputs) != 1:
+        raise MalformedCircuit(f"need exactly one output node, found {len(outputs)}")
     circuit = Circuit(tuple(nodes))
-    validate_circuit(circuit)
+    # Backward refs cannot reach a last-line output or close a cycle.
+    if not (backward and outputs[0] == n):
+        _check_wiring(circuit, outputs[0])
     return circuit
 
 
@@ -120,7 +148,11 @@ def validate_circuit(c: Circuit) -> None:
                 raise DanglingRef(f"node {i}: reference to missing node {ref}")
     if len(outputs) != 1:
         raise MalformedCircuit(f"need exactly one output node, found {len(outputs)}")
-    out = outputs[0]
+    _check_wiring(c, outputs[0])
+
+
+def _check_wiring(c: Circuit, out: int) -> None:
+    """Nothing may reference the output node, and the wiring is acyclic."""
     for i, node in enumerate(c.nodes, 1):
         if out in _refs(node):
             raise MalformedCircuit(f"node {i}: references the output node")
@@ -280,13 +312,30 @@ def random_circuit(
     n_gates = size - n_inputs - 1
     nodes: list[Node] = [("input", rng.random() < 0.5) for _ in range(n_inputs)]
     ops = ["not", "and", "or"]
-    for _ in range(n_gates):
-        prev = len(nodes)
-        op = rng.choices(ops, weights=weights)[0]
-        if op == "not":
-            nodes.append(("not", 1 + rng.randrange(prev)))
-        else:
-            nodes.append((op, 1 + rng.randrange(prev), 1 + rng.randrange(prev)))
+    if n_gates:
+        # Inline forms of rng.choices(ops, weights) and rng.randrange(prev)
+        # that draw the same numbers: bisect over the running weight sums,
+        # and getrandbits(prev.bit_length()) until below prev. The k=0
+        # call rejects bad weights as the first draw would, drawing nothing.
+        rng.choices(ops, weights, k=0)
+        cum = list(accumulate(weights))
+        total = cum[-1] + 0.0
+        random_ = rng.random
+        getrandbits = rng.getrandbits
+        append = nodes.append
+        for prev in range(n_inputs, n_inputs + n_gates):
+            op = ops[bisect(cum, random_() * total, 0, 2)]
+            bits = prev.bit_length()
+            a = getrandbits(bits)
+            while a >= prev:
+                a = getrandbits(bits)
+            if op == "not":
+                append(("not", a + 1))
+                continue
+            b = getrandbits(bits)
+            while b >= prev:
+                b = getrandbits(bits)
+            append((op, a + 1, b + 1))
     nodes.append(("output", 1 + rng.randrange(len(nodes))))
     return Circuit(tuple(nodes))
 

@@ -116,3 +116,26 @@ def test_sparse_generator_shape():
     assert len(g.edges) == 400
     x = bds.random_sparse_instance(64, rng)
     bds.parse_instance(x)
+
+
+def test_order_cache_keeps_a_node_budget():
+    calls = []
+
+    def order(g):
+        calls.append(g.n)
+        return bds.bds_order.__wrapped__(g)
+
+    cache = bds.OrderCache(order, max_nodes=10)
+    small = [bds.make_graph(4, (1, 2, 3, 4), [(1, k)]) for k in (2, 3, 4)]
+    big = bds.make_graph(11, range(1, 12), [])
+    for g in small[:2] * 2:
+        cache(g)
+    assert cache.cache_info()[:2] == (2, 2) and cache.nodes == 8
+    cache(small[2])  # 12 nodes > 10: the least recently used graph goes
+    assert cache.nodes == 8 and cache.cache_info().currsize == 2
+    cache(small[0])
+    assert calls == [4, 4, 4, 4]
+    cache(big)
+    cache(big)  # larger than the whole budget: computed each time, never kept
+    assert calls[-2:] == [11, 11] and cache.nodes == 8
+    assert cache(big) == bds_order_oracle(big.n, big.numbering, big.edges)

@@ -62,6 +62,21 @@ def test_verify_witness_flags_wrong_mapping():
     assert any(c.name == "positive-iff" and not c.passed for c in rep.checks)
 
 
+def test_verify_witness_rows_fail_only_for_their_own_side():
+    # Accepting everything breaks the negative side alone.
+    lenient = PreprocessingWitness(
+        name="accepts-all",
+        preprocess=lambda d: d,
+        post_language=LanguageOfPairs("all", lambda d, q: True, ZERO_BOUND),
+        output_bound=GOOD_WITNESS.output_bound,
+    )
+    rep = verify_witness(TOY, lenient, [Pair(b"abc", b"a")], [Pair(b"abc", b"q")])
+    verdicts = {c.name: c.passed for c in rep.checks}
+    assert verdicts["positive-iff"] and verdicts["output-bound"]
+    assert not verdicts["negative-iff"]
+    assert verdicts["sample[0].negative-iff"] is False
+
+
 def test_verify_witness_flags_oversized_digest():
     bloated = PreprocessingWitness(
         name="identity",
