@@ -45,6 +45,13 @@ DEFAULT_BOUNDS = {
     "cvp-query": ZERO_BOUND,
 }
 
+# The fault injections a config may name: each swaps one witness's
+# preprocessing for the identity map and keeps its declared bound.
+INJECTIONS = tuple(
+    f"identity-preprocessing:{name}"
+    for name in ("bds-verdict-bit", "cvp-verdict-bit", "wordstats-count-digest")
+)
+
 
 def qbds_instance_bytes(g: bds.NumberedGraph, u: int, v: int) -> Instance:
     """Graph block and query joined by '#'; payloads never need escaping."""
@@ -81,21 +88,13 @@ def absorb_factorization() -> CrFactorization:
             return y
         return pair.data + pair.query
 
-    def restore(d: Instance, q: Instance) -> Instance:
-        try:
-            block, tail = bds.split_block_tail(d)
-        except MalformedInstance:
-            return d
-        return block + b"#" + tail
-
     return CrFactorization(
         name="qbds-absorb",
         data_part=data_part,
         query_part=lambda y: b"",
-        restore=restore,
+        restore=lambda d, q: as_qbds(d),
         redundancy=-1,
         query_bound=ZERO_BOUND,
-        notes="one delimiter dropped and re-inserted; linear scans only",
     )
 
 

@@ -12,8 +12,7 @@ from . import catalog as catalog_mod
 from . import harness
 from .errors import ConfigError, InsufficientData, UnknownProblem, VerifierError
 from .report import Report, dump_json
-from .separation import separation_report
-from .encoding import PolylogBound, parse_bound
+from .encoding import parse_bound
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -123,10 +122,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_separate(args) -> int:
-    cfg = _config_from_args(args)
-    bound = args.bound or cfg.bounds.get("separation", PolylogBound(1.0, 2, 0.0))
-    cap = cfg.exhaustive_caps.get("separation", 5)
-    sep = separation_report(range(1, args.max_n + 1), bound, enumerate_max=cap)
+    sep = harness.separation_table(_config_from_args(args), args.max_n, args.bound)
     if args.csv:
         for line in sep.csv_lines():
             print(line)

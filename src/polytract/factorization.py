@@ -37,9 +37,6 @@ class CrFactorization:
     restore: Callable[[Instance, Instance], Instance]
     redundancy: int
     query_bound: PolylogBound
-    # Informal cost note for the split/restore functions (they are meant to
-    # be cheap, local rewrites; nothing here measures that claim).
-    notes: str = ""
 
 
 def apply_factorization(fact: CrFactorization, x: Instance) -> Pair:
@@ -54,21 +51,22 @@ class FactoredLanguage:
     base: Callable[[Instance], bool]
     fact: CrFactorization
 
-    def pair_of(self, x: Instance) -> Pair:
-        return apply_factorization(self.fact, x)
-
     def induced_pairs_language(self) -> LanguageOfPairs:
-        fact, base = self.fact, self.base
-        return LanguageOfPairs(
-            name=f"pairs({self.name})",
-            membership=lambda d, q: base(fact.restore(d, q)),
-            short_query_bound=fact.query_bound,
-        )
+        return induced_pairs(self.fact, self.base, f"pairs({self.name})")
 
 
-def identity_factorization(
-    name: str = "identity", query_bound: PolylogBound = ZERO_BOUND
-) -> CrFactorization:
+def induced_pairs(
+    fact: CrFactorization, member: Callable[[Instance], bool], name: str
+) -> LanguageOfPairs:
+    """The pairs whose restore is a member, with the factorization's query bound."""
+    return LanguageOfPairs(
+        name=name,
+        membership=lambda d, q: member(fact.restore(d, q)),
+        short_query_bound=fact.query_bound,
+    )
+
+
+def identity_factorization(name: str = "identity") -> CrFactorization:
     """Everything goes into the data part; the query part is empty."""
     return CrFactorization(
         name=name,
@@ -76,12 +74,11 @@ def identity_factorization(
         query_part=lambda x: b"",
         restore=lambda d, q: d,
         redundancy=0,
-        query_bound=query_bound,
-        notes="projections and a constant; no rewriting at all",
+        query_bound=ZERO_BOUND,
     )
 
 
-def packed_factorization(fact: CrFactorization, name: str | None = None) -> CrFactorization:
+def packed_factorization(fact: CrFactorization) -> CrFactorization:
     """Fold a factorization's two parts into a single packed data part.
 
     The packed variant splits nothing: the whole pair rides in the data
@@ -100,13 +97,12 @@ def packed_factorization(fact: CrFactorization, name: str | None = None) -> CrFa
         return fact.restore(left, right)
 
     return CrFactorization(
-        name=name or f"packed({fact.name})",
+        name=f"packed({fact.name})",
         data_part=data_part,
         query_part=lambda x: b"",
         restore=restore,
         redundancy=fact.redundancy + 1,
         query_bound=ZERO_BOUND,
-        notes="joins the underlying parts with one '@'",
     )
 
 
@@ -160,16 +156,12 @@ def verify_factorization(fl: FactoredLanguage, samples: Sequence[Instance]) -> R
     return rep
 
 
-def check_prop1(
-    fl: FactoredLanguage,
-    samples: Sequence[Instance],
-    bound: PolylogBound | None = None,
-) -> Report:
+def check_prop1(fl: FactoredLanguage, samples: Sequence[Instance]) -> Report:
     """Check that the query part is short relative to the whole instance.
 
-    With no explicit bound the limit is query_bound(|x| + redundancy),
-    which dominates query_bound(|data_part(x)|) whenever conditions (2)
-    and (3) hold, because the bound template is monotone.
+    The limit is query_bound(|x| + redundancy), which dominates
+    query_bound(|data_part(x)|) whenever conditions (2) and (3) hold,
+    because the bound template is monotone.
     """
     fact = fl.fact
     rep = Report(f"prop1:{fl.name}")
@@ -181,18 +173,13 @@ def check_prop1(
             raise NonMemberSample(f"sample {idx} is not a member of {fl.name}")
         total += 1
         q = fact.query_part(x)
-        if bound is not None:
-            limit = bound(len(x))
-        else:
-            limit = fact.query_bound(max(len(x) + fact.redundancy, 2))
+        limit = fact.query_bound(max(len(x) + fact.redundancy, 2))
         if worst is None or len(q) > worst:
             worst = len(q)
         if len(q) > limit:
             failures.append((idx, "whole-size-bound", f"|q|={len(q)} > {limit:.2f}"))
-    described = bound.describe() if bound is not None else (
-        f"{fact.query_bound.describe()} at n+{fact.redundancy}"
-    )
     rep.add("query-short-in-whole-size", not failures, measured=worst,
-            bound=described, detail=f"{total} member samples")
+            bound=f"{fact.query_bound.describe()} at n+{fact.redundancy}",
+            detail=f"{total} member samples")
     rep.itemize("sample", failures)
     return rep

@@ -13,21 +13,19 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 import time
 from dataclasses import dataclass, field, replace
 
 from . import catalog as catalog_mod
-from .encoding import (
-    LanguageOfPairs,
-    Pair,
-    PolylogBound,
-    check_short_query,
-    parse_bound,
-)
+from .encoding import Pair, PolylogBound, check_short_query, parse_bound
 from .errors import ConfigError, InsufficientData
-from .factorization import apply_factorization, check_prop1, verify_factorization
-from .preprocessing import digest_size_ladder, verify_witness
+from .factorization import (
+    apply_factorization,
+    check_prop1,
+    induced_pairs,
+    verify_factorization,
+)
+from .preprocessing import digest_size_ladder, log_fit, verify_witness
 from .problems import bds
 from .reductions import (
     compose_fcr,
@@ -37,8 +35,8 @@ from .reductions import (
     verify_fcr_reduction,
     hardness_pack,
 )
-from .report import SCHEMA_VERSION, CheckResult, Report, dump_json
-from .separation import separation_report
+from .report import SCHEMA_VERSION, Report, dump_json
+from .separation import SeparationReport, separation_report
 
 DEFAULT_LADDER = (1024, 4096, 16384, 65536)
 
@@ -81,6 +79,11 @@ _SCALARS = {
 }
 
 
+# Every bound a check reads: the catalog's declared bounds and the
+# separation check's digest budget.
+_BOUND_NAMES = (*catalog_mod.DEFAULT_BOUNDS, "separation")
+
+
 def parse_config(text: str, base: SuiteConfig | None = None) -> SuiteConfig:
     """Parse key = value lines; '#' starts a comment, blank lines ignored."""
     cfg = replace(base) if base else SuiteConfig()
@@ -113,13 +116,21 @@ def _apply_key(cfg: SuiteConfig, key: str, value: str) -> None:
             raise ConfigError("gate_weights needs three integers")
         cfg.gate_weights = tuple(parts)
     elif key == "inject":
-        cfg.inject = tuple(v.strip() for v in value.split(",") if v.strip())
+        cfg.inject = tuple(_known(v.strip(), catalog_mod.INJECTIONS, "inject entry")
+                           for v in value.split(",") if v.strip())
     elif key.startswith("exhaustive_cap."):
-        cfg.exhaustive_caps[key.split(".", 1)[1]] = int(value)
+        name = _known(key.partition(".")[2], cfg.exhaustive_caps, "exhaustive cap")
+        cfg.exhaustive_caps[name] = int(value)
     elif key.startswith("bound."):
-        cfg.bounds[key.split(".", 1)[1]] = parse_bound(value)
+        cfg.bounds[_known(key.partition(".")[2], _BOUND_NAMES, "bound")] = parse_bound(value)
     else:
         raise ConfigError(f"unknown key {key!r}")
+
+
+def _known(name: str, known, what: str) -> str:
+    if name not in known:
+        raise ConfigError(f"unknown {what} {name!r}; known: {', '.join(sorted(known))}")
+    return name
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> SuiteConfig:
@@ -157,17 +168,17 @@ def config_echo(cfg: SuiteConfig) -> dict:
 # ------------------------------------------------------------------ timing
 
 
-def time_interleaved_ns(tasks, rounds: int = 7) -> list[float]:
+def time_interleaved_ns(tasks) -> list[float]:
     """Per-call floor for each (fn, calls) task, interleaving the tasks.
 
-    The first sweep warms everything up untimed; each later sweep times
-    every task once and each task keeps its fastest sweep. Sweeping the
-    tasks together makes slow drift (frequency scaling, competing load)
-    land on all of them alike instead of biasing whichever ran last, which
-    matters when the tasks are rungs of one growth curve.
+    The first sweep warms everything up untimed; each of the seven later
+    sweeps times every task once and each task keeps its fastest sweep.
+    Sweeping the tasks together makes slow drift (frequency scaling,
+    competing load) land on all of them alike instead of biasing whichever
+    ran last, which matters when the tasks are rungs of one growth curve.
     """
     best = [math.inf] * len(tasks)
-    for sweep in range(rounds + 1):
+    for sweep in range(8):
         for i, (fn, calls) in enumerate(tasks):
             t0 = time.perf_counter_ns()
             for args in calls:
@@ -206,21 +217,7 @@ def fit_runtime(measurements, model: str = "poly-n") -> FitResult:
     sizes = [p[0] for p in points]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InsufficientData("measurement sizes must be strictly increasing")
-    if model == "poly-n":
-        xs = [math.log(n) for n in sizes]
-    elif model == "poly-log-n":
-        xs = [math.log(math.log2(max(n, 4))) for n in sizes]
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    ys = [math.log(max(t, 1)) for _, t in points]
-    if len(set(ys)) == 1:
-        slope, intercept = 0.0, ys[0]
-    else:
-        reg = statistics.linear_regression(xs, ys)
-        slope, intercept = reg.slope, reg.intercept
-    residual = math.sqrt(
-        sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / len(xs)
-    )
+    slope, intercept, residual = log_fit(model, sizes, [t for _, t in points])
     return FitResult(model, slope, intercept, residual)
 
 
@@ -230,10 +227,15 @@ def fit_runtime(measurements, model: str = "poly-n") -> FitResult:
 # the config and returns one Report; run_check dispatches to it by name.
 
 
+def _sample(cat, config: SuiteConfig, name: str, budget: int) -> list:
+    """Instances from the sampler of the problem `name` starts with: the
+    exhaustive part up to the configured bds cap, then `budget` random ones."""
+    return cat.sampler(name)(config.seed, config.exhaustive_caps["bds"], budget)
+
+
 def _factorization_check(cat, config: SuiteConfig, name: str) -> Report:
     fl = catalog_mod._lookup(cat.factored, name, "factored language")
-    cap = config.exhaustive_caps.get("bds", 3)
-    raw = cat.sampler(name)(config.seed, cap, config.random_budget)
+    raw = _sample(cat, config, name, config.random_budget)
     members = [x for x in raw if fl.base(x)]
     rep = verify_factorization(fl, members)
     rep.extend(check_prop1(fl, members))
@@ -260,8 +262,7 @@ def _witness_check(cat, config: SuiteConfig, name: str) -> Report:
 def _reduction_check(cat, config: SuiteConfig, name: str) -> Report:
     if name in cat.fcr_reductions:
         entry = cat.fcr_reductions[name]
-        cap = config.exhaustive_caps.get("bds", 3)
-        raw = cat.sampler(name)(config.seed, cap, config.random_budget)
+        raw = _sample(cat, config, name, config.random_budget)
         pairs = [apply_factorization(entry.reduction.source_fact, x) for x in raw]
         return verify_fcr_reduction(
             entry.reduction, entry.source_member, entry.target_member, pairs)
@@ -273,7 +274,6 @@ def _reduction_check(cat, config: SuiteConfig, name: str) -> Report:
 def _composition_checks(cat, config: SuiteConfig) -> Report:
     """Build three compositions and verify each, constants included."""
     rep = Report("compositions")
-    cap = config.exhaustive_caps.get("bds", 3)
     budget = max(40, config.random_budget // 4)
     cases = [
         ("bds-identity", "bds-identity"),
@@ -302,14 +302,12 @@ def _composition_checks(cat, config: SuiteConfig) -> Report:
                        second.reduction.target_fact.redundancy + 1))
         pairs = [
             Pair(composed.source_fact.data_part(raw), b"")
-            for raw in cat.sampler(first_name)(config.seed, cap, budget)
+            for raw in _sample(cat, config, first_name, budget)
         ]
         sub = verify_fcr_reduction(
             composed, first.source_member, second.target_member, pairs)
-        for check in sub.checks:
-            rep.checks.append(CheckResult(
-                f"{label}.{check.name}", check.passed, check.measured,
-                check.bound, check.detail))
+        rep.checks.extend(replace(check, name=f"{label}.{check.name}")
+                          for check in sub.checks)
         beta_id = all(
             composed.map_query(q) == q
             for q in (b"", b"probe", b"1 2", b"\\h#\\a")
@@ -331,13 +329,8 @@ def _transfer_check(cat, config: SuiteConfig) -> Report:
             measured=new_fact.redundancy,
             bound=entry.reduction.source_fact.redundancy + 1)
 
-    cap = config.exhaustive_caps.get("bds", 3)
-    raw = cat.problems["qbds"].sample(config.seed, cap, config.random_budget)
-    induced = LanguageOfPairs(
-        name="pairs(packed qbds)",
-        membership=lambda d, q: entry.source_member(new_fact.restore(d, q)),
-        short_query_bound=new_fact.query_bound,
-    )
+    raw = _sample(cat, config, "qbds", config.random_budget)
+    induced = induced_pairs(new_fact, entry.source_member, "pairs(packed qbds)")
     positives, negatives = [], []
     for y in raw:
         pair = Pair(new_fact.data_part(y), new_fact.query_part(y))
@@ -368,8 +361,7 @@ def _hardness_check(cat, config: SuiteConfig) -> Report:
     qbds_member = cat.factored["qbds-absorb"].base
     absorb = cat.factored["qbds-absorb"].fact
 
-    cap = config.exhaustive_caps.get("bds", 3)
-    ys = cat.problems["qbds"].sample(config.seed, cap, config.random_budget)
+    ys = _sample(cat, config, "qbds", config.random_budget)
     packed = hardness_pack(
         qbds_member, absorb.data_part, entry_bds.fact, entry_bds.base,
         samples=ys[: min(len(ys), 500)])
@@ -413,12 +405,21 @@ def _short_query_checks(cat, config: SuiteConfig) -> Report:
     return rep
 
 
+def separation_table(
+    config: SuiteConfig, max_n: int, bound: PolylogBound | None = None
+) -> SeparationReport:
+    """The separation table for n = 1..max_n, enumerating up to the
+    configured separation cap. The digest bit budget is `bound`, else the
+    configured `bound.separation`, else log2(n)^2."""
+    return separation_report(
+        range(1, max_n + 1),
+        bound or config.bounds.get("separation", PolylogBound(1.0, 2, 0.0)),
+        enumerate_max=config.exhaustive_caps["separation"])
+
+
 def _separation_check(cat, config: SuiteConfig) -> Report:
     rep = Report("separation")
-    cap = config.exhaustive_caps.get("separation", 5)
-    bound = config.bounds.get("separation", PolylogBound(1.0, 2, 0.0))
-    sep = separation_report(
-        range(1, config.separation_max_n + 1), bound, enumerate_max=cap)
+    sep = separation_table(config, config.separation_max_n)
     rep.add("factorial-beats-2^n-from-4", sep.factorial_beats_power_from_4,
             detail=f"checked n up to {config.separation_max_n} exactly")
     for row in sep.rows:

@@ -91,6 +91,34 @@ def verify_witness(
     return rep
 
 
+def log_fit(
+    model: str, sizes: Sequence[int], values: Sequence[float]
+) -> tuple[float, float, float]:
+    """Least-squares line of log(value) against log(n) for model 'poly-n'
+    (v ~ n^e) or log(log2(n)) for 'poly-log-n' (v ~ log2(n)^e).
+
+    Returns (slope, intercept, root-mean-square residual); the slope
+    estimates e. Values below 1 count as 1; equal values give slope 0,
+    where the regression would be degenerate.
+    """
+    if model == "poly-n":
+        xs = [math.log(n) for n in sizes]
+    elif model == "poly-log-n":
+        xs = [math.log(math.log2(max(n, 4))) for n in sizes]
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    ys = [math.log(max(v, 1)) for v in values]
+    if len(set(ys)) == 1:
+        slope, intercept = 0.0, ys[0]
+    else:
+        reg = statistics.linear_regression(xs, ys)
+        slope, intercept = reg.slope, reg.intercept
+    residual = math.sqrt(
+        sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / len(xs)
+    )
+    return slope, intercept, residual
+
+
 @dataclass(frozen=True)
 class LadderRung:
     input_size: int
@@ -146,7 +174,6 @@ def digest_size_ladder(
         )
     rungs = []
     bound_ok = True
-    xs, ys = [], []
     for size in sizes:
         instances = list(gen(size))
         if not instances:
@@ -160,12 +187,9 @@ def digest_size_ladder(
             if len(d) > witness.output_bound(len(x)):
                 bound_ok = False
         rungs.append(LadderRung(max_input, max_digest, elapsed))
-        xs.append(math.log(math.log2(max(max_input, 4))))
-        ys.append(math.log(max(max_digest, 1)))
-    if len(set(ys)) == 1:
-        slope = 0.0  # constant digests; regression would be degenerate
-    else:
-        slope = statistics.linear_regression(xs, ys).slope
+    slope, _, _ = log_fit(
+        "poly-log-n",
+        [r.input_size for r in rungs], [r.max_digest_size for r in rungs])
     return LadderReport(
         witness_name=witness.name,
         rungs=tuple(rungs),

@@ -47,7 +47,7 @@ def corpus_from_text(text: Instance, lexicon=DEFAULT_LEXICON) -> Corpus:
         decoded = text.decode("utf-8")
     except UnicodeDecodeError:
         raise MalformedInstance("corpus is not valid UTF-8") from None
-    return Corpus(tuple(w.lower() for w in decoded.split()), tuple(lexicon))
+    return Corpus(tuple(decoded.lower().split()), tuple(lexicon))
 
 
 def preposition_digest(corpus: Corpus) -> tuple[int, ...]:

@@ -40,6 +40,7 @@ from .errors import (
 from .factorization import (
     CrFactorization,
     identity_factorization,
+    induced_pairs,
     packed_factorization,
 )
 from .preprocessing import PreprocessingWitness
@@ -81,22 +82,15 @@ def verify_fcr_reduction(
     target_member: Callable[[Instance], bool],
     pairs: Iterable[Pair],
 ) -> Report:
-    """Check restore-membership equivalence on both member and non-member pairs."""
-    rep = Report(f"reduction:{r.name}")
-    failures = []
-    total = 0
-    for idx, pair in enumerate(pairs):
-        total += 1
-        lhs = source_member(r.source_fact.restore(pair.data, pair.query))
-        rhs = target_member(
-            r.target_fact.restore(r.map_data(pair.data), r.map_query(pair.query))
-        )
-        if lhs != rhs:
-            failures.append((idx, "iff", f"source {lhs} but target {rhs}"))
-    rep.add("iff-equivalence", not failures, measured=len(failures), bound=0,
-            detail=f"{total} pairs probed")
-    rep.itemize("pair", failures)
-    return rep
+    """Check restore-membership equivalence on both member and non-member
+    pairs: verify_f_reduction over the pair languages the two
+    factorizations induce."""
+    return verify_f_reduction(
+        FReduction(r.name, r.map_data, r.map_query),
+        induced_pairs(r.source_fact, source_member, f"pairs({r.source_fact.name})"),
+        induced_pairs(r.target_fact, target_member, f"pairs({r.target_fact.name})"),
+        pairs,
+    )
 
 
 def compose_fcr(
@@ -155,7 +149,6 @@ def transfer_witness(
     r: FcrReduction,
     mid_witness: PreprocessingWitness,
     mid_fact: CrFactorization,
-    growth_pad: int = 4,
 ) -> tuple[CrFactorization, PreprocessingWitness]:
     """Pull a target-side witness back along a factored reduction.
 
@@ -164,9 +157,9 @@ def transfer_witness(
     source factorization and a witness for its induced pair language.
 
     The new output bound is a dominating template: the packed digest is
-    the old digest joined with the middle query part, and the middle
-    instance is at most growth_pad bytes larger than the packed data, so
-    the bound holds once inputs exceed growth_pad bytes.
+    the old digest joined with the middle query part (the added constants),
+    and scaling the log coefficients by 2**k covers a middle data part up
+    to the square of the packed data's length.
     """
     new_fact = packed_factorization(r.source_fact)
 

@@ -26,27 +26,27 @@ ENUMERATION_CAP = 7      # 7! = 5040 numberings; beyond that it drags
 ALL_GRAPHS_CAP = 4       # 2^6 * 24 = 1536 graphs at n = 4
 
 
-def realizable_orders(n: int, family: str = "edgeless", cap: int | None = None) -> set:
+def realizable_orders(n: int, family: str = "edgeless") -> set:
     """Distinct visit orders over a family of graphs on n nodes."""
     if family == "edgeless":
-        limit = ENUMERATION_CAP if cap is None else cap
-        if n > limit:
-            raise CapExceeded(f"n={n} exceeds the edgeless enumeration cap {limit}")
+        if n > ENUMERATION_CAP:
+            raise CapExceeded(
+                f"n={n} exceeds the edgeless enumeration cap {ENUMERATION_CAP}")
         orders = set()
         for numbering in permutations(range(1, n + 1)):
             g = NumberedGraph(n, numbering, frozenset())
             orders.add(bds_order(g))
         return orders
     if family == "all":
-        limit = ALL_GRAPHS_CAP if cap is None else cap
-        if n > limit:
-            raise CapExceeded(f"n={n} exceeds the all-graphs enumeration cap {limit}")
+        if n > ALL_GRAPHS_CAP:
+            raise CapExceeded(
+                f"n={n} exceeds the all-graphs enumeration cap {ALL_GRAPHS_CAP}")
         return {bds_order(g) for g in enumerate_graphs(n)}
     raise ValueError(f"unknown graph family {family!r}")
 
 
-def count_realizable_orders(n: int, family: str = "edgeless", cap: int | None = None) -> int:
-    return len(realizable_orders(n, family, cap))
+def count_realizable_orders(n: int, family: str = "edgeless") -> int:
+    return len(realizable_orders(n, family))
 
 
 def digest_capacity(bits: int) -> int:
@@ -83,15 +83,14 @@ class CollisionWitness:
     bits: int
 
 
-def find_truncation_collision(n: int, bits: int, cap: int | None = None) -> CollisionWitness | None:
+def find_truncation_collision(n: int, bits: int) -> CollisionWitness | None:
     """Two edgeless graphs with different orders but equal truncated digests.
 
     Guaranteed to exist whenever 2^bits < n!; returns None otherwise only
     if the enumeration really found no clash.
     """
-    limit = ENUMERATION_CAP if cap is None else cap
-    if n > limit:
-        raise CapExceeded(f"n={n} exceeds the enumeration cap {limit}")
+    if n > ENUMERATION_CAP:
+        raise CapExceeded(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     seen: dict[bytes, tuple[NumberedGraph, tuple]] = {}
     for numbering in permutations(range(1, n + 1)):
         g = NumberedGraph(n, numbering, frozenset())
@@ -154,10 +153,9 @@ def separation_report(
     n_values,
     bound: PolylogBound,
     enumerate_max: int = 5,
-    collision_n: int = 5,
-    collision_bits: int = 6,
 ) -> SeparationReport:
-    """Tabulate n! against 2^n and against 2^bound(n), with enumeration."""
+    """Tabulate n! against 2^n and against 2^bound(n), with enumeration,
+    and exhibit a 6-bit truncation collision at n = 5 (5! = 120 > 2^6)."""
     rows = []
     ok_from_4 = True
     for n in n_values:
@@ -181,7 +179,4 @@ def separation_report(
             "beats_bound_capacity": lf > bound_bits,
             "realizable": realizable,
         })
-    collision = None
-    if collision_n is not None:
-        collision = find_truncation_collision(collision_n, collision_bits)
-    return SeparationReport(bound, rows, ok_from_4, collision)
+    return SeparationReport(bound, rows, ok_from_4, find_truncation_collision(5, 6))

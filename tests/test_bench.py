@@ -1,6 +1,11 @@
+import ast
+import importlib
 import json
+from pathlib import Path
 
-from polytract import bench
+from polytract import bench, harness
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_layer_ns_covers_every_layer_and_rung():
@@ -21,3 +26,23 @@ def test_records_are_kept_side_by_side(tmp_path, monkeypatch):
     columns = json.loads(path.read_text())["columns"]
     assert {k: v["suite"]["wall_s"] for k, v in columns.items()} == {
         "parent": 1.0, "change": 2.0}
+
+
+def test_perfbench_trace_targets_resolve():
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    assert targets
+    for module, function, _ in targets:
+        assert callable(getattr(importlib.import_module(f"polytract.{module}"), function))
+
+
+def test_harness_runners_are_the_two_perfbench_expects():
+    # perfbench/child.py times every other module-level run_* function
+    # of the harness as one suite stage.
+    runners = {name for name, fn in vars(harness).items()
+               if name.startswith("run_") and callable(fn)
+               and getattr(fn, "__module__", None) == harness.__name__}
+    assert runners == {"run_check", "run_suite"}

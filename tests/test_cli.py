@@ -31,6 +31,13 @@ def test_bad_config_file_is_usage_error(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_misspelled_inject_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("inject = identity-preprocesing:bds-verdict-bit\n")
+    assert main(["run-suite", "--config", str(cfg)]) == 2
+    assert "line 1: unknown inject entry" in capsys.readouterr().err
+
+
 def test_short_ladder_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("ladder = 512, 1024\n")

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from polytract.encoding import Pair, PolylogBound, ZERO_BOUND, split_packed
+from polytract.encoding import Pair, PolylogBound, split_packed
 from polytract.errors import NonMemberSample
 from polytract.factorization import (
     FactoredLanguage,
@@ -117,9 +117,3 @@ def test_induced_pairs_language():
     assert lang.membership(b"11", b"1")
     assert not lang.membership(b"11", b"0")
     assert lang.short_query_bound is fl.fact.query_bound
-
-
-def test_prop1_with_explicit_bound():
-    fl = FactoredLanguage("ones", all_ones, split_last_byte())
-    rep = check_prop1(fl, [b"1" * 6], bound=ZERO_BOUND)
-    assert not rep.passed  # |q| = 1 > 0

@@ -1,6 +1,8 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polytract.errors import MalformedInstance, UnknownPreposition
 from polytract.problems import wordstats as ws
@@ -35,6 +37,31 @@ def test_digest_matches_scan_oracle():
 def test_case_folding():
     corpus = ws.corpus_from_text(b"In IN iN in")
     assert ws.preposition_digest(corpus)[corpus.lexicon.index("in")] == 4
+
+
+# Every character str.split() splits at, and words that end in a Greek
+# capital sigma, whose lowercase form depends on the letter after it.
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+SIGMA_WORDS = ["\u03a3", "\u039f\u0394\u039f\u03a3", "A\u03a3", "\u03a3\u03a3"]
+
+
+def _per_token(text: str) -> tuple[str, ...]:
+    return tuple(w.lower() for w in text.split())
+
+
+def test_sigma_next_to_each_whitespace_character():
+    for space in WHITESPACE:
+        for word in SIGMA_WORDS:
+            for text in (word + space + "B", "B" + space + word, word + space + word):
+                corpus = ws.corpus_from_text(text.encode("utf-8"))
+                assert corpus.words == _per_token(text), (hex(ord(space)), text)
+
+
+@given(st.lists(st.one_of(st.text(), st.sampled_from(WHITESPACE),
+                          st.sampled_from(SIGMA_WORDS))))
+def test_whole_text_lowering_equals_per_token_lowering(parts):
+    text = "".join(parts)
+    assert ws.corpus_from_text(text.encode("utf-8")).words == _per_token(text)
 
 
 def test_count_width():
