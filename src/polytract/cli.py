@@ -88,7 +88,6 @@ def _config_from_args(args) -> harness.SuiteConfig:
     cfg = harness.load_config(getattr(args, "config", None), overrides)
     if getattr(args, "max_exhaustive", None) is not None:
         cfg.exhaustive_caps["bds"] = args.max_exhaustive
-        cfg.exhaustive_caps["qbds"] = args.max_exhaustive
     return cfg
 
 

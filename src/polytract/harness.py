@@ -55,9 +55,7 @@ class SuiteConfig:
     gate_weights: tuple[int, int, int] = (1, 2, 2)
     preposition_rate: float = 0.35
     lexicon: tuple[str, ...] = catalog_mod.wordstats.DEFAULT_LEXICON
-    exhaustive_caps: dict = field(default_factory=lambda: {
-        "bds": 3, "qbds": 3, "separation": 5, "all_graphs": 4,
-    })
+    exhaustive_caps: dict = field(default_factory=lambda: {"bds": 3, "separation": 5})
     separation_max_n: int = 20
     bounds: dict = field(default_factory=lambda: dict(catalog_mod.DEFAULT_BOUNDS))
     inject: tuple[str, ...] = ()

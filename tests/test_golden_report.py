@@ -13,8 +13,8 @@ import pytest
 from polytract import SuiteConfig, dump_json, run_suite, strip_timings
 
 GOLDEN = {
-    42: "c21bf68b128eebbdd8144298c4335d0cae037d79813030e8529f5c339674cea5",
-    7: "d9f9bc71fbe641cb196cdc50798152852697eec92e8b06871a8143ef9796d406",
+    42: "aed3fd4a337a305d162a339135f5bd6c2f44bce0464a5ae2eabd58cdb3c40d68",
+    7: "39cac58cad2a8e1317f3d3383b2311fb228979f0ae6b967c363a954f6507f63f",
 }
 
 

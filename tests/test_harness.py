@@ -53,7 +53,8 @@ def test_parse_config_rejects_unknown_and_malformed():
         parse_config("seed = not-a-number\n")
     with pytest.raises(ConfigError):
         parse_config("gate_weights = 1, 2\n")
-    for line in ("bound.nonsense = 1,1,1",
+    for line in ("exhaustive_cap.qbds = 3",
+                 "bound.nonsense = 1,1,1",
                  "inject = identity-preprocesing:bds-verdict-bit"):
         with pytest.raises(ConfigError, match="line 2: unknown"):
             parse_config(f"seed = 3\n{line}\n")
