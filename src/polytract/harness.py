@@ -120,7 +120,8 @@ def _apply_key(cfg: SuiteConfig, key: str, value: str) -> None:
         name = _known(key.partition(".")[2], cfg.exhaustive_caps, "exhaustive cap")
         cfg.exhaustive_caps[name] = int(value)
     elif key.startswith("bound."):
-        cfg.bounds[_known(key.partition(".")[2], _BOUND_NAMES, "bound")] = parse_bound(value)
+        name = _known(key.partition(".")[2], _BOUND_NAMES, "bound")
+        cfg.bounds[name] = parse_bound(value)
     else:
         raise ConfigError(f"unknown key {key!r}")
 

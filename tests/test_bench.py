@@ -39,7 +39,7 @@ def test_perfbench_trace_targets_resolve():
         assert callable(getattr(importlib.import_module(f"polytract.{module}"), function))
 
 
-def test_harness_runners_are_the_two_perfbench_expects():
+def test_harness_run_functions_are_run_check_and_run_suite():
     # perfbench/child.py times every other module-level run_* function
     # of the harness as one suite stage.
     runners = {name for name, fn in vars(harness).items()
