@@ -3,8 +3,10 @@
 Every ladder, sampler and report downstream is a function of these
 bytes, so a faster generator must draw exactly what the plain one drew:
 same instance bytes and the same random state afterwards, which the next
-`rng.random()` shows. The bds sizes straddle n = 21, where
+`rng.random()` shows. The sparse bds sizes straddle n = 21, where
 `random.Random.sample` switches from its pool branch to its set branch.
+The dense bds generator behind the small samplers is pinned too, since
+it shares the numbering shuffle with the sparse one.
 """
 import hashlib
 import random
@@ -26,6 +28,17 @@ BDS = {
             0.07537499736443776),
 }
 
+DENSE_BDS = {
+    2: ("873847651514ba2d1d8fc1b75f5992e8d876f127c7e059e6ed25e5b5fae5f3f0",
+        0.9470862793193289),
+    5: ("d1f2e94e537163fad23f095071aa4138940e4e81001a64c58999852ffa3cee72",
+        0.061803479472788414),
+    16: ("de0b1c5913404fbace5be3ee078ba24c4098ab73157f17862827f2017d64ce23",
+         0.3798249702579167),
+    30: ("360f5f7fbc527cd4fdd2a75b75d99bccdc74f9195c09dbaf629b26f1205667fe",
+         0.7957403289549253),
+}
+
 CVP = {
     4: ("8806c099d83f1b59a632ad8e96fede723fe52a6ea849514e9de33eeafd0e26e0",
         0.9824832696309496),
@@ -45,6 +58,13 @@ def test_sparse_bds_stream_is_pinned(n):
     rng = random.Random(f"streams:bds:{n}")
     x = bds.random_sparse_instance(n, rng)
     assert (_sha256(x), rng.random()) == BDS[n]
+
+
+@pytest.mark.parametrize("n", sorted(DENSE_BDS))
+def test_dense_bds_stream_is_pinned(n):
+    rng = random.Random(f"streams:bds-dense:{n}")
+    x = bds.random_instance(n, rng)
+    assert (_sha256(x), rng.random()) == DENSE_BDS[n]
 
 
 @pytest.mark.parametrize("n", sorted(CVP))
