@@ -62,9 +62,12 @@ def _layer_tasks(n: int, seed: int) -> dict:
     return {
         "bds.random_sparse_graph": (
             lambda: bds.random_sparse_graph(n, random.Random(f"{seed}:bench-graph:{n}")), [()]),
+        "bds.random_sparse_instance": (
+            lambda: bds.random_sparse_instance(n, random.Random(f"{seed}:bench-graph:{n}")), [()]),
         "bds.graph_to_bytes": (bds.graph_to_bytes, [(g,)]),
         "bds.parse_instance": (bds.parse_instance, [(instance,)]),
         "bds.bds_order (uncached)": (bds.bds_order.__wrapped__, [(g,)]),
+        "bds.bds_member (uncached)": (_uncached_member, [(instance,)]),
         "encoding.decode_pair (qbds form)": (decode_pair, [(as_qbds(instance),)]),
         "encoding.unescape_payload (escape-dense)": (unescape_payload, [(escaped,)]),
         "cvp.random_circuit": (
@@ -73,6 +76,11 @@ def _layer_tasks(n: int, seed: int) -> dict:
         "cvp.parse_circuit": (cvp.parse_circuit, [(text,)]),
         "cvp.cvp_member": (cvp.cvp_member, [(text,)]),
     }
+
+
+def _uncached_member(x: bytes) -> bool:
+    bds.bds_order.cache_clear()
+    return bds.bds_member(x)
 
 
 def layer_ns(seed: int, ladder=DEFAULT_LADDER) -> dict:

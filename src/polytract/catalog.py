@@ -30,7 +30,7 @@ from .encoding import (
     decode_pair,
     encode_pair,
 )
-from .errors import MalformedInstance, UnknownPreposition, UnknownProblem
+from .errors import ConfigError, MalformedInstance, UnknownPreposition, UnknownProblem
 from .factorization import CrFactorization, FactoredLanguage, identity_factorization
 from .preprocessing import PreprocessingWitness
 from .reductions import FcrReduction, FReduction
@@ -294,6 +294,10 @@ def _verdict_bit(member: Callable[[Instance], bool]) -> Callable[[Instance], Ins
 def _build_witnesses(cat: Catalog, config) -> None:
     bounds = config.bounds
     injected = set(getattr(config, "inject", ()))
+    unknown = injected.difference(INJECTIONS)
+    if unknown:
+        raise ConfigError(f"unknown inject entry {min(unknown)!r}; "
+                          f"known: {', '.join(sorted(INJECTIONS))}")
 
     def maybe_inject(name: str, pre):
         if f"identity-preprocessing:{name}" in injected:

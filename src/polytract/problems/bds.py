@@ -29,8 +29,8 @@ import random
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import partial, update_wrapper
-from itertools import chain, combinations, permutations
-from operator import eq, itemgetter
+from itertools import chain, combinations, permutations, repeat
+from operator import eq, itemgetter, lt
 from typing import Iterator
 
 from ..encoding import Instance
@@ -51,11 +51,7 @@ class NumberedGraph:
 
 
 def make_graph(n: int, numbering, edges) -> NumberedGraph:
-    if n < 1:
-        raise MalformedGraph("graph needs at least one node")
-    numbering = tuple(numbering)
-    if len(numbering) != n or set(numbering) != set(range(1, n + 1)):
-        raise MalformedGraph("numbering is not a bijection onto 1..n")
+    numbering = _bijection(n, numbering)
     edges = list(edges)
     canon = frozenset({(u, v) if u < v else (v, u) for u, v in edges})
     # Whole-set checks; a graph that fails one is walked edge by edge so
@@ -67,6 +63,15 @@ def make_graph(n: int, numbering, edges) -> NumberedGraph:
                 or any(map(eq, lows, highs))):
             _reject_edges(n, edges)
     return NumberedGraph(n, numbering, canon)
+
+
+def _bijection(n: int, numbering) -> tuple[int, ...]:
+    if n < 1:
+        raise MalformedGraph("graph needs at least one node")
+    numbering = tuple(numbering)
+    if len(numbering) != n or set(numbering) != set(range(1, n + 1)):
+        raise MalformedGraph("numbering is not a bijection onto 1..n")
+    return numbering
 
 
 def _reject_edges(n: int, edges) -> None:
@@ -85,9 +90,15 @@ def _reject_edges(n: int, edges) -> None:
 
 
 def graph_to_bytes(g: NumberedGraph) -> bytes:
-    edges = sorted(g.edges)
-    head = f"{g.n} {len(edges)}\n" + " ".join(map(str, g.numbering)) + "\n"
-    return (head + "%d %d\n" * len(edges) % tuple(chain.from_iterable(edges))).encode("ascii")
+    return _block_text(g.n, g.numbering, len(g.edges),
+                       chain.from_iterable(sorted(g.edges))).encode("ascii")
+
+
+def _block_text(n: int, numbering, m: int, flat_edges) -> str:
+    """Text of a graph block whose m edge lines hold the integers of
+    flat_edges two by two."""
+    return (f"{n} {m}\n" + " ".join(map(str, numbering)) + "\n"
+            + "%d %d\n" * m % tuple(flat_edges))
 
 
 def _int_fields(line: bytes, lineno: int, want: int) -> list[int]:
@@ -95,7 +106,7 @@ def _int_fields(line: bytes, lineno: int, want: int) -> list[int]:
     if len(parts) != want:
         raise MalformedGraph(f"line {lineno}: expected {want} fields, got {len(parts)}")
     try:
-        return [int(p) for p in parts]
+        return list(map(int, parts))
     except ValueError:
         raise MalformedGraph(f"line {lineno}: non-integer field") from None
 
@@ -135,6 +146,13 @@ def parse_graph_block(data: bytes) -> tuple[NumberedGraph, bytes]:
     """Parse a graph block off the front of data; return it and the rest."""
     n, m, lines = _block_lines(data)
     numbering = _int_fields(lines[1], 2, n)
+    tail = lines[-1]
+    start = len(lines[0]) + len(lines[1]) + 2
+    edges = _canonical_edge_lines(n, m, data[start:len(data) - len(tail)])
+    if edges is not None:
+        return NumberedGraph(n, _bijection(n, numbering), edges), tail
+    # Anything else takes the line loop, which finds the first bad line
+    # and lets make_graph name the first bad edge.
     edges = []
     append = edges.append
     # _int_fields(line, lineno, 2) unrolled: this loop runs once per edge.
@@ -146,7 +164,34 @@ def parse_graph_block(data: bytes) -> tuple[NumberedGraph, bytes]:
             append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise MalformedGraph(f"line {lineno}: non-integer field") from None
-    return make_graph(n, numbering, edges), lines[-1]
+    return make_graph(n, numbering, edges), tail
+
+
+def _canonical_edge_lines(n: int, m: int, region: bytes) -> frozenset | None:
+    """The canonical edge set of m edge lines written "u v\\n" in plain
+    decimal, in any order and orientation, or None when region is not
+    such text or holds a self-loop, an endpoint outside 1..n or a
+    duplicate edge. Each check is one C-level pass over all edges."""
+    try:
+        ints = list(map(int, region.split()))
+    except ValueError:
+        return None
+    # Re-formatting gives the bytes back only if every line is two plain
+    # decimals, one space and a newline.
+    if len(ints) != 2 * m or b"%d %d\n" * m % tuple(ints) != region:
+        return None
+    if not m:
+        return frozenset()
+    us, vs = ints[0::2], ints[1::2]
+    # Written edges come low end first; others are turned around.
+    if not all(map(lt, us, vs)):
+        us, vs = list(map(min, us, vs)), list(map(max, us, vs))
+        if any(map(eq, us, vs)):
+            return None
+    if min(us) < 1 or max(vs) > n:
+        return None
+    edges = frozenset(zip(us, vs))
+    return edges if len(edges) == m else None
 
 
 def parse_graph(data: bytes) -> NumberedGraph:
@@ -282,8 +327,7 @@ def swap_query(x: Instance) -> Instance:
 
 
 def random_graph(n: int, rng: random.Random, edge_prob: float = 0.3) -> NumberedGraph:
-    numbering = list(range(1, n + 1))
-    rng.shuffle(numbering)
+    numbering = _shuffled_numbering(n, rng)
     edges = [
         (u, v) for u, v in combinations(range(1, n + 1), 2)
         if rng.random() < edge_prob
@@ -297,33 +341,54 @@ def random_instance(n: int, rng: random.Random, edge_prob: float = 0.3) -> Insta
     return instance_bytes(g, u, v)
 
 
-def random_sparse_graph(n: int, rng: random.Random, avg_degree: float = 4.0) -> NumberedGraph:
-    """Random graph drawn edge by edge; usable for large n where the
-    quadratic edge sweep of random_graph would be wasteful."""
+def _shuffled_numbering(n: int, rng: random.Random) -> list[int]:
+    """1..n after rng.shuffle, with its draws inlined: for i from n - 1
+    down to 1 it draws getrandbits((i + 1).bit_length()) until at most i
+    and swaps, so the stream stays the same. The i whose i + 1 share a
+    bit length run as one band."""
     numbering = list(range(1, n + 1))
-    rng.shuffle(numbering)
+    getrandbits = rng.getrandbits
+    top = n - 1
+    while top > 0:
+        bits = (top + 1).bit_length()
+        low = (1 << (bits - 1)) - 1  # least i with i + 1 of this length
+        for i in range(top, low - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            numbering[i], numbering[j] = numbering[j], numbering[i]
+        top = low - 1
+    return numbering
+
+
+def _draw_sparse(n: int, rng: random.Random, avg_degree: float) -> tuple[list[int], set[int]]:
+    """Numbering and edges of a random sparse graph, each edge (u, v),
+    u < v, kept as the integer key u * (n + 1) + v."""
+    numbering = _shuffled_numbering(n, rng)
     target = min(int(avg_degree * n / 2), n * (n - 1) // 2)
-    edges = set()
+    stride = n + 1
+    keys = set()
     if n <= _SAMPLE_POOL_MAX:
-        while len(edges) < target:
+        while len(keys) < target:
             u, v = rng.sample(range(1, n + 1), 2)
-            edges.add((u, v) if u < v else (v, u))
+            keys.add(u * stride + v if u < v else v * stride + u)
     else:
         # rng.sample(range(1, n + 1), 2) inlined: above the pool size it
         # draws getrandbits(n.bit_length()) until below n, then again
         # until below n and different, so the stream stays the same.
         bits = n.bit_length()
         getrandbits = rng.getrandbits
-        add_edge = edges.add
-        while len(edges) < target:
+        add_key = keys.add
+        one_one = stride + 1  # key of (i + 1, j + 1) is i * stride + j + one_one
+        while len(keys) < target:
             i = getrandbits(bits)
             while i >= n:
                 i = getrandbits(bits)
             j = getrandbits(bits)
             while j >= n or j == i:
                 j = getrandbits(bits)
-            add_edge((i + 1, j + 1) if i < j else (j + 1, i + 1))
-    return NumberedGraph(n, tuple(numbering), frozenset(edges))
+            add_key(i * stride + j + one_one if i < j else j * stride + i + one_one)
+    return numbering, keys
 
 
 # Largest population random.Random.sample(population, 2) draws from a
@@ -331,10 +396,22 @@ def random_sparse_graph(n: int, rng: random.Random, avg_degree: float = 4.0) -> 
 _SAMPLE_POOL_MAX = 21
 
 
+def random_sparse_graph(n: int, rng: random.Random, avg_degree: float = 4.0) -> NumberedGraph:
+    """Random graph drawn edge by edge; usable for large n where the
+    quadratic edge sweep of random_graph would be wasteful."""
+    numbering, keys = _draw_sparse(n, rng, avg_degree)
+    return NumberedGraph(n, tuple(numbering), frozenset(map(divmod, keys, repeat(n + 1))))
+
+
 def random_sparse_instance(n: int, rng: random.Random, avg_degree: float = 4.0) -> Instance:
-    g = random_sparse_graph(n, rng, avg_degree)
+    """instance_bytes of random_sparse_graph and a random query, written
+    from the integer edge keys without building the graph."""
+    numbering, keys = _draw_sparse(n, rng, avg_degree)
     u, v = rng.sample(range(1, n + 1), 2)
-    return instance_bytes(g, u, v)
+    # Keys sort in the order of their (u, v) pairs, as graph_to_bytes writes.
+    edges = map(divmod, sorted(keys), repeat(n + 1))
+    text = _block_text(n, numbering, len(keys), chain.from_iterable(edges))
+    return (text + f"{u} {v}").encode("ascii")
 
 
 def enumerate_graphs(n: int) -> Iterator[NumberedGraph]:

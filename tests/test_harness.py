@@ -60,6 +60,15 @@ def test_parse_config_rejects_unknown_and_malformed():
             parse_config(f"seed = 3\n{line}\n")
 
 
+def test_build_catalog_rejects_unknown_injection():
+    # A config built in code skips parse_config, so the catalog checks too.
+    misspelled = "identity-preprocesing:bds-verdict-bit"
+    with pytest.raises(ConfigError, match=f"unknown inject entry '{misspelled}'"):
+        build_catalog(SuiteConfig(inject=(misspelled,)))
+    cat = build_catalog(SuiteConfig(inject=("identity-preprocessing:bds-verdict-bit",)))
+    assert cat.witnesses["bds-verdict-bit"].witness.preprocess(b"abc") == b"abc"
+
+
 def test_parse_config_does_not_mutate_base():
     base = SuiteConfig()
     parse_config("exhaustive_cap.bds = 1\nbound.qbds-query = 1,1,1\n", base)

@@ -2,9 +2,10 @@
 
 Each kernel must return what its reference in oracles.py returns, or
 raise the same exception class with the same message, on escape-dense
-bytes, mutated or truncated graph blocks and mutated circuit texts. The
-generators must draw the same instances and leave the random stream in
-the same state as their rng.sample / rng.choices references.
+bytes, mutated or truncated graph blocks, canonical graph blocks with bad
+edges and mutated circuit texts. The generators must draw the same
+instances and leave the random stream in the same state as their
+rng.shuffle / rng.sample / rng.choices references.
 """
 import random
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from polytract.encoding import AT, HASH, _unescaped_positions, unescape_payload
-from polytract.errors import CyclicCircuit
+from polytract.errors import CyclicCircuit, MalformedGraph
 from polytract.problems import bds, cvp
 
 
@@ -96,6 +97,87 @@ def test_parse_graph_block_matches_line_parser(x):
     assert _outcome(bds.split_block_tail, x) == _outcome(oracles.split_block_tail_oracle, x)
 
 
+# Blocks whose lines are in the canonical "u v\n" form, so the bulk edge
+# parse runs its own checks instead of handing the block to the line
+# loop: edges in any order and orientation, duplicates, self-loops,
+# endpoints 0 and n + 1, a numbering that is not a bijection, tokens
+# int() rejects, and a field moved to the line before it.
+@st.composite
+def canonical_blocks(draw):
+    n = draw(st.integers(1, 8))
+    numbering = draw(st.permutations(range(1, n + 1)))
+    if draw(st.integers(0, 4)) == 0:
+        numbering[draw(st.integers(0, n - 1))] = draw(st.integers(0, n + 1))
+    slots = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.permutations([e for e in slots if draw(st.booleans())]))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.integers(0, 2))
+        at = draw(st.integers(0, len(edges)))
+        if kind == 0 and edges:
+            u, v = draw(st.sampled_from(edges))
+            edges.insert(at, draw(st.sampled_from(((u, v), (v, u)))))
+        elif kind == 1:
+            k = draw(st.integers(0, n + 1))
+            edges.insert(at, (k, k))
+        else:
+            edges.insert(at, (draw(st.sampled_from((0, n + 1))), draw(st.integers(0, n + 1))))
+    fields = [[str(u), str(v)] for u, v in edges]
+    if fields and draw(st.integers(0, 4)) == 0:
+        fields[draw(st.integers(0, len(fields) - 1))][draw(st.integers(0, 1))] = draw(
+            st.sampled_from(("1+1", "2-1", "0x1", "1.0", "")))
+    lines = [" ".join(f) for f in fields]
+    if len(lines) > 1 and draw(st.integers(0, 4)) == 0:
+        # The same fields, one moved to the line before it.
+        k = draw(st.integers(1, len(lines) - 1))
+        lines[k - 1] += " " + fields[k][0]
+        lines[k] = fields[k][1]
+    text = (f"{n} {len(edges)}\n" + " ".join(map(str, numbering)) + "\n"
+            + "".join(line + "\n" for line in lines))
+    return text.encode("ascii") + draw(st.sampled_from((b"", b"1 2", b"2 1\n")))
+
+
+def _edge_region(x: bytes) -> tuple[int, int, bytes]:
+    head, _, region = x.split(b"\n", 2)
+    n, m = map(int, head.split())
+    return n, m, region[:len(region) - len(bds.split_block_tail(x)[1])]
+
+
+@settings(max_examples=400)
+@given(canonical_blocks())
+def test_bulk_edge_parse_matches_line_parser(x):
+    new = _outcome(lambda d: _graph_view(bds.parse_graph_block(d)), x)
+    ref = _outcome(oracles.parse_graph_block_oracle, x)
+    assert new == ref
+    # Only a block the line parser accepts, or rejects for its numbering,
+    # may get an edge set from the bulk parse.
+    bulk = bds._canonical_edge_lines(*_edge_region(x))
+    if ref[0] == "ok":
+        assert bulk == ref[1][0][2]
+    elif bulk is not None:
+        assert ref == (MalformedGraph, "numbering is not a bijection onto 1..n")
+
+
+@pytest.mark.parametrize("x", [
+    b"3 2\n1 2 3\n3 2\n2 1\n1 3",     # reversed and out of order
+    b"3 2\n3 1 2\n1 2\n2 1\n",        # the same edge both ways
+    b"3 2\n1 2 3\n1 2\n1 2\n",        # the same line twice
+    b"3 1\n1 2 3\n2 2\n",             # self-loop
+    b"3 1\n1 2 3\n0 2\n",             # endpoint 0
+    b"3 1\n1 2 3\n2 4\n",             # endpoint n + 1
+    b"3 1\n1 1 3\n1 2\n",             # numbering not a bijection
+    b"3 0\n2 3 1\n",                  # no edges
+    b"3 0\n2 3 3\n1 2",               # no edges, bad numbering
+    b"3 1\n1 2 3\n1+1 3\n",           # token int() rejects
+    b"3 1\n1 2 3\n+1 3\n",            # token int() accepts, not canonical
+    b"3 1\n1 2 3\n1\t3\n",            # tab between the fields
+    b"3 2\n1 2 3\n1 2 3\n2\n",        # right field count, wrong lines
+])
+def test_bulk_edge_parse_named_cases(x):
+    new = _outcome(lambda d: _graph_view(bds.parse_graph_block(d)), x)
+    assert new == _outcome(oracles.parse_graph_block_oracle, x)
+
+
 @given(st.integers(1, 6),
        st.lists(st.integers(1, 6), max_size=8),
        st.lists(st.tuples(st.integers(-1, 8), st.integers(-1, 8)), max_size=10))
@@ -118,6 +200,26 @@ def test_sparse_generator_draws_like_rng_sample(n, seed):
     assert (g.numbering, g.edges) == oracles.sparse_graph_oracle(n, ref)
     assert rng.random() == ref.random()
     assert bds.graph_to_bytes(g) == oracles.graph_text_oracle(g.n, g.numbering, g.edges)
+
+
+@given(st.integers(0, 300), st.integers(0, 2**32))
+def test_numbering_shuffle_draws_like_rng_shuffle(n, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    expected = list(range(1, n + 1))
+    ref.shuffle(expected)
+    assert bds._shuffled_numbering(n, rng) == expected
+    assert rng.random() == ref.random()
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.integers(2, 40), st.just(1024)), st.integers(0, 2**32))
+def test_sparse_instance_writes_the_sparse_graph(n, seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    x = bds.random_sparse_instance(n, rng)
+    g = bds.random_sparse_graph(n, ref)
+    u, v = ref.sample(range(1, n + 1), 2)
+    assert x == bds.instance_bytes(g, u, v)
+    assert rng.random() == ref.random()
 
 
 # ------------------------------------------------------------ circuits
