@@ -30,7 +30,7 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import partial, update_wrapper
 from itertools import chain, combinations, permutations, repeat
-from operator import eq, itemgetter, lt
+from operator import eq, itemgetter
 from typing import Iterator
 
 from ..encoding import Instance
@@ -171,7 +171,7 @@ def _canonical_edge_lines(n: int, m: int, region: bytes) -> frozenset | None:
     """The canonical edge set of m edge lines written "u v\\n" in plain
     decimal, in any order and orientation, or None when region is not
     such text or holds a self-loop, an endpoint outside 1..n or a
-    duplicate edge. Each check is one C-level pass over all edges."""
+    duplicate edge. Each check is one pass over all edges."""
     try:
         ints = list(map(int, region.split()))
     except ValueError:
@@ -180,17 +180,13 @@ def _canonical_edge_lines(n: int, m: int, region: bytes) -> frozenset | None:
     # decimals, one space and a newline.
     if len(ints) != 2 * m or b"%d %d\n" * m % tuple(ints) != region:
         return None
-    if not m:
-        return frozenset()
     us, vs = ints[0::2], ints[1::2]
-    # Written edges come low end first; others are turned around.
-    if not all(map(lt, us, vs)):
-        us, vs = list(map(min, us, vs)), list(map(max, us, vs))
-        if any(map(eq, us, vs)):
-            return None
-    if min(us) < 1 or max(vs) > n:
+    if any(map(eq, us, vs)) or min(ints, default=1) < 1 or max(ints, default=n) > n:
         return None
-    edges = frozenset(zip(us, vs))
+    # Turned around as in make_graph: a set comprehension is faster than
+    # map(min) and map(max), and its frozenset copy gets the compact hash
+    # table a frozenset built straight from a list may not.
+    edges = frozenset({(u, v) if u < v else (v, u) for u, v in zip(us, vs)})
     return edges if len(edges) == m else None
 
 
@@ -379,7 +375,7 @@ def _draw_sparse(n: int, rng: random.Random, avg_degree: float) -> tuple[list[in
         bits = n.bit_length()
         getrandbits = rng.getrandbits
         add_key = keys.add
-        one_one = stride + 1  # key of (i + 1, j + 1) is i * stride + j + one_one
+        offset = stride + 1  # key of (i + 1, j + 1) is i * stride + j + offset
         while len(keys) < target:
             i = getrandbits(bits)
             while i >= n:
@@ -387,7 +383,7 @@ def _draw_sparse(n: int, rng: random.Random, avg_degree: float) -> tuple[list[in
             j = getrandbits(bits)
             while j >= n or j == i:
                 j = getrandbits(bits)
-            add_key(i * stride + j + one_one if i < j else j * stride + i + one_one)
+            add_key(i * stride + j + offset if i < j else j * stride + i + offset)
     return numbering, keys
 
 
