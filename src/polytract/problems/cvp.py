@@ -291,15 +291,6 @@ def negate_output(c: Circuit) -> Circuit:
     return Circuit(tuple(nodes))
 
 
-def flip_random_input(c: Circuit, rng: random.Random) -> Circuit:
-    """Toggle one input bit; may or may not change the output value."""
-    inputs = [i for i, node in enumerate(c.nodes, 1) if node[0] == "input"]
-    pick = rng.choice(inputs)
-    nodes = list(c.nodes)
-    nodes[pick - 1] = ("input", not nodes[pick - 1][1])
-    return Circuit(tuple(nodes))
-
-
 def random_circuit(
     size: int,
     rng: random.Random,

@@ -1,6 +1,8 @@
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polytract.errors import MalformedGraph, SameNode, UnknownNode
 from polytract.problems import bds
@@ -41,10 +43,51 @@ def test_decide_and_member():
     x = bds.instance_bytes(g, 3, 2)
     assert bds.bds_member(x)
     assert not bds.bds_member(bds.swap_query(x))
-    with pytest.raises(SameNode):
+    with pytest.raises(SameNode, match="^query names node 2 twice$"):
         bds.bds_decide(g, 2, 2)
-    with pytest.raises(UnknownNode):
+    with pytest.raises(UnknownNode, match="^node 0 is not in the graph$"):
         bds.bds_decide(g, 0, 2)
+    # u is checked before v, and both before u == v.
+    with pytest.raises(UnknownNode, match="^node 0 is not in the graph$"):
+        bds.bds_decide(g, 0, 4)
+    with pytest.raises(UnknownNode, match="^node 4 is not in the graph$"):
+        bds.bds_decide(g, 4, 4)
+
+
+def _assert_decide_matches_oracle(g):
+    order = bds_order_oracle(g.n, g.numbering, g.edges)
+    for u, v in permutations(range(1, g.n + 1), 2):
+        assert bds.bds_decide(g, u, v) == (order.index(u) < order.index(v)), (g, u, v)
+
+
+def test_decide_siblings_first_last_and_restart():
+    # Node 4 is numbered 1 and records nodes 1, 2, 3 in one batch, in the
+    # order of their numbers 3, 4, 2; node 5 is reached only by a restart.
+    g = bds.make_graph(5, (3, 4, 2, 1, 5), [(4, 1), (4, 2), (4, 3)])
+    assert bds_order_oracle(g.n, g.numbering, g.edges) == (4, 3, 1, 2, 5)
+    _assert_decide_matches_oracle(g)
+
+
+@st.composite
+def decide_graphs(draw):
+    n = draw(st.integers(1, 10))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["dense", "sparse", "split"]))
+    if kind == "dense":
+        return bds.random_graph(n, rng, draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])))
+    if kind == "sparse":
+        return bds.random_sparse_graph(n, rng, draw(st.sampled_from([0.5, 1.0, 3.0])))
+    # No edge between nodes 1..cut and the rest, so the traversal restarts.
+    g = bds.random_graph(n, rng, 0.6)
+    cut = draw(st.integers(1, max(1, n - 1)))
+    return bds.make_graph(n, g.numbering,
+                          [(u, v) for u, v in g.edges if (u <= cut) == (v <= cut)])
+
+
+@settings(max_examples=300)
+@given(decide_graphs())
+def test_decide_matches_oracle_order_on_every_pair(g):
+    _assert_decide_matches_oracle(g)
 
 
 def test_member_is_total_on_garbage():
@@ -116,26 +159,3 @@ def test_sparse_generator_shape():
     assert len(g.edges) == 400
     x = bds.random_sparse_instance(64, rng)
     bds.parse_instance(x)
-
-
-def test_order_cache_keeps_a_node_budget():
-    calls = []
-
-    def order(g):
-        calls.append(g.n)
-        return bds.bds_order.__wrapped__(g)
-
-    cache = bds.OrderCache(order, max_nodes=10)
-    small = [bds.make_graph(4, (1, 2, 3, 4), [(1, k)]) for k in (2, 3, 4)]
-    big = bds.make_graph(11, range(1, 12), [])
-    for g in small[:2] * 2:
-        cache(g)
-    assert cache.cache_info()[:2] == (2, 2) and cache.nodes == 8
-    cache(small[2])  # 12 nodes > 10: the least recently used graph goes
-    assert cache.nodes == 8 and cache.cache_info().currsize == 2
-    cache(small[0])
-    assert calls == [4, 4, 4, 4]
-    cache(big)
-    cache(big)  # larger than the whole budget: computed each time, never kept
-    assert calls[-2:] == [11, 11] and cache.nodes == 8
-    assert cache(big) == bds_order_oracle(big.n, big.numbering, big.edges)

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 from polytract import bench, harness
+from polytract.report import Report
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -14,6 +15,16 @@ def test_layer_ns_covers_every_layer_and_rung():
     for rungs in out.values():
         assert [n for n, _ in rungs] == [8, 16]
         assert all(ns > 0 for _, ns in rungs)
+
+
+def test_suite_record_names_failing_rows(monkeypatch):
+    reports = [Report("compositions").add("ok", True),
+               Report("runtime-fits").add("ok", True).add("slope", False)]
+    monkeypatch.setattr(bench, "run_suite", lambda config: harness.SuiteReport(
+        verdict=False, environment={}, reports=reports, timings={}))
+    record = bench._suite(0)
+    assert record["verdict"] == "fail"
+    assert record["failed_rows"] == ["runtime-fits/slope"]
 
 
 def test_records_are_kept_side_by_side(tmp_path, monkeypatch):

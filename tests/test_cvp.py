@@ -108,14 +108,6 @@ def test_negate_output_with_output_mid_sequence():
     assert cvp.cvp_eval(circ) is True
 
 
-def test_flip_random_input_stays_valid():
-    rng = random.Random(4)
-    circ = cvp.random_circuit(8, rng)
-    flipped = cvp.flip_random_input(circ, rng)
-    cvp.validate_circuit(flipped)
-    assert flipped != circ
-
-
 def test_enumeration_yields_valid_unique_circuits():
     seen = set()
     for circ in cvp.enumerate_circuits(max_gates=1, max_inputs=2):
