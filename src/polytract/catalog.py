@@ -98,23 +98,6 @@ def absorb_factorization() -> CrFactorization:
     )
 
 
-def _negated_circuit_bytes(data: Instance) -> Instance:
-    """Bytes of the verdict-flipped sibling of an encoded circuit.
-
-    Generated circuits keep the output on the last line, so the flip is
-    plain line surgery; anything else takes the parse-and-rebuild route.
-    """
-    try:
-        body, last = data.rstrip(b"\n").rsplit(b"\n", 1)
-        idx, kind, ref = last.split()
-        if kind == b"output":
-            return (body + b"\n" + idx + b" not " + ref + b"\n"
-                    + str(int(idx) + 1).encode() + b" output " + idx + b"\n")
-    except ValueError:
-        pass
-    return cvp.circuit_to_bytes(cvp.negate_output(cvp.parse_circuit(data)))
-
-
 def one_bit_true_language() -> LanguageOfPairs:
     """Accepts exactly the pair <'1', empty>."""
     return LanguageOfPairs(
@@ -376,7 +359,7 @@ def _build_witnesses(cat: Catalog, config) -> None:
         rng = random.Random(f"{seed}:cvp-latency:{size}")
         data = cvp.circuit_to_bytes(
             cvp.random_circuit(max(4, size), rng, config.gate_weights))
-        return [data, _negated_circuit_bytes(data)]
+        return [data, cvp.negated_circuit_bytes(data)]
 
     cat.witnesses["cvp-verdict-bit"] = WitnessEntry(
         language=cat.pair_languages["cvp-pairs"],

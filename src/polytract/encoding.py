@@ -1,16 +1,16 @@
 """Byte-level instance encoding: delimiters, escaping, pairs, size bounds.
 
 An instance is a plain byte string. Two byte values act as structural
-delimiters when they appear unescaped: '#' joins a data part to a query
-part and '@' joins the two halves of a packed value. Payload bytes that
-collide with a delimiter (or with the escape byte itself) are rewritten
-with a backslash escape:
+delimiters: '#' joins a data part to a query part and '@' joins the two
+halves of a packed value. Payload bytes that collide with a delimiter (or
+with the escape byte itself) are rewritten with a backslash escape:
 
     '#'  ->  \\h        '@'  ->  \\a        '\\'  ->  \\\\
 
-so arbitrary payloads survive a round trip bit-exactly. Joining two clean
-payloads therefore costs exactly one extra byte; each delimiter or escape
-byte inside a payload costs one more.
+The escapes hold no delimiter byte, so every raw '#' or '@' in an
+instance is structural, and arbitrary payloads survive a round trip
+bit-exactly. Joining two clean payloads therefore costs exactly one extra
+byte; each delimiter or escape byte inside a payload costs one more.
 """
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ from .report import Report
 
 Instance = bytes
 
-HASH = 0x23    # '#'
-AT = 0x40      # '@'
 ESCAPE = 0x5C  # '\'
 
 
@@ -74,30 +72,16 @@ def escape_overhead(payload: Instance) -> int:
     return payload.count(b"#") + payload.count(b"@") + payload.count(b"\\")
 
 
-def _unescaped_positions(x: Instance, delim: int) -> list[int]:
-    # A delimiter is structural iff an even number of escape bytes
-    # immediately precede it.
-    positions = []
-    sep = bytes((delim,))
-    i = x.find(sep)
-    while i >= 0:
-        j = i
-        while j and x[j - 1] == ESCAPE:
-            j -= 1
-        if (i - j) % 2 == 0:
-            positions.append(i)
-        i = x.find(sep, i + 1)
-    return positions
-
-
-def _split_once(x: Instance, delim: int, what: str) -> tuple[Instance, Instance]:
-    positions = _unescaped_positions(x, delim)
-    if len(positions) != 1:
+def _split_once(x: Instance, sep: bytes) -> tuple[Instance, Instance]:
+    # Escaping leaves no raw delimiter in a payload, so every raw one is
+    # structural.
+    found = x.count(sep)
+    if found != 1:
         raise MalformedInstance(
-            f"expected exactly one unescaped {what}, found {len(positions)}"
+            f"expected exactly one unescaped '{sep.decode()}', found {found}"
         )
-    p = positions[0]
-    return x[:p], x[p + 1:]
+    left, _, right = x.partition(sep)
+    return left, right
 
 
 @dataclass(frozen=True)
@@ -113,7 +97,7 @@ def encode_pair(pair: Pair) -> Instance:
 
 
 def decode_pair(x: Instance) -> Pair:
-    left, right = _split_once(x, HASH, "'#'")
+    left, right = _split_once(x, b"#")
     return Pair(unescape_payload(left), unescape_payload(right))
 
 
@@ -123,7 +107,7 @@ def pack_at(x1: Instance, x2: Instance) -> Instance:
 
 
 def split_packed(z: Instance) -> tuple[Instance, Instance]:
-    left, right = _split_once(z, AT, "'@'")
+    left, right = _split_once(z, b"@")
     return unescape_payload(left), unescape_payload(right)
 
 

@@ -108,10 +108,14 @@ def _apply_key(cfg: SuiteConfig, key: str, value: str) -> None:
         cfg.ladder = tuple(int(v.strip()) for v in value.split(",") if v.strip())
     elif key == "lexicon":
         cfg.lexicon = tuple(w.strip().lower() for w in value.split(",") if w.strip())
+        if not cfg.lexicon:
+            raise ConfigError("lexicon needs at least one word")
     elif key == "gate_weights":
         parts = [int(v.strip()) for v in value.split(",")]
         if len(parts) != 3:
             raise ConfigError("gate_weights needs three integers")
+        if min(parts) < 0 or sum(parts) == 0:
+            raise ConfigError("gate_weights must be nonnegative with a positive sum")
         cfg.gate_weights = tuple(parts)
     elif key == "inject":
         cfg.inject = tuple(_known(v.strip(), catalog_mod.INJECTIONS, "inject entry")

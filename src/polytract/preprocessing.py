@@ -135,7 +135,6 @@ class LadderRung:
 
 @dataclass(frozen=True)
 class LadderReport:
-    witness_name: str
     rungs: tuple[LadderRung, ...]
     slope: float
     exponent_cap: float
@@ -144,16 +143,6 @@ class LadderReport:
     @property
     def passed(self) -> bool:
         return self.bound_ok and self.slope <= self.exponent_cap
-
-    def to_dict(self) -> dict:
-        return {
-            "witness": self.witness_name,
-            "rungs": [r.to_dict() for r in self.rungs],
-            "slope": round(self.slope, 6),
-            "exponent_cap": self.exponent_cap,
-            "bound_ok": self.bound_ok,
-            "verdict": "pass" if self.passed else "fail",
-        }
 
 
 def digest_size_ladder(
@@ -191,7 +180,6 @@ def digest_size_ladder(
         "poly-log-n",
         [r.input_size for r in rungs], [r.max_digest_size for r in rungs])
     return LadderReport(
-        witness_name=witness.name,
         rungs=tuple(rungs),
         slope=slope,
         exponent_cap=witness.output_bound.k + slope_slack,

@@ -278,7 +278,7 @@ def bds_member(x: Instance) -> bool:
     try:
         g, u, v = parse_instance(x)
         return bds_decide(g, u, v)
-    except (MalformedGraph, SameNode, UnknownNode, UnicodeDecodeError):
+    except (MalformedGraph, SameNode, UnknownNode):
         return False
 
 

@@ -11,8 +11,9 @@ text form:
 
 Ids must equal the line number. References may point forward as long as
 the wiring stays acyclic; exactly one output node is required and nothing
-may reference it. Evaluation walks the nodes in topological order and
-returns the output node's value.
+may reference it. Evaluation walks the nodes in id order, or in a
+topological order when a reference points forward, and returns the output
+node's value.
 """
 from __future__ import annotations
 
@@ -109,16 +110,10 @@ def parse_circuit(data: Instance) -> Circuit:
                 backward = False
                 if dangling is None and not 1 <= ref <= n:
                     dangling = f"node {lineno}: reference to missing node {ref}"
-    if n == 0:
-        raise MalformedCircuit("circuit has no nodes")
     if dangling is not None:
         raise DanglingRef(dangling)
-    if len(outputs) != 1:
-        raise MalformedCircuit(f"need exactly one output node, found {len(outputs)}")
     circuit = Circuit(tuple(nodes))
-    # Backward refs cannot reach a last-line output or close a cycle.
-    if not (backward and outputs[0] == n):
-        _check_wiring(circuit, outputs[0])
+    _check_structure(circuit, outputs, backward)
     return circuit
 
 
@@ -130,29 +125,40 @@ def _refs(node: Node) -> tuple[int, ...]:
 def validate_circuit(c: Circuit) -> None:
     """Structural checks: arities, ref ranges, one unreferenced output, acyclicity."""
     n = len(c.nodes)
-    if n == 0:
-        raise MalformedCircuit("circuit has no nodes")
     outputs = []
+    backward = True
     for i, node in enumerate(c.nodes, 1):
         kind = node[0]
-        if kind not in _ARITY:
+        arity = _ARITY.get(kind)
+        if arity is None:
             raise MalformedCircuit(f"node {i}: unknown kind {kind!r}")
-        if len(node) - 1 != _ARITY[kind]:
+        if len(node) - 1 != arity:
             raise ArityError(
-                f"node {i}: {kind} takes {_ARITY[kind]} argument(s), got {len(node) - 1}"
+                f"node {i}: {kind} takes {arity} argument(s), got {len(node) - 1}"
             )
         if kind == "output":
             outputs.append(i)
         for ref in _refs(node):
-            if not (1 <= ref <= n):
-                raise DanglingRef(f"node {i}: reference to missing node {ref}")
+            if not 0 < ref < i:
+                backward = False
+                if not 1 <= ref <= n:
+                    raise DanglingRef(f"node {i}: reference to missing node {ref}")
+    _check_structure(c, outputs, backward)
+
+
+def _check_structure(c: Circuit, outputs: list[int], backward: bool) -> None:
+    """The checks after a per-node pass that found the output ids and
+    whether every ref names an earlier node: one output, nothing reading
+    it, no cycle."""
+    n = len(c.nodes)
+    if n == 0:
+        raise MalformedCircuit("circuit has no nodes")
     if len(outputs) != 1:
         raise MalformedCircuit(f"need exactly one output node, found {len(outputs)}")
-    _check_wiring(c, outputs[0])
-
-
-def _check_wiring(c: Circuit, out: int) -> None:
-    """Nothing may reference the output node, and the wiring is acyclic."""
+    out = outputs[0]
+    # Backward refs cannot reach a last-node output or close a cycle.
+    if backward and out == n:
+        return
     for i, node in enumerate(c.nodes, 1):
         if out in _refs(node):
             raise MalformedCircuit(f"node {i}: references the output node")
@@ -188,59 +194,48 @@ def cvp_eval(c: Circuit) -> bool:
 
 
 def _eval_validated(c: Circuit) -> bool:
-    """Evaluation walk for a circuit already past validate_circuit.
+    """Value of a circuit already past validate_circuit.
 
-    One pass in id order settles every backward-wired circuit; the first
-    forward reference shows up as a still-unset operand and drops the walk
-    down to an explicit topological order.
+    One walk in id order settles every backward-wired circuit. A forward
+    reference shows up as a still-unset operand; the same walk then runs
+    again over an explicit topological order, where none can occur.
     """
-    values: list = [None] * (len(c.nodes) + 1)
+    n = len(c.nodes)
+    value = _walk(enumerate(c.nodes, 1), n)
+    if value is None:
+        nodes = c.nodes
+        value = _walk(((i, nodes[i - 1]) for i in _topo_order(c)), n)
+    return value
+
+
+def _walk(steps, n: int) -> bool | None:
+    """Evaluate (id, node) steps in the order given; None as soon as an
+    operand has no value yet."""
+    values: list = [None] * (n + 1)
     result = None
-    for i, node in enumerate(c.nodes, 1):
+    for i, node in steps:
         kind = node[0]
         if kind == "input":
             values[i] = node[1]
             continue
         a = values[node[1]]
         if a is None:
-            return _eval_in_order(c, _topo_order(c))
+            return None
         if kind == "not":
             values[i] = not a
         elif kind == "and":
             b = values[node[2]]
             if b is None:
-                return _eval_in_order(c, _topo_order(c))
+                return None
             values[i] = a and b
         elif kind == "or":
             b = values[node[2]]
             if b is None:
-                return _eval_in_order(c, _topo_order(c))
+                return None
             values[i] = a or b
         else:
             result = a
             values[i] = a
-    assert result is not None
-    return result
-
-
-def _eval_in_order(c: Circuit, order: list[int]) -> bool:
-    values: dict[int, bool] = {}
-    result = None
-    for i in order:
-        node = c.nodes[i - 1]
-        kind = node[0]
-        if kind == "input":
-            values[i] = node[1]
-        elif kind == "not":
-            values[i] = not values[node[1]]
-        elif kind == "and":
-            values[i] = values[node[1]] and values[node[2]]
-        elif kind == "or":
-            values[i] = values[node[1]] or values[node[2]]
-        else:
-            result = values[node[1]]
-            values[i] = result
-    assert result is not None
     return result
 
 
@@ -250,31 +245,6 @@ def cvp_member(x: Instance) -> bool:
         return _eval_validated(parse_circuit(x))
     except MalformedCircuit:
         return False
-
-
-def double_negate_output(c: Circuit) -> Circuit:
-    """Rewire the output through two stacked negations; value is unchanged."""
-    validate_circuit(c)
-    out_idx = next(i for i, node in enumerate(c.nodes, 1) if node[0] == "output")
-    target = c.nodes[out_idx - 1][1]
-
-    def remap(r: int) -> int:
-        return r - 1 if r > out_idx else r
-
-    kept: list[Node] = []
-    for i, node in enumerate(c.nodes, 1):
-        if i == out_idx:
-            continue
-        kind = node[0]
-        if kind == "input":
-            kept.append(node)
-        else:
-            kept.append((kind, *(remap(r) for r in _refs(node))))
-    base = len(kept)
-    kept.append(("not", remap(target)))
-    kept.append(("not", base + 1))
-    kept.append(("output", base + 2))
-    return Circuit(tuple(kept))
 
 
 def negate_output(c: Circuit) -> Circuit:
@@ -289,6 +259,28 @@ def negate_output(c: Circuit) -> Circuit:
     nodes[out_idx - 1] = ("not", nodes[out_idx - 1][1])
     nodes.append(("output", out_idx))
     return Circuit(tuple(nodes))
+
+
+def double_negate_output(c: Circuit) -> Circuit:
+    """Rewire the output through two stacked negations; value is unchanged."""
+    return negate_output(negate_output(c))
+
+
+def negated_circuit_bytes(data: Instance) -> Instance:
+    """Bytes of the verdict-flipped sibling of an encoded circuit.
+
+    Generated circuits keep the output on the last line, so the flip is
+    plain line surgery; anything else takes the parse-and-rebuild route.
+    """
+    try:
+        body, last = data.rstrip(b"\n").rsplit(b"\n", 1)
+        idx, kind, ref = last.split()
+        if kind == b"output":
+            return (body + b"\n" + idx + b" not " + ref + b"\n"
+                    + str(int(idx) + 1).encode() + b" output " + idx + b"\n")
+    except ValueError:
+        pass
+    return circuit_to_bytes(negate_output(parse_circuit(data)))
 
 
 def random_circuit(

@@ -38,6 +38,17 @@ def test_misspelled_inject_is_usage_error(tmp_path, capsys):
     assert "line 1: unknown inject entry" in capsys.readouterr().err
 
 
+def test_degenerate_lexicon_and_gate_weights_are_usage_errors(tmp_path, capsys):
+    # Each used to get through parse_config and crash the check (exit 3).
+    for line, command in (("lexicon = ,", ["verify-witness", "wordstats-count-digest"]),
+                          ("gate_weights = 0,0,0", ["verify-reduction", "cvp-identity"]),
+                          ("gate_weights = -1,1,1", ["verify-reduction", "cvp-identity"])):
+        cfg = tmp_path / "degenerate.cfg"
+        cfg.write_text(line + "\n")
+        assert main([*command, "--config", str(cfg)]) == 2
+        assert "line 1: " in capsys.readouterr().err
+
+
 def test_short_ladder_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("ladder = 512, 1024\n")

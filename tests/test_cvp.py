@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polytract.errors import (
     ArityError,
@@ -10,7 +11,12 @@ from polytract.errors import (
 )
 from polytract.problems import cvp
 
-from oracles import cvp_eval_oracle
+from oracles import (
+    _validate_circuit,
+    circuit_text_oracle,
+    cvp_eval_oracle,
+    parse_circuit_oracle,
+)
 
 
 def c(*nodes):
@@ -36,6 +42,82 @@ def test_eval_matches_oracle_on_random_circuits():
     for _ in range(500):
         circ = cvp.random_circuit(rng.randrange(2, 15), rng)
         assert cvp.cvp_eval(circ) == cvp_eval_oracle(circ.nodes)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+def _renumbered(nodes, order):
+    """nodes listed in the given order of old positions, refs following
+    their nodes; refs outside the circuit stay as they are."""
+    new_id = {old + 1: new + 1 for new, old in enumerate(order)}
+    return tuple(
+        node if node[0] == "input" else (node[0], *(new_id.get(r, r) for r in node[1:]))
+        for node in (nodes[old] for old in order)
+    )
+
+
+@st.composite
+def forward_wired(draw):
+    """A random circuit with its ids permuted, so refs point both ways."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nodes = cvp.random_circuit(draw(st.integers(2, 14)), rng).nodes
+    return c(*_renumbered(nodes, draw(st.permutations(range(len(nodes))))))
+
+
+@settings(max_examples=300)
+@given(forward_wired())
+def test_eval_matches_oracle_on_forward_wired_circuits(circ):
+    want = cvp_eval_oracle(circ.nodes)
+    assert cvp.cvp_eval(circ) == want
+    assert cvp.cvp_member(cvp.circuit_to_bytes(circ)) == want
+
+
+@st.composite
+def mutated_circuits(draw):
+    """Node tuples of a random circuit after one to three mutations: a ref
+    out of range, the output moved, a ref to the output, a 2-cycle."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nodes = list(cvp.random_circuit(draw(st.integers(3, 12)), rng).nodes)
+    # In this order, so a moved output can be read from behind.
+    kinds = ["move-output", "to-output", "range", "2-cycle"]
+    for how in sorted(draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)),
+                      key=kinds.index):
+        n = len(nodes)
+        gates = [i for i, node in enumerate(nodes) if node[0] not in ("input", "output")]
+        out = next(i for i, node in enumerate(nodes) if node[0] == "output")
+        if how == "move-output":
+            # Mid-sequence, behind the node it reads: no forward ref added.
+            lo = min(max(nodes[out][1], 0), n - 1)
+            order = [i for i in range(n) if i != out]
+            order.insert(draw(st.integers(lo, max(lo, n - 2))), out)
+            nodes = list(_renumbered(nodes, order))
+        elif how == "range":
+            i = draw(st.sampled_from(gates + [out]))
+            k = draw(st.integers(1, len(nodes[i]) - 1))
+            nodes[i] = nodes[i][:k] + (draw(st.sampled_from([0, -1, n + 1])),) + nodes[i][k + 1:]
+        elif how == "to-output" and gates:
+            # A gate behind a moved output reads it by a backward ref.
+            i = draw(st.sampled_from([i for i in gates if i > out] or gates))
+            nodes[i] = (nodes[i][0], out + 1, *nodes[i][2:])
+        elif how == "2-cycle" and len(gates) >= 2:
+            i, j = draw(st.lists(st.sampled_from(gates), min_size=2, max_size=2, unique=True))
+            nodes[i] = (nodes[i][0], j + 1, *nodes[i][2:])
+            nodes[j] = (nodes[j][0], i + 1, *nodes[j][2:])
+    return tuple(nodes)
+
+
+@settings(max_examples=400)
+@given(mutated_circuits())
+def test_structure_checks_match_oracle_on_mutated_circuits(nodes):
+    assert _outcome(cvp.validate_circuit, c(*nodes)) == _outcome(_validate_circuit, nodes)
+    text = circuit_text_oracle(nodes)
+    assert _outcome(lambda x: cvp.parse_circuit(x).nodes, text) == _outcome(
+        parse_circuit_oracle, text)
 
 
 def test_text_roundtrip():

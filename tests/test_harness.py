@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from polytract.catalog import _negated_circuit_bytes, build_catalog
+from polytract.catalog import build_catalog
 from polytract.encoding import PolylogBound
 from polytract.errors import ConfigError, InsufficientData, UnknownProblem
 from polytract.harness import (
@@ -57,6 +57,10 @@ def test_parse_config_rejects_unknown_and_malformed():
                  "bound.nonsense = 1,1,1",
                  "inject = identity-preprocesing:bds-verdict-bit"):
         with pytest.raises(ConfigError, match="line 2: unknown"):
+            parse_config(f"seed = 3\n{line}\n")
+    for line in ("lexicon = ,", "lexicon =",
+                 "gate_weights = 0,0,0", "gate_weights = -1,1,1"):
+        with pytest.raises(ConfigError, match="line 2: "):
             parse_config(f"seed = 3\n{line}\n")
 
 
@@ -143,7 +147,7 @@ def test_negated_circuit_bytes_matches_structural_rewrite():
     for _ in range(50):
         data = cvp.circuit_to_bytes(cvp.random_circuit(rng.randrange(2, 20), rng))
         expected = cvp.circuit_to_bytes(cvp.negate_output(cvp.parse_circuit(data)))
-        assert _negated_circuit_bytes(data) == expected
+        assert cvp.negated_circuit_bytes(data) == expected
 
 
 def test_cvp_latency_probes_cover_both_verdicts():

