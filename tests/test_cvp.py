@@ -91,8 +91,9 @@ def mutated_circuits(draw):
         gates = [i for i, node in enumerate(nodes) if node[0] not in ("input", "output")]
         out = next(i for i, node in enumerate(nodes) if node[0] == "output")
         if how == "move-output":
-            # Mid-sequence, behind the node it reads: no forward ref added.
-            lo = min(max(nodes[out][1], 0), n - 1)
+            # Mid-sequence, behind the node it reads (moves come first, so
+            # that ref is still in range): no forward ref added.
+            lo = nodes[out][1]
             order = [i for i in range(n) if i != out]
             order.insert(draw(st.integers(lo, max(lo, n - 2))), out)
             nodes = list(_renumbered(nodes, order))
@@ -102,7 +103,7 @@ def mutated_circuits(draw):
             nodes[i] = nodes[i][:k] + (draw(st.sampled_from([0, -1, n + 1])),) + nodes[i][k + 1:]
         elif how == "to-output" and gates:
             # A gate behind a moved output reads it by a backward ref.
-            i = draw(st.sampled_from([i for i in gates if i > out] or gates))
+            i = draw(st.sampled_from([g for g in gates if g > out] or gates))
             nodes[i] = (nodes[i][0], out + 1, *nodes[i][2:])
         elif how == "2-cycle" and len(gates) >= 2:
             i, j = draw(st.lists(st.sampled_from(gates), min_size=2, max_size=2, unique=True))
