@@ -125,9 +125,6 @@ class WitnessEntry:
     sample_pairs: Callable[[int, int], tuple[list[Pair], list[Pair]]]
     # size -> instances for the digest ladder (data parts)
     ladder_gen: Callable[[int, int], list[Instance]]  # (size, seed)
-    # optional (size, seed) -> instances whose digests make a fair latency
-    # batch; None means the ladder instances are already fair
-    latency_probes: Callable[[int, int], list[Instance]] | None = None
 
 
 @dataclass(frozen=True)
@@ -344,29 +341,19 @@ def _build_witnesses(cat: Catalog, config) -> None:
         return pos, neg
 
     def cvp_ladder(size: int, seed: int) -> list[Instance]:
-        rng = random.Random(f"{seed}:cvp-ladder:{size}")
-        n = max(4, size)
-        return [
-            cvp.circuit_to_bytes(cvp.random_circuit(n, rng, config.gate_weights))
-            for _ in range(2)
-        ]
-
-    def cvp_latency_probes(size: int, seed: int) -> list[Instance]:
         # The digest here is a single verdict byte, and the post check is
-        # cheaper on one byte value than the other. Pairing every circuit
+        # cheaper on one byte value than the other. Pairing the circuit
         # with its negated sibling keeps the verdict mix at exactly half
         # and half on every rung, so branch cost cannot pose as growth.
-        rng = random.Random(f"{seed}:cvp-latency:{size}")
-        data = cvp.circuit_to_bytes(
-            cvp.random_circuit(max(4, size), rng, config.gate_weights))
-        return [data, cvp.negated_circuit_bytes(data)]
+        rng = random.Random(f"{seed}:cvp-ladder:{size}")
+        c = cvp.random_circuit(max(4, size), rng, config.gate_weights)
+        return [cvp.circuit_to_bytes(c), cvp.circuit_to_bytes(cvp.negate_output(c))]
 
     cat.witnesses["cvp-verdict-bit"] = WitnessEntry(
         language=cat.pair_languages["cvp-pairs"],
         witness=cvp_witness,
         sample_pairs=cvp_samples,
         ladder_gen=cvp_ladder,
-        latency_probes=cvp_latency_probes,
     )
 
     # Count-vector digest for word statistics.
@@ -440,47 +427,21 @@ def _build_witnesses(cat: Catalog, config) -> None:
 
 
 def _build_reductions(cat: Catalog, config) -> None:
-    bds_fl = cat.factored["bds-all-data"]
-    absorb_fl = cat.factored["qbds-absorb"]
-
     def identity_map(z: Instance) -> Instance:
         return z
 
-    cat.fcr_reductions["bds-identity"] = FcrEntry(
-        reduction=FcrReduction(
-            name="bds-identity",
-            source_fact=bds_fl.fact,
-            target_fact=bds_fl.fact,
-            map_data=identity_map,
-            map_query=identity_map,
-        ),
-        source_member=bds_fl.base,
-        target_member=bds_fl.base,
-    )
-    cat.fcr_reductions["qbds-identity"] = FcrEntry(
-        reduction=FcrReduction(
-            name="qbds-identity",
-            source_fact=absorb_fl.fact,
-            target_fact=absorb_fl.fact,
-            map_data=identity_map,
-            map_query=identity_map,
-        ),
-        source_member=absorb_fl.base,
-        target_member=absorb_fl.base,
-    )
-    # Re-splitting reduction: the absorbed data part of a joined instance
-    # is literally a visit-order instance, so both maps are identities.
-    cat.fcr_reductions["qbds-to-bds"] = FcrEntry(
-        reduction=FcrReduction(
-            name="qbds-to-bds",
-            source_fact=absorb_fl.fact,
-            target_fact=bds_fl.fact,
-            map_data=identity_map,
-            map_query=identity_map,
-        ),
-        source_member=absorb_fl.base,
-        target_member=bds_fl.base,
-    )
+    # Both maps of every factored reduction are identities. qbds-to-bds
+    # re-splits: the absorbed data part of a joined instance is literally
+    # a visit-order instance.
+    for name, source, target in (("bds-identity", "bds-all-data", "bds-all-data"),
+                                 ("qbds-identity", "qbds-absorb", "qbds-absorb"),
+                                 ("qbds-to-bds", "qbds-absorb", "bds-all-data")):
+        src, dst = cat.factored[source], cat.factored[target]
+        cat.fcr_reductions[name] = FcrEntry(
+            reduction=FcrReduction(name, src.fact, dst.fact, identity_map, identity_map),
+            source_member=src.base,
+            target_member=dst.base,
+        )
 
     # Pair-to-pair reductions over circuit evaluation.
     cvp_lang = cat.pair_languages["cvp-pairs"]

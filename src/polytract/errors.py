@@ -58,11 +58,7 @@ class GeneratorExhausted(VerifierError):
 
 
 class FactorizationMismatch(VerifierError):
-    """The two middle factorizations of a composition disagree."""
-
-
-class InvalidManyOneMap(VerifierError):
-    """A claimed membership-preserving map failed on a probe instance."""
+    """A middle factorization of a composition fails to restore a probe."""
 
 
 class CapExceeded(VerifierError):

@@ -36,7 +36,7 @@ from .reductions import (
     hardness_pack,
 )
 from .report import SCHEMA_VERSION, Report, dump_json
-from .separation import SeparationReport, separation_report
+from .separation import ENUMERATION_CAP, SeparationReport, separation_report
 
 DEFAULT_LADDER = (1024, 4096, 16384, 65536)
 
@@ -122,7 +122,11 @@ def _apply_key(cfg: SuiteConfig, key: str, value: str) -> None:
                            for v in value.split(",") if v.strip())
     elif key.startswith("exhaustive_cap."):
         name = _known(key.partition(".")[2], cfg.exhaustive_caps, "exhaustive cap")
-        cfg.exhaustive_caps[name] = int(value)
+        cap = int(value)
+        if name == "separation" and cap > ENUMERATION_CAP:
+            raise ConfigError(f"exhaustive_cap.separation {cap} exceeds the "
+                              f"edgeless enumeration cap {ENUMERATION_CAP}")
+        cfg.exhaustive_caps[name] = cap
     elif key.startswith("bound."):
         name = _known(key.partition(".")[2], _BOUND_NAMES, "bound")
         cfg.bounds[name] = parse_bound(value)
@@ -274,25 +278,26 @@ def _reduction_check(cat, config: SuiteConfig, name: str) -> Report:
     return verify_f_reduction(entry.reduction, entry.source, entry.target, pairs)
 
 
+# The (first, second) factored reductions the compositions check composes.
+COMPOSITIONS = (
+    ("bds-identity", "bds-identity"),
+    ("qbds-to-bds", "bds-identity"),
+    ("qbds-identity", "qbds-to-bds"),
+)
+
+
 def _composition_checks(cat, config: SuiteConfig) -> Report:
-    """Build three compositions and verify each, constants included."""
+    """Build the COMPOSITIONS and verify each, constants included."""
     rep = Report("compositions")
     budget = max(40, config.random_budget // 4)
-    cases = [
-        ("bds-identity", "bds-identity"),
-        ("qbds-to-bds", "bds-identity"),
-        ("qbds-identity", "qbds-to-bds"),
-    ]
-    for first_name, second_name in cases:
+    for first_name, second_name in COMPOSITIONS:
         first = cat.fcr_reductions[first_name]
         second = cat.fcr_reductions[second_name]
         middle = first.reduction.target_fact
         probes = [x for x in cat.sampler(middle.name)(config.seed, 2, 20)
                   if first.target_member(x)]
         composed = compose_fcr(
-            first.reduction, second.reduction,
-            (middle, second.reduction.source_fact),
-            first.target_member, probes)
+            first.reduction, second.reduction, first.target_member, probes)
         label = composed.name
         ok_c = (
             composed.source_fact.redundancy == first.reduction.source_fact.redundancy + 1
@@ -325,8 +330,7 @@ def _transfer_check(cat, config: SuiteConfig) -> Report:
     rep = Report("witness-transfer")
     entry = cat.fcr_reductions["qbds-to-bds"]
     wentry = cat.witnesses["bds-verdict-bit"]
-    new_fact, new_witness = transfer_witness(
-        entry.reduction, wentry.witness, entry.reduction.target_fact)
+    new_fact, new_witness = transfer_witness(entry.reduction, wentry.witness)
     rep.add("packed-redundancy", new_fact.redundancy ==
             entry.reduction.source_fact.redundancy + 1,
             measured=new_fact.redundancy,
@@ -361,20 +365,14 @@ def _hardness_check(cat, config: SuiteConfig) -> Report:
     """Wrap the join-dropping map into a reduction onto visit-order search."""
     rep = Report("hardness-pack")
     entry_bds = cat.factored["bds-all-data"]
-    qbds_member = cat.factored["qbds-absorb"].base
-    absorb = cat.factored["qbds-absorb"].fact
-
-    ys = _sample(cat, config, "qbds", config.random_budget)
-    packed = hardness_pack(
-        qbds_member, absorb.data_part, entry_bds.fact, entry_bds.base,
-        samples=ys[: min(len(ys), 500)])
+    absorb = cat.factored["qbds-absorb"]
+    packed = hardness_pack(absorb.fact.data_part, entry_bds.fact)
     rep.add("target-redundancy", packed.target_fact.redundancy ==
             entry_bds.fact.redundancy + 1,
             measured=packed.target_fact.redundancy,
             bound=entry_bds.fact.redundancy + 1)
-    pairs = [Pair(y, b"") for y in ys]
-    sub = verify_fcr_reduction(packed, qbds_member, entry_bds.base, pairs)
-    rep.extend(sub)
+    pairs = [Pair(y, b"") for y in _sample(cat, config, "qbds", config.random_budget)]
+    rep.extend(verify_fcr_reduction(packed, absorb.base, entry_bds.base, pairs))
     return rep
 
 
@@ -457,10 +455,9 @@ def _fit_checks(cat, config: SuiteConfig) -> Report:
     for name, entry, query in (("wordstats", wentry, wquery),
                                ("cvp", centry, b"")):
         post = entry.witness.post_language.membership
-        gen = entry.latency_probes or entry.ladder_gen
         sizes, tasks = [], []
         for size in config.ladder:
-            instances = gen(size, config.seed)
+            instances = entry.ladder_gen(size, config.seed)
             calls = [(entry.witness.preprocess(x), query) for x in instances]
             sizes.append(len(instances[0]))
             tasks.append((post, calls * max(1, config.query_reps // len(calls))))

@@ -266,23 +266,6 @@ def double_negate_output(c: Circuit) -> Circuit:
     return negate_output(negate_output(c))
 
 
-def negated_circuit_bytes(data: Instance) -> Instance:
-    """Bytes of the verdict-flipped sibling of an encoded circuit.
-
-    Generated circuits keep the output on the last line, so the flip is
-    plain line surgery; anything else takes the parse-and-rebuild route.
-    """
-    try:
-        body, last = data.rstrip(b"\n").rsplit(b"\n", 1)
-        idx, kind, ref = last.split()
-        if kind == b"output":
-            return (body + b"\n" + idx + b" not " + ref + b"\n"
-                    + str(int(idx) + 1).encode() + b" output " + idx + b"\n")
-    except ValueError:
-        pass
-    return circuit_to_bytes(negate_output(parse_circuit(data)))
-
-
 def random_circuit(
     size: int,
     rng: random.Random,

@@ -8,15 +8,16 @@ Two shapes are supported:
 * FReduction: maps data parts and query parts of one language of pairs
   directly into another, with no re-factorization.
 
-compose_fcr stitches two factored reductions through an explicit middle
-problem by packing each outer factorization's two parts into a single
-data part (one joining byte, so each redundancy constant rises by one)
-and routing the middle hop through restore/split. transfer_witness uses
-the same packing to pull a witness for the target problem back to the
-source. hardness_pack wraps an externally supplied membership-preserving
-map into a factored reduction onto the search-order problem; building
-such maps gate by gate is out of scope here and must be supplied by the
-caller.
+compose_fcr stitches two factored reductions through the middle problem
+by packing each outer factorization's two parts into a single data part
+(one joining byte, so each redundancy constant rises by one) and routing
+the middle hop through restore/split. transfer_witness uses the same
+packing to pull a witness for the target problem back to the source.
+hardness_pack wraps an externally supplied many-one map into a factored
+reduction onto the search-order problem; it checks nothing itself, so a
+map that breaks membership shows up in verify_fcr_reduction's iff rows.
+Building such maps gate by gate is out of scope here and must be
+supplied by the caller.
 """
 from __future__ import annotations
 
@@ -32,11 +33,7 @@ from .encoding import (
     pack_at,
     split_packed,
 )
-from .errors import (
-    FactorizationMismatch,
-    InvalidManyOneMap,
-    MalformedInstance,
-)
+from .errors import FactorizationMismatch, MalformedInstance
 from .factorization import (
     CrFactorization,
     identity_factorization,
@@ -67,13 +64,15 @@ def _identity(x: Instance) -> Instance:
     return x
 
 
-def _split_or_whole(z: Instance) -> tuple[Instance, Instance]:
-    # Total fallback for packed values: garbage is treated as a lone
-    # data part so mapped membership stays well-defined (and false).
+def _image(r: FcrReduction, d: Instance) -> Instance:
+    """The target instance a packed source pair maps to along r. Garbage
+    counts as a lone data part, so mapped membership stays well-defined
+    (and false)."""
     try:
-        return split_packed(z)
+        x1, x2 = split_packed(d)
     except MalformedInstance:
-        return z, b""
+        x1, x2 = d, b""
+    return r.target_fact.restore(r.map_data(x1), r.map_query(x2))
 
 
 def verify_fcr_reduction(
@@ -96,32 +95,22 @@ def verify_fcr_reduction(
 def compose_fcr(
     first: FcrReduction,
     second: FcrReduction,
-    mid_facts: tuple[CrFactorization, CrFactorization],
     mid_member: Callable[[Instance], bool],
     probes: Sequence[Instance] = (),
 ) -> FcrReduction:
-    """Compose two factored reductions through an explicit middle problem.
+    """Compose two factored reductions through the middle problem.
 
-    mid_facts must name the middle factorizations explicitly: the one the
-    first reduction lands in and the one the second starts from. They may
-    differ, which is exactly why the middle hop restores a whole middle
-    instance and re-splits it. Probe instances (members of the middle
-    problem) are round-tripped through both; any disagreement raises
-    FactorizationMismatch.
+    The first reduction lands in first.target_fact and the second starts
+    from second.source_fact. They may differ, which is exactly why the
+    middle hop restores a whole middle instance and re-splits it. Probe
+    instances (members of the middle problem) are round-tripped through
+    both; any disagreement raises FactorizationMismatch.
     """
-    mid_out, mid_in = mid_facts
-    if mid_out is not first.target_fact:
-        raise FactorizationMismatch(
-            "first middle factorization is not the one the first reduction targets"
-        )
-    if mid_in is not second.source_fact:
-        raise FactorizationMismatch(
-            "second middle factorization is not the one the second reduction uses"
-        )
+    mid_in = second.source_fact
     for i, x in enumerate(probes):
         if not mid_member(x):
             continue
-        for fact in (mid_out, mid_in):
+        for fact in (first.target_fact, mid_in):
             restored = fact.restore(fact.data_part(x), fact.query_part(x))
             if restored != x or not mid_member(restored):
                 raise FactorizationMismatch(
@@ -129,8 +118,7 @@ def compose_fcr(
                 )
 
     def map_data(d: Instance) -> Instance:
-        x1, x2 = _split_or_whole(d)
-        mid = mid_out.restore(first.map_data(x1), first.map_query(x2))
+        mid = _image(first, d)
         return pack_at(
             second.map_data(mid_in.data_part(mid)),
             second.map_query(mid_in.query_part(mid)),
@@ -148,13 +136,12 @@ def compose_fcr(
 def transfer_witness(
     r: FcrReduction,
     mid_witness: PreprocessingWitness,
-    mid_fact: CrFactorization,
 ) -> tuple[CrFactorization, PreprocessingWitness]:
-    """Pull a target-side witness back along a factored reduction.
+    """Pull a witness for r's target pairs back along r.
 
-    mid_fact is the factorization the witness's pair language refers to
-    (usually, but not necessarily, r.target_fact). Returns the packed
-    source factorization and a witness for its induced pair language.
+    The witness's pair language refers to r.target_fact. Returns the
+    packed source factorization and a witness for its induced pair
+    language.
 
     The new output bound is a dominating template: the packed digest is
     the old digest joined with the middle query part (the added constants),
@@ -162,10 +149,10 @@ def transfer_witness(
     to the square of the packed data's length.
     """
     new_fact = packed_factorization(r.source_fact)
+    mid_fact = r.target_fact
 
     def preprocess(d: Instance) -> Instance:
-        x1, x2 = _split_or_whole(d)
-        mid = r.target_fact.restore(r.map_data(x1), r.map_query(x2))
+        mid = _image(r, d)
         return pack_at(
             mid_witness.preprocess(mid_fact.data_part(mid)),
             mid_fact.query_part(mid),
@@ -200,35 +187,22 @@ def transfer_witness(
 
 
 def hardness_pack(
-    problem_member: Callable[[Instance], bool],
     many_one: Callable[[Instance], Instance],
     search_fact: CrFactorization,
-    search_member: Callable[[Instance], bool],
-    samples: Sequence[Instance] = (),
 ) -> FcrReduction:
-    """Wrap a membership-preserving map into a factored reduction.
+    """Wrap a many-one map into a factored reduction.
 
-    many_one must carry members to members and non-members to
-    non-members; that is spot-checked on the given samples against both
-    oracles and InvalidManyOneMap raised on the first disagreement. The
-    source side gets the trivial identity factorization, the target side
-    the packed form of search_fact (redundancy + 1).
+    The source side gets the trivial identity factorization, the target
+    side the packed form of search_fact (redundancy + 1). Nothing is
+    checked here: verify_fcr_reduction tells whether many_one carries
+    members to members and non-members to non-members.
     """
-    for i, x in enumerate(samples):
-        if problem_member(x) != search_member(many_one(x)):
-            raise InvalidManyOneMap(
-                f"probe {i}: map does not preserve membership"
-            )
-
-    def map_data(x: Instance) -> Instance:
-        y = many_one(x)
-        return pack_at(search_fact.data_part(y), search_fact.query_part(y))
-
+    target = packed_factorization(search_fact)
     return FcrReduction(
         name=f"pack({search_fact.name})",
         source_fact=identity_factorization(),
-        target_fact=packed_factorization(search_fact),
-        map_data=map_data,
+        target_fact=target,
+        map_data=lambda x: target.data_part(many_one(x)),
         map_query=_identity,
     )
 

@@ -4,12 +4,22 @@ Membership oracles and post languages must answer with a bool and maps
 must return bytes, whatever they are given; a malformed input is a
 non-member, never an exception. Arguments are arbitrary bytes or
 well-formed specimens (instances, queries, digests), so a valid data part
-can meet a garbage query and the other way round.
+can meet a garbage query and the other way round. The same holds for
+what the harness builds from the catalog: compositions, transferred and
+pulled-back witnesses and the hardness reduction.
 """
 import pytest
 from hypothesis import given, strategies as st
 
 from polytract import SuiteConfig, build_catalog
+from polytract.encoding import pack_at
+from polytract.harness import COMPOSITIONS
+from polytract.reductions import (
+    compose_fcr,
+    hardness_pack,
+    pullback_witness_f,
+    transfer_witness,
+)
 
 CAT = build_catalog(SuiteConfig())
 
@@ -47,8 +57,38 @@ def _specimens():
     return sorted(out)
 
 
-TOTAL = _total_callables()
-BYTES = st.one_of(st.binary(max_size=64), st.sampled_from(_specimens()))
+def _constructions():
+    """(label, function, number of byte arguments, return type) for the
+    constructions the harness builds, wired as its checks wire them."""
+    fcr, wit = CAT.fcr_reductions, CAT.witnesses
+    out = []
+    for first, second in COMPOSITIONS:
+        r = compose_fcr(fcr[first].reduction, fcr[second].reduction,
+                        fcr[first].target_member)
+        out.append((f"map_data:{r.name}", r.map_data, 1, bytes))
+        out.append((f"restore:{r.name}", r.target_fact.restore, 2, bytes))
+    _, moved = transfer_witness(fcr["qbds-to-bds"].reduction,
+                                wit["bds-verdict-bit"].witness)
+    pulled = pullback_witness_f(CAT.f_reductions["cvp-double-negation"].reduction,
+                                wit["cvp-verdict-bit"].witness, growth_pad=40)
+    for w in (moved, pulled):
+        out.append((f"preprocess:{w.name}", w.preprocess, 1, bytes))
+        out.append((f"post:{w.name}", w.post_language.membership, 2, bool))
+    packed = hardness_pack(CAT.factored["qbds-absorb"].fact.data_part,
+                           CAT.factored["bds-all-data"].fact)
+    out.append((f"map_data:{packed.name}", packed.map_data, 1, bytes))
+    return out
+
+
+TOTAL = _total_callables() + _constructions()
+SPECIMENS = _specimens()
+# Raw delimiters and escapes, and packed specimens, so both the split and
+# the garbage fallback of a packed source pair are reached.
+DELIMITED = st.lists(st.sampled_from([b"#", b"@", b"\\", b"\\h", b"\\a", b"1 2",
+                                      b"\n", b"x"]), max_size=12).map(b"".join)
+PACKED = st.sampled_from(sorted({pack_at(x, b"") for x in SPECIMENS}))
+BYTES = st.one_of(st.binary(max_size=64), st.sampled_from(SPECIMENS),
+                  DELIMITED, PACKED)
 
 
 @pytest.mark.parametrize("fn, arity, returns",

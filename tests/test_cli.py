@@ -49,6 +49,14 @@ def test_degenerate_lexicon_and_gate_weights_are_usage_errors(tmp_path, capsys):
         assert "line 1: " in capsys.readouterr().err
 
 
+def test_oversized_separation_cap_is_usage_error(tmp_path, capsys):
+    # Used to get through parse_config and abort the enumeration (exit 1).
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("exhaustive_cap.separation = 8\n")
+    assert main(["separate", "--config", str(cfg)]) == 2
+    assert "line 1: exhaustive_cap.separation 8 exceeds" in capsys.readouterr().err
+
+
 def test_short_ladder_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("ladder = 512, 1024\n")

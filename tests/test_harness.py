@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +17,6 @@ from polytract.harness import (
     run_check,
     time_interleaved_ns,
 )
-from polytract.problems import cvp
 
 
 def test_parse_config_full():
@@ -59,7 +60,8 @@ def test_parse_config_rejects_unknown_and_malformed():
         with pytest.raises(ConfigError, match="line 2: unknown"):
             parse_config(f"seed = 3\n{line}\n")
     for line in ("lexicon = ,", "lexicon =",
-                 "gate_weights = 0,0,0", "gate_weights = -1,1,1"):
+                 "gate_weights = 0,0,0", "gate_weights = -1,1,1",
+                 "exhaustive_cap.separation = 8"):
         with pytest.raises(ConfigError, match="line 2: "):
             parse_config(f"seed = 3\n{line}\n")
 
@@ -142,20 +144,12 @@ def test_time_interleaved_ns_orders_costs():
     assert 0 < floors[0] < floors[1]
 
 
-def test_negated_circuit_bytes_matches_structural_rewrite():
-    rng = random.Random(71)
-    for _ in range(50):
-        data = cvp.circuit_to_bytes(cvp.random_circuit(rng.randrange(2, 20), rng))
-        expected = cvp.circuit_to_bytes(cvp.negate_output(cvp.parse_circuit(data)))
-        assert cvp.negated_circuit_bytes(data) == expected
-
-
 def test_cvp_latency_probes_cover_both_verdicts():
     cfg = SuiteConfig()
     cat = build_catalog(cfg)
     entry = cat.witnesses["cvp-verdict-bit"]
     for size in (16, 64, 256):
-        probes = entry.latency_probes(size, cfg.seed)
+        probes = entry.ladder_gen(size, cfg.seed)
         digests = {entry.witness.preprocess(x) for x in probes}
         assert digests == {b"0", b"1"}
 
@@ -180,6 +174,21 @@ def test_composition_checks_small_budget():
 def test_hardness_check_small_budget():
     cat = build_catalog(SMALL)
     assert run_check(cat, SMALL, "hardness-pack").passed
+
+
+def test_hardness_sabotage_is_reported_row_by_row():
+    # A many-one map that breaks membership fails the hardness stage with
+    # one iff row per failing pair.
+    cat = build_catalog(SMALL)
+    absorb = cat.factored["qbds-absorb"]
+    cat.factored["qbds-absorb"] = replace(absorb, fact=replace(
+        absorb.fact, data_part=lambda y: absorb.fact.data_part(y) + b"x"))
+    rep = run_check(cat, SMALL, "hardness-pack")
+    assert not rep.passed
+    failing = [c.name for c in rep.checks if not c.passed]
+    assert failing[0] == "iff-equivalence"
+    assert failing[1] == "pair[0].iff"
+    assert all(re.fullmatch(r"pair(\[\d+\]\.iff|\.overflow)", n) for n in failing[1:])
 
 
 def test_short_query_checks_small_budget():
