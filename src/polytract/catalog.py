@@ -187,18 +187,44 @@ def _bds_sampler(edge_prob: float):
     return instances
 
 
+def _small_circuit(rng: random.Random, gate_weights) -> Instance:
+    """A random circuit of 2-13 nodes."""
+    return cvp.circuit_to_bytes(cvp.random_circuit(rng.randrange(2, 14), rng, gate_weights))
+
+
 def _cvp_sampler(gate_weights, stream: str):
     def instances(seed: int, cap: int, budget: int) -> list[Instance]:
-        """Every one-gate circuit plus random ones of 2-13 nodes; cap is
-        unused, the exhaustive part is fixed."""
+        """Every one-gate circuit plus random small ones; cap is unused,
+        the exhaustive part is fixed."""
         rng = random.Random(f"{seed}:{stream}")
         out = [cvp.circuit_to_bytes(c) for c in cvp.enumerate_circuits(1)]
-        for _ in range(budget):
-            c = cvp.random_circuit(rng.randrange(2, 14), rng, gate_weights)
-            out.append(cvp.circuit_to_bytes(c))
+        out.extend(_small_circuit(rng, gate_weights) for _ in range(budget))
         return out
 
     return instances
+
+
+def _labeled_pairs(stream: str, draw, member, flip=None):
+    """A (seed, count) -> (positives, negatives) sampler of <x, empty>
+    pairs. It draws x from the `stream` substream and sorts it by `member`
+    until both sides hold `count`; once the positives are full, `flip`
+    (if given) turns a drawn member into a negative."""
+
+    def sample_pairs(seed: int, count: int):
+        rng = random.Random(f"{seed}:{stream}")
+        pos, neg = [], []
+        while len(pos) < count or len(neg) < count:
+            x = draw(rng)
+            if member(x):
+                if len(pos) < count:
+                    pos.append(Pair(x, b""))
+                elif flip is not None and len(neg) < count:
+                    neg.append(Pair(flip(x), b""))
+            elif len(neg) < count:
+                neg.append(Pair(x, b""))
+        return pos, neg
+
+    return sample_pairs
 
 
 def _build_problems(cat: Catalog, config) -> None:
@@ -267,10 +293,6 @@ def _qbds_pair_member(d: Instance, q: Instance) -> bool:
         return False
 
 
-def _verdict_bit(member: Callable[[Instance], bool]) -> Callable[[Instance], Instance]:
-    return lambda x: b"1" if member(x) else b"0"
-
-
 def _build_witnesses(cat: Catalog, config) -> None:
     bounds = config.bounds
     injected = set(getattr(config, "inject", ()))
@@ -284,61 +306,29 @@ def _build_witnesses(cat: Catalog, config) -> None:
             return lambda x: x
         return pre
 
-    # Verdict-bit witness for visit-order instances.
-    bds_fl = cat.factored["bds-all-data"]
-    bds_witness = PreprocessingWitness(
-        name="bds-verdict-bit",
-        preprocess=maybe_inject("bds-verdict-bit", _verdict_bit(bds.bds_member)),
-        post_language=one_bit_true_language(),
-        output_bound=bounds["bds-verdict-bit"],
-    )
-
-    def bds_samples(seed: int, count: int):
-        rng = random.Random(f"{seed}:bds-witness")
-        pos, neg = [], []
-        while len(pos) < count or len(neg) < count:
-            x = bds.random_instance(rng.randrange(2, 16), rng, config.edge_prob)
-            if bds.bds_member(x):
-                if len(pos) < count:
-                    pos.append(Pair(x, b""))
-                elif len(neg) < count:
-                    neg.append(Pair(bds.swap_query(x), b""))
-            elif len(neg) < count:
-                neg.append(Pair(x, b""))
-        return pos, neg
+    def verdict_bit(name: str, member, language, sample_pairs, ladder_gen) -> None:
+        """A witness whose digest is the one-byte verdict of `member`."""
+        witness = PreprocessingWitness(
+            name=name,
+            preprocess=maybe_inject(name, lambda x: b"1" if member(x) else b"0"),
+            post_language=one_bit_true_language(),
+            output_bound=bounds[name],
+        )
+        cat.witnesses[name] = WitnessEntry(language, witness, sample_pairs, ladder_gen)
 
     def bds_ladder(size: int, seed: int) -> list[Instance]:
         rng = random.Random(f"{seed}:bds-ladder:{size}")
         n = max(4, size)
         return [bds.random_sparse_instance(n, rng) for _ in range(2)]
 
-    cat.witnesses["bds-verdict-bit"] = WitnessEntry(
-        language=bds_fl.induced_pairs_language(),
-        witness=bds_witness,
-        sample_pairs=bds_samples,
-        ladder_gen=bds_ladder,
-    )
-
-    # Verdict-bit witness for circuit evaluation.
-    cvp_witness = PreprocessingWitness(
-        name="cvp-verdict-bit",
-        preprocess=maybe_inject("cvp-verdict-bit", _verdict_bit(cvp.cvp_member)),
-        post_language=one_bit_true_language(),
-        output_bound=bounds["cvp-verdict-bit"],
-    )
-
-    def cvp_samples(seed: int, count: int):
-        rng = random.Random(f"{seed}:cvp-witness")
-        pos, neg = [], []
-        while len(pos) < count or len(neg) < count:
-            c = cvp.random_circuit(rng.randrange(2, 14), rng, config.gate_weights)
-            x = cvp.circuit_to_bytes(c)
-            if cvp.cvp_eval(c):
-                if len(pos) < count:
-                    pos.append(Pair(x, b""))
-            elif len(neg) < count:
-                neg.append(Pair(x, b""))
-        return pos, neg
+    verdict_bit(
+        "bds-verdict-bit", bds.bds_member,
+        cat.factored["bds-all-data"].induced_pairs_language(),
+        _labeled_pairs(
+            "bds-witness",
+            lambda rng: bds.random_instance(rng.randrange(2, 16), rng, config.edge_prob),
+            bds.bds_member, flip=bds.swap_query),
+        bds_ladder)
 
     def cvp_ladder(size: int, seed: int) -> list[Instance]:
         # The digest here is a single verdict byte, and the post check is
@@ -349,12 +339,11 @@ def _build_witnesses(cat: Catalog, config) -> None:
         c = cvp.random_circuit(max(4, size), rng, config.gate_weights)
         return [cvp.circuit_to_bytes(c), cvp.circuit_to_bytes(cvp.negate_output(c))]
 
-    cat.witnesses["cvp-verdict-bit"] = WitnessEntry(
-        language=cat.pair_languages["cvp-pairs"],
-        witness=cvp_witness,
-        sample_pairs=cvp_samples,
-        ladder_gen=cvp_ladder,
-    )
+    verdict_bit(
+        "cvp-verdict-bit", cvp.cvp_member, cat.pair_languages["cvp-pairs"],
+        _labeled_pairs("cvp-witness", lambda rng: _small_circuit(rng, config.gate_weights),
+                       cvp.cvp_member),
+        cvp_ladder)
 
     # Count-vector digest for word statistics.
     lexicon = config.lexicon

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import catalog as catalog_mod
 from .encoding import Pair, PolylogBound, check_short_query, parse_bound
@@ -62,18 +62,17 @@ class SuiteConfig:
     output_path: str | None = None
 
 
-_SCALARS = {
-    "seed": int,
-    "random_budget": int,
-    "witness_samples": int,
-    "slope_slack": float,
-    "ptime_max_degree": int,
-    "fit_residual_max": float,
-    "query_reps": int,
-    "edge_prob": float,
-    "preposition_rate": float,
-    "separation_max_n": int,
-    "output_path": str,
+# Config keys that set one field from its text value, by the field's
+# annotation; the other fields have their own grammar in apply_key.
+_PARSERS = {"int": int, "float": float, "str | None": str}
+_SCALARS = {f.name: _PARSERS[f.type] for f in fields(SuiteConfig) if f.type in _PARSERS}
+
+# The largest value of each exhaustive cap. bds enumerates every graph up
+# to the cap with every query pair: 2.48 million instances at 5, about
+# 7 * 10**8 at 6.
+_CAP_LIMITS = {
+    "bds": (5, "bds instance enumeration cap"),
+    "separation": (ENUMERATION_CAP, "edgeless enumeration cap"),
 }
 
 
@@ -95,13 +94,14 @@ def parse_config(text: str, base: SuiteConfig | None = None) -> SuiteConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            _apply_key(cfg, key, value)
+            apply_key(cfg, key, value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
     return cfg
 
 
-def _apply_key(cfg: SuiteConfig, key: str, value: str) -> None:
+def apply_key(cfg: SuiteConfig, key: str, value: str) -> None:
+    """Set one config key from its text value, as a config file line does."""
     if key in _SCALARS:
         setattr(cfg, key, _SCALARS[key](value))
     elif key == "ladder":
@@ -123,9 +123,10 @@ def _apply_key(cfg: SuiteConfig, key: str, value: str) -> None:
     elif key.startswith("exhaustive_cap."):
         name = _known(key.partition(".")[2], cfg.exhaustive_caps, "exhaustive cap")
         cap = int(value)
-        if name == "separation" and cap > ENUMERATION_CAP:
-            raise ConfigError(f"exhaustive_cap.separation {cap} exceeds the "
-                              f"edgeless enumeration cap {ENUMERATION_CAP}")
+        limit, what = _CAP_LIMITS[name]
+        if not 0 <= cap <= limit:
+            raise ConfigError(f"exhaustive_cap.{name} {cap} exceeds the {what} "
+                              f"(0..{limit})")
         cfg.exhaustive_caps[name] = cap
     elif key.startswith("bound."):
         name = _known(key.partition(".")[2], _BOUND_NAMES, "bound")
@@ -151,25 +152,20 @@ def load_config(path: str | None, overrides: dict | None = None) -> SuiteConfig:
     return cfg
 
 
+def _echo(name: str, value):
+    if name == "bounds":
+        return {k: v.describe() for k, v in sorted(value.items())}
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
 def config_echo(cfg: SuiteConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "ladder": list(cfg.ladder),
-        "random_budget": cfg.random_budget,
-        "witness_samples": cfg.witness_samples,
-        "slope_slack": cfg.slope_slack,
-        "ptime_max_degree": cfg.ptime_max_degree,
-        "fit_residual_max": cfg.fit_residual_max,
-        "query_reps": cfg.query_reps,
-        "edge_prob": cfg.edge_prob,
-        "gate_weights": list(cfg.gate_weights),
-        "preposition_rate": cfg.preposition_rate,
-        "lexicon": list(cfg.lexicon),
-        "exhaustive_caps": dict(cfg.exhaustive_caps),
-        "separation_max_n": cfg.separation_max_n,
-        "bounds": {k: v.describe() for k, v in sorted(cfg.bounds.items())},
-        "inject": list(cfg.inject),
-    }
+    """Every field but the output path, in JSON-friendly form."""
+    return {f.name: _echo(f.name, getattr(cfg, f.name))
+            for f in fields(cfg) if f.name != "output_path"}
 
 
 # ------------------------------------------------------------------ timing
@@ -249,30 +245,45 @@ def _factorization_check(cat, config: SuiteConfig, name: str) -> Report:
     return rep
 
 
+def _ladder_row(rep: Report, name: str, witness, gen, config: SuiteConfig,
+                detail: str = "") -> None:
+    """Run the digest-size ladder of `witness` over `gen` and add its
+    `ladder:<name>` row."""
+    ladder = digest_size_ladder(witness, gen, config.ladder, slope_slack=config.slope_slack)
+    rep.add(f"ladder:{name}", ladder.passed,
+            measured=round(ladder.slope, 4), bound=ladder.exponent_cap, detail=detail,
+            timings={"rungs": [r.to_dict() for r in ladder.rungs]})
+
+
+def _one_more_row(rep: Report, name: str, fact, base) -> None:
+    """Add a row that passes when fact's redundancy is exactly base's + 1."""
+    rep.add(name, fact.redundancy == base.redundancy + 1,
+            measured=fact.redundancy, bound=base.redundancy + 1)
+
+
+def _fcr_check(cat, config: SuiteConfig, r, source_member, target_member,
+               problem: str, budget: int) -> Report:
+    """Verify r on samples of `problem`, each split by r's source
+    factorization."""
+    pairs = [apply_factorization(r.source_fact, x)
+             for x in _sample(cat, config, problem, budget)]
+    return verify_fcr_reduction(r, source_member, target_member, pairs)
+
+
 def _witness_check(cat, config: SuiteConfig, name: str) -> Report:
     entry = catalog_mod._lookup(cat.witnesses, name, "witness")
     pos, neg = entry.sample_pairs(config.seed, config.witness_samples)
     rep = verify_witness(entry.language, entry.witness, pos, neg)
-    ladder = digest_size_ladder(
-        entry.witness,
-        lambda size: entry.ladder_gen(size, config.seed),
-        config.ladder,
-        slope_slack=config.slope_slack,
-    )
-    rep.add(f"ladder:{name}", ladder.passed,
-            measured=round(ladder.slope, 4), bound=ladder.exponent_cap,
-            detail="slope of log digest vs log log input; bound checked per rung",
-            timings={"rungs": [r.to_dict() for r in ladder.rungs]})
+    _ladder_row(rep, name, entry.witness, lambda size: entry.ladder_gen(size, config.seed),
+                config, "slope of log digest vs log log input; bound checked per rung")
     return rep
 
 
 def _reduction_check(cat, config: SuiteConfig, name: str) -> Report:
     if name in cat.fcr_reductions:
         entry = cat.fcr_reductions[name]
-        raw = _sample(cat, config, name, config.random_budget)
-        pairs = [apply_factorization(entry.reduction.source_fact, x) for x in raw]
-        return verify_fcr_reduction(
-            entry.reduction, entry.source_member, entry.target_member, pairs)
+        return _fcr_check(cat, config, entry.reduction, entry.source_member,
+                          entry.target_member, name, config.random_budget)
     entry = catalog_mod._lookup(cat.f_reductions, name, "reduction")
     pairs = entry.sample_pairs(config.seed, config.random_budget)
     return verify_f_reduction(entry.reduction, entry.source, entry.target, pairs)
@@ -299,21 +310,12 @@ def _composition_checks(cat, config: SuiteConfig) -> Report:
         composed = compose_fcr(
             first.reduction, second.reduction, first.target_member, probes)
         label = composed.name
-        ok_c = (
-            composed.source_fact.redundancy == first.reduction.source_fact.redundancy + 1
-            and composed.target_fact.redundancy == second.reduction.target_fact.redundancy + 1
-        )
-        rep.add(f"constants:{label}", ok_c,
-                measured=(composed.source_fact.redundancy,
-                          composed.target_fact.redundancy),
-                bound=(first.reduction.source_fact.redundancy + 1,
-                       second.reduction.target_fact.redundancy + 1))
-        pairs = [
-            Pair(composed.source_fact.data_part(raw), b"")
-            for raw in _sample(cat, config, first_name, budget)
-        ]
-        sub = verify_fcr_reduction(
-            composed, first.source_member, second.target_member, pairs)
+        measured = (composed.source_fact.redundancy, composed.target_fact.redundancy)
+        bound = (first.reduction.source_fact.redundancy + 1,
+                 second.reduction.target_fact.redundancy + 1)
+        rep.add(f"constants:{label}", measured == bound, measured=measured, bound=bound)
+        sub = _fcr_check(cat, config, composed, first.source_member,
+                         second.target_member, first_name, budget)
         rep.checks.extend(replace(check, name=f"{label}.{check.name}")
                           for check in sub.checks)
         beta_id = all(
@@ -331,33 +333,23 @@ def _transfer_check(cat, config: SuiteConfig) -> Report:
     entry = cat.fcr_reductions["qbds-to-bds"]
     wentry = cat.witnesses["bds-verdict-bit"]
     new_fact, new_witness = transfer_witness(entry.reduction, wentry.witness)
-    rep.add("packed-redundancy", new_fact.redundancy ==
-            entry.reduction.source_fact.redundancy + 1,
-            measured=new_fact.redundancy,
-            bound=entry.reduction.source_fact.redundancy + 1)
+    _one_more_row(rep, "packed-redundancy", new_fact, entry.reduction.source_fact)
 
     raw = _sample(cat, config, "qbds", config.random_budget)
     induced = induced_pairs(new_fact, entry.source_member, "pairs(packed qbds)")
     positives, negatives = [], []
     for y in raw:
-        pair = Pair(new_fact.data_part(y), new_fact.query_part(y))
+        pair = apply_factorization(new_fact, y)
         (positives if entry.source_member(y) else negatives).append(pair)
     sub = verify_witness(induced, new_witness, positives, negatives)
     rep.extend(sub)
 
     def ladder_gen(size):
-        rng = random.Random(f"{config.seed}:transfer-ladder:{size}")
-        out = []
-        for _ in range(2):
-            x = bds.random_sparse_instance(max(4, size), rng)
-            out.append(new_fact.data_part(catalog_mod.as_qbds(x)))
-        return out
+        """The bds witness's ladder, joined and packed as the new witness reads it."""
+        return [new_fact.data_part(catalog_mod.as_qbds(x))
+                for x in wentry.ladder_gen(size, config.seed)]
 
-    ladder = digest_size_ladder(new_witness, ladder_gen, config.ladder,
-                                slope_slack=config.slope_slack)
-    rep.add("ladder:transferred", ladder.passed,
-            measured=round(ladder.slope, 4), bound=ladder.exponent_cap,
-            timings={"rungs": [r.to_dict() for r in ladder.rungs]})
+    _ladder_row(rep, "transferred", new_witness, ladder_gen, config)
     return rep
 
 
@@ -367,12 +359,9 @@ def _hardness_check(cat, config: SuiteConfig) -> Report:
     entry_bds = cat.factored["bds-all-data"]
     absorb = cat.factored["qbds-absorb"]
     packed = hardness_pack(absorb.fact.data_part, entry_bds.fact)
-    rep.add("target-redundancy", packed.target_fact.redundancy ==
-            entry_bds.fact.redundancy + 1,
-            measured=packed.target_fact.redundancy,
-            bound=entry_bds.fact.redundancy + 1)
-    pairs = [Pair(y, b"") for y in _sample(cat, config, "qbds", config.random_budget)]
-    rep.extend(verify_fcr_reduction(packed, absorb.base, entry_bds.base, pairs))
+    _one_more_row(rep, "target-redundancy", packed.target_fact, entry_bds.fact)
+    rep.extend(_fcr_check(cat, config, packed, absorb.base, entry_bds.base,
+                          "qbds", config.random_budget))
     return rep
 
 

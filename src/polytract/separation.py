@@ -155,17 +155,18 @@ def separation_report(
     enumerate_max: int = 5,
 ) -> SeparationReport:
     """Tabulate n! against 2^n and against 2^bound(n), with enumeration,
-    and exhibit a 6-bit truncation collision at n = 5 (5! = 120 > 2^6)."""
+    and exhibit a 6-bit truncation collision at n = 5 (5! = 120 > 2^6).
+    n! > 2^n from 4 on holds only if some n >= 4 was checked."""
     rows = []
-    ok_from_4 = True
+    from_4 = []
     for n in n_values:
         fact = math.factorial(n)
         two_n = 1 << n
         bound_bits = bound(n)
         lf = log2_factorial(n)
         beats_two_n = fact > two_n
-        if n >= 4 and not beats_two_n:
-            ok_from_4 = False
+        if n >= 4:
+            from_4.append(beats_two_n)
         realizable = None
         if n <= enumerate_max:
             realizable = count_realizable_orders(n, "edgeless")
@@ -179,4 +180,5 @@ def separation_report(
             "beats_bound_capacity": lf > bound_bits,
             "realizable": realizable,
         })
-    return SeparationReport(bound, rows, ok_from_4, find_truncation_collision(5, 6))
+    return SeparationReport(bound, rows, bool(from_4) and all(from_4),
+                            find_truncation_collision(5, 6))

@@ -1,12 +1,17 @@
 import ast
 import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from polytract import bench, harness
 from polytract.report import Report
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_layer_ns_covers_every_layer_and_rung():
@@ -57,3 +62,13 @@ def test_harness_run_functions_are_run_check_and_run_suite():
                if name.startswith("run_") and callable(fn)
                and getattr(fn, "__module__", None) == harness.__name__}
     assert runners == {"run_check", "run_suite"}
+
+
+@pytest.mark.parametrize("workload", ["small-sweep", "hostile-bytes"])
+def test_perfbench_workload_runs_clean(workload):
+    # The workloads read catalog fields directly, so a catalog change that
+    # breaks one fails here rather than only in the benchmark.
+    out = subprocess.run([sys.executable, "perfbench/child.py", workload, "42", "0"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0 and result["correct"], result["examples"]

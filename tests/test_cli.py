@@ -57,6 +57,18 @@ def test_oversized_separation_cap_is_usage_error(tmp_path, capsys):
     assert "line 1: exhaustive_cap.separation 8 exceeds" in capsys.readouterr().err
 
 
+def test_oversized_bds_cap_is_usage_error(tmp_path, capsys):
+    # Both ways of setting the bds cap are checked.
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("exhaustive_cap.bds = 6\n")
+    assert main(["list", "--config", str(cfg)]) == 2
+    assert "line 1: exhaustive_cap.bds 6 exceeds" in capsys.readouterr().err
+    for cap in ("6", "-1"):
+        assert main(["list", "--max-exhaustive", cap]) == 2
+        assert f"error: exhaustive_cap.bds {cap} exceeds" in capsys.readouterr().err
+    assert main(["list", "--max-exhaustive", "5"]) == 0
+
+
 def test_short_ladder_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("ladder = 512, 1024\n")
@@ -100,6 +112,12 @@ def test_separate_table_and_csv(capsys):
     assert main(["separate", "--max-n", "6", "--csv"]) == 0
     csv_out = capsys.readouterr().out
     assert csv_out.splitlines()[0].startswith("n,")
+
+
+def test_separate_fails_without_an_n_from_4(capsys):
+    for max_n in ("0", "3"):
+        assert main(["separate", "--max-n", max_n]) == 1
+        assert "overall: FAIL" in capsys.readouterr().out
 
 
 def test_separate_json_stdout(capsys):

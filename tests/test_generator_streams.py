@@ -6,13 +6,17 @@ same instance bytes and the same random state afterwards, which the next
 `rng.random()` shows. The sparse bds sizes straddle n = 21, where
 `random.Random.sample` switches from its pool branch to its set branch.
 The dense bds generator behind the small samplers is pinned too, since
-it shares the numbering shuffle with the sparse one.
+it shares the numbering shuffle with the sparse one. So are the catalog's
+samplers the suite checks draw from: the labeled pairs of every witness,
+the problem samplers and the circuit-pair sampler.
 """
 import hashlib
 import random
 
 import pytest
 
+from polytract.catalog import build_catalog
+from polytract.harness import SuiteConfig
 from polytract.problems import bds, cvp
 
 BDS = {
@@ -72,3 +76,45 @@ def test_circuit_stream_is_pinned(n):
     rng = random.Random(f"streams:cvp:{n}")
     x = cvp.circuit_to_bytes(cvp.random_circuit(n, rng))
     assert (_sha256(x), rng.random()) == CVP[n]
+
+
+WITNESS_PAIRS = {
+    "bds-verdict-bit": "71ac84b839f71d6dbfe66f20368c95585bba7c8ff2dbe5a0a5bc7587097b9865",
+    "cvp-verdict-bit": "1b604219ee5e31708ec61437b314dd345b3779f15a0d75c2b06440621eb52cd2",
+    "wordstats-count-digest":
+        "4b0d3642adcfa8fe44d07c5d07a2fb745300de9a494defefce447b4aa7780550",
+}
+
+PROBLEM_SAMPLES = {
+    "bds": "68e41b0877a58fa251063ab4a0758b071e07370dca83dfe585ce4f1170c5d4f3",
+    "qbds": "ccf227f8a764b3513e12918f71b6e3689dc142be8c6d83bcf24f37deda284582",
+    "cvp": "91f3b579c6da347a940d10d56c4b47f45219db4a84ce22468cb04c2407594cb8",
+}
+
+CVP_PAIRS = "c1fe6ff86287a097824ca9f93474e1a59ab9601fb5edc71d6aa9e1b97f3942e4"
+
+
+@pytest.fixture(scope="module")
+def catalog():
+    return build_catalog(SuiteConfig())
+
+
+def _pairs_sha256(*sides) -> str:
+    return _sha256(repr([[(p.data, p.query) for p in side] for side in sides]).encode())
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_PAIRS))
+def test_witness_sample_pairs_are_pinned(catalog, name):
+    pos, neg = catalog.witnesses[name].sample_pairs(42, 500)
+    assert _pairs_sha256(pos, neg) == WITNESS_PAIRS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_SAMPLES))
+def test_problem_samples_are_pinned(catalog, name):
+    samples = catalog.problems[name].sample(42, 3, 200)
+    assert _sha256(repr(samples).encode()) == PROBLEM_SAMPLES[name]
+
+
+def test_circuit_pair_samples_are_pinned(catalog):
+    pairs = catalog.f_reductions["cvp-identity"].sample_pairs(42, 200)
+    assert _pairs_sha256(pairs) == CVP_PAIRS

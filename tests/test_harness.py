@@ -1,11 +1,11 @@
 import math
 import random
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from polytract.catalog import build_catalog
+from polytract.catalog import DEFAULT_BOUNDS, INJECTIONS, build_catalog
 from polytract.encoding import PolylogBound
 from polytract.errors import ConfigError, InsufficientData, UnknownProblem
 from polytract.harness import (
@@ -66,6 +66,17 @@ def test_parse_config_rejects_unknown_and_malformed():
             parse_config(f"seed = 3\n{line}\n")
 
 
+def test_exhaustive_caps_stay_in_range():
+    # At 6 the bds enumeration would be about 7 * 10**8 instances.
+    for line in ("exhaustive_cap.bds = 6", "exhaustive_cap.bds = -1",
+                 "exhaustive_cap.separation = -1"):
+        name, _, cap = line.partition(" = ")
+        with pytest.raises(ConfigError, match=f"line 1: {name} {cap} exceeds"):
+            parse_config(line + "\n")
+    cfg = parse_config("exhaustive_cap.bds = 5\nexhaustive_cap.separation = 0\n")
+    assert cfg.exhaustive_caps == {"bds": 5, "separation": 0}
+
+
 def test_build_catalog_rejects_unknown_injection():
     # A config built in code skips parse_config, so the catalog checks too.
     misspelled = "identity-preprocesing:bds-verdict-bit"
@@ -88,6 +99,39 @@ def test_load_config_overrides(tmp_path):
     cfg = load_config(str(p), {"seed": 123, "random_budget": None})
     assert cfg.seed == 123          # explicit override wins
     assert cfg.random_budget == 99  # None override leaves the file value
+
+
+def _as_config_text(echo: dict) -> str:
+    """Render a config echo as the key = value lines parse_config reads."""
+    dotted = {"exhaustive_caps": "exhaustive_cap", "bounds": "bound"}
+    lines = []
+    for key, value in echo.items():
+        if key in dotted:
+            for name, v in value.items():
+                m = re.fullmatch(r"(.+)\*log2\(n\)\^(\d+)\+(.+)", str(v))
+                lines.append(f"{dotted[key]}.{name} = {','.join(m.groups()) if m else v}")
+        elif isinstance(value, list):
+            lines.append(f"{key} = {', '.join(map(str, value))}")
+        else:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def test_config_echo_round_trips_through_parse_config():
+    bounds = {name: PolylogBound(float(i + 1), i % 3, 2.5) for i, name in
+              enumerate((*DEFAULT_BOUNDS, "separation"))}
+    cfg = SuiteConfig(
+        seed=7, ladder=(64, 128, 256, 512), random_budget=17, witness_samples=9,
+        slope_slack=0.25, ptime_max_degree=4, fit_residual_max=0.75, query_reps=11,
+        edge_prob=0.2, gate_weights=(2, 1, 3), preposition_rate=0.5,
+        lexicon=("in", "under"), exhaustive_caps={"bds": 2, "separation": 4},
+        separation_max_n=9, bounds=bounds, inject=INJECTIONS[1:],
+        output_path="report.json")
+    default = SuiteConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
+    # The echo leaves out the output path, which no check reads.
+    text = _as_config_text(config_echo(cfg)) + f"output_path = {cfg.output_path}\n"
+    assert parse_config(text) == cfg
 
 
 def test_config_echo_is_json_friendly():
@@ -194,6 +238,14 @@ def test_hardness_sabotage_is_reported_row_by_row():
 def test_short_query_checks_small_budget():
     cat = build_catalog(SMALL)
     assert run_check(cat, SMALL, "short-query").passed
+
+
+def test_separation_row_needs_some_n_from_4():
+    for max_n, passed in ((0, False), (3, False), (4, True)):
+        rep = run_check(build_catalog(SuiteConfig()), SuiteConfig(separation_max_n=max_n),
+                        "separation")
+        row = next(c for c in rep.checks if c.name == "factorial-beats-2^n-from-4")
+        assert row.passed is passed
 
 
 def test_run_check_rejects_unknown_names():
