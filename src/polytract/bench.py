@@ -7,7 +7,10 @@ each stage's time, the process's peak RSS right after it, the stripped
 report's sha256 and the report/check names of its failing rows. Then it
 times each large-instance kernel at every DEFAULT_LADDER rung with
 time_interleaved_ns: the rungs of one kernel are swept together and
-each keeps its fastest sweep. Inputs come from fixed string seeds.
+each keeps its fastest sweep. Last it records the tracemalloc peak of
+one call of each PEAK_LAYERS kernel at every rung, in MB (2**20 bytes):
+what the call allocates beyond its input. Inputs come from fixed string
+seeds.
 
 The record is stored under LABEL in the JSON file and other labels
 already there are kept, so running this file against two checkouts puts
@@ -24,6 +27,7 @@ import platform
 import random
 import resource
 import time
+import tracemalloc
 
 from .catalog import as_qbds
 from .encoding import decode_pair, escape_payload, unescape_payload
@@ -90,6 +94,28 @@ def layer_ns(seed: int, ladder=DEFAULT_LADDER) -> dict:
     return out
 
 
+# Layers whose traced peak layer_peak_mb records.
+PEAK_LAYERS = ("bds.parse_instance", "bds.bds_member", "cvp.cvp_member")
+
+
+def layer_peak_mb(seed: int, ladder=DEFAULT_LADDER) -> dict:
+    """layer name -> [[rung, traced peak MB of one call], ...] in ladder
+    order, for the PEAK_LAYERS."""
+    out = {layer: [] for layer in PEAK_LAYERS}
+    for n in ladder:
+        tasks = _layer_tasks(n, seed)
+        for layer in PEAK_LAYERS:
+            fn, calls = tasks[layer]
+            tracemalloc.start()
+            try:
+                fn(*calls[0])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out[layer].append([n, round(peak / 2**20, 3)])
+    return out
+
+
 def measure() -> dict:
     return {
         "python": platform.python_version(),
@@ -98,13 +124,15 @@ def measure() -> dict:
         "seed": SEED,
         "suite": _suite(SEED),
         "ns_per_call": layer_ns(SEED),
+        "traced_peak_mb": layer_peak_mb(SEED),
     }
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m polytract.bench",
-        description="Record suite stage times and per-layer ns per call.")
+        description="Record suite stage times, per-layer ns per call and "
+                    "per-layer traced peaks.")
     ap.add_argument("--json", required=True, metavar="PATH",
                     help="JSON file to add the record to")
     ap.add_argument("--label", default="change",

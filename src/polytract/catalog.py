@@ -73,7 +73,7 @@ def qbds_member(y: Instance) -> bool:
         pair = decode_pair(y)
     except MalformedInstance:
         return False
-    return _qbds_pair_member(pair.data, pair.query)
+    return bds.block_member(pair.data, pair.query)
 
 
 def absorb_factorization() -> CrFactorization:
@@ -264,7 +264,7 @@ def _build_factored(cat: Catalog, config) -> None:
     lexicon = config.lexicon
     cat.pair_languages["qbds-pairs"] = LanguageOfPairs(
         name="qbds-pairs",
-        membership=_qbds_pair_member,
+        membership=bds.block_member,
         short_query_bound=bounds["qbds-query"],
     )
     cat.pair_languages["cvp-pairs"] = LanguageOfPairs(
@@ -280,17 +280,6 @@ def _build_factored(cat: Catalog, config) -> None:
     for name in ("bds-all-data", "qbds-absorb", "cvp-all-data"):
         fl = cat.factored[name]
         cat.pair_languages[f"pairs({name})"] = fl.induced_pairs_language()
-
-
-def _qbds_pair_member(d: Instance, q: Instance) -> bool:
-    try:
-        g = bds.parse_graph(d)
-        fields = q.split()
-        if len(fields) != 2:
-            return False
-        return bds.bds_decide(g, int(fields[0]), int(fields[1]))
-    except (MalformedInstance, bds.SameNode, bds.UnknownNode, ValueError):
-        return False
 
 
 def _build_witnesses(cat: Catalog, config) -> None:

@@ -108,31 +108,43 @@ def apply_key(cfg: SuiteConfig, key: str, value: str) -> None:
         cfg.ladder = tuple(int(v.strip()) for v in value.split(",") if v.strip())
     elif key == "lexicon":
         cfg.lexicon = tuple(w.strip().lower() for w in value.split(",") if w.strip())
-        if not cfg.lexicon:
-            raise ConfigError("lexicon needs at least one word")
     elif key == "gate_weights":
-        parts = [int(v.strip()) for v in value.split(",")]
-        if len(parts) != 3:
-            raise ConfigError("gate_weights needs three integers")
-        if min(parts) < 0 or sum(parts) == 0:
-            raise ConfigError("gate_weights must be nonnegative with a positive sum")
-        cfg.gate_weights = tuple(parts)
+        cfg.gate_weights = tuple(int(v.strip()) for v in value.split(","))
     elif key == "inject":
         cfg.inject = tuple(_known(v.strip(), catalog_mod.INJECTIONS, "inject entry")
                            for v in value.split(",") if v.strip())
     elif key.startswith("exhaustive_cap."):
         name = _known(key.partition(".")[2], cfg.exhaustive_caps, "exhaustive cap")
-        cap = int(value)
-        limit, what = _CAP_LIMITS[name]
-        if not 0 <= cap <= limit:
-            raise ConfigError(f"exhaustive_cap.{name} {cap} exceeds the {what} "
-                              f"(0..{limit})")
-        cfg.exhaustive_caps[name] = cap
+        cfg.exhaustive_caps[name] = int(value)
     elif key.startswith("bound."):
         name = _known(key.partition(".")[2], _BOUND_NAMES, "bound")
         cfg.bounds[name] = parse_bound(value)
     else:
         raise ConfigError(f"unknown key {key!r}")
+    check_config(cfg)
+
+
+def check_config(cfg: SuiteConfig) -> None:
+    """Raise ConfigError for the first budget, cap, lexicon or gate weight
+    out of range. Setting a key, loading a config and running a check all
+    call this, so a config built in code meets what a config file must."""
+    if cfg.random_budget < 0:
+        raise ConfigError(f"random_budget {cfg.random_budget} is negative")
+    if cfg.witness_samples < 1:
+        raise ConfigError(f"witness_samples {cfg.witness_samples} is below 1")
+    if not cfg.lexicon:
+        raise ConfigError("lexicon needs at least one word")
+    if len(cfg.gate_weights) != 3:
+        raise ConfigError("gate_weights needs three integers")
+    if min(cfg.gate_weights) < 0 or sum(cfg.gate_weights) == 0:
+        raise ConfigError("gate_weights must be nonnegative with a positive sum")
+    if cfg.exhaustive_caps.keys() != _CAP_LIMITS.keys():
+        raise ConfigError(f"exhaustive caps must be {', '.join(sorted(_CAP_LIMITS))}")
+    for name, (limit, what) in _CAP_LIMITS.items():
+        cap = cfg.exhaustive_caps[name]
+        if not 0 <= cap <= limit:
+            raise ConfigError(f"exhaustive_cap.{name} {cap} exceeds the {what} "
+                              f"(0..{limit})")
 
 
 def _known(name: str, known, what: str) -> str:
@@ -149,6 +161,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> SuiteConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, key, value)
+    check_config(cfg)
     return cfg
 
 
@@ -493,7 +506,9 @@ SUITE_STAGES = (
 
 def run_check(cat, config: SuiteConfig, stage: str) -> Report:
     """Run the check a stage names, e.g. 'witness:bds-verdict-bit' or
-    'compositions'; an unknown name raises UnknownProblem."""
+    'compositions'; an unknown name raises UnknownProblem and a config
+    out of range ConfigError."""
+    check_config(config)
     kind, sep, name = stage.partition(":")
     if sep:
         return catalog_mod._lookup(_NAMED_CHECKS, kind, "check kind")(cat, config, name)
@@ -525,6 +540,7 @@ class SuiteReport:
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Run every stage of SUITE_STAGES with the configured budgets."""
+    check_config(config)
     if len(config.ladder) < 4:
         raise InsufficientData("suite ladder needs at least 4 rungs")
     cat = catalog_mod.build_catalog(config)

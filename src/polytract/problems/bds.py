@@ -26,10 +26,11 @@ directly behind it with no separator byte.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations, repeat
-from operator import eq, itemgetter
-from typing import Iterator
+from operator import eq
+from typing import Iterator, Sequence
 
 from ..encoding import Instance
 from ..errors import MalformedGraph, SameNode, UnknownNode
@@ -50,17 +51,7 @@ class NumberedGraph:
 
 def make_graph(n: int, numbering, edges) -> NumberedGraph:
     numbering = _bijection(n, numbering)
-    edges = list(edges)
-    canon = frozenset({(u, v) if u < v else (v, u) for u, v in edges})
-    # Whole-set checks; a graph that fails one is walked edge by edge so
-    # the error names the first bad edge in input order.
-    if canon:
-        lows = list(map(itemgetter(0), canon))
-        highs = list(map(itemgetter(1), canon))
-        if (len(canon) != len(edges) or min(lows) < 1 or max(highs) > n
-                or any(map(eq, lows, highs))):
-            _reject_edges(n, edges)
-    return NumberedGraph(n, numbering, canon)
+    return NumberedGraph(n, numbering, _edge_set(*_checked_columns(n, list(edges))))
 
 
 def _bijection(n: int, numbering) -> tuple[int, ...]:
@@ -70,6 +61,32 @@ def _bijection(n: int, numbering) -> tuple[int, ...]:
     if len(numbering) != n or set(numbering) != set(range(1, n + 1)):
         raise MalformedGraph("numbering is not a bijection onto 1..n")
     return numbering
+
+
+def _checked_columns(n: int, edges: list) -> tuple[list[int], list[int]]:
+    """The endpoint columns of edges, after whole-set checks; edges that
+    fail one are walked one by one so the error names the first bad edge
+    in input order."""
+    us = [u for u, _ in edges]
+    vs = [v for _, v in edges]
+    if not _valid_edges(n, us, vs, set()):
+        _reject_edges(n, edges)
+    return us, vs
+
+
+def _valid_edges(n: int, us, vs, keys: set) -> bool:
+    """No self-loop, every endpoint in 1..n and no edge twice in either
+    orientation, counting the edges whose keys are already in keys; each
+    checked in one pass over the columns. The new edges' keys
+    u * (n + 1) + v, u < v, join keys."""
+    if any(map(eq, us, vs)) or min(us, default=1) < 1 or min(vs, default=1) < 1 \
+            or max(us, default=n) > n or max(vs, default=n) > n:
+        return False
+    # Distinct in-range edges have distinct keys, as in _draw_sparse.
+    stride = n + 1
+    known = len(keys)
+    keys.update({u * stride + v if u < v else v * stride + u for u, v in zip(us, vs)})
+    return len(keys) == known + len(us)
 
 
 def _reject_edges(n: int, edges) -> None:
@@ -85,6 +102,12 @@ def _reject_edges(n: int, edges) -> None:
         if e in seen:
             raise MalformedGraph(f"duplicate edge ({e[0]}, {e[1]})")
         seen.add(e)
+
+
+def _edge_set(us, vs) -> frozenset[tuple[int, int]]:
+    """The canonical (low, high) pairs of checked edge columns."""
+    # A set comprehension is faster than map(min) and map(max).
+    return frozenset({(u, v) if u < v else (v, u) for u, v in zip(us, vs)})
 
 
 def graph_to_bytes(g: NumberedGraph) -> bytes:
@@ -116,14 +139,13 @@ def split_block_tail(data: bytes) -> tuple[bytes, bytes]:
     the split point is determined without reserializing anything and the
     tail comes back raw.
     """
-    n, m, lines = _block_lines(data)
-    tail = lines[-1]
-    return data[:len(data) - len(tail)], tail
+    _, _, _, end = _block_bounds(data)
+    return data[:end], data[end:]
 
 
-def _block_lines(data: bytes) -> tuple[int, int, list[bytes]]:
-    """Header counts n, m and data cut into the block's m + 2 lines
-    followed by the raw tail."""
+def _block_bounds(data: bytes) -> tuple[int, int, int, int]:
+    """Header counts n, m, the offset of the first edge line and the end
+    of the block's m + 2 lines."""
     first_nl = data.find(b"\n")
     if first_nl < 0:
         raise MalformedGraph("line 1: missing newline after header")
@@ -132,29 +154,39 @@ def _block_lines(data: bytes) -> tuple[int, int, list[bytes]]:
         raise MalformedGraph("line 1: node count must be positive")
     if m < 0:
         raise MalformedGraph("line 1: negative edge count")
-    # data has at most len(data) newlines; capping keeps a huge m legal
-    # for split and still reports the truncation.
-    lines = data.split(b"\n", min(m + 2, len(data)))
-    if len(lines) < m + 3:
-        raise MalformedGraph(f"line {len(lines)}: truncated block")
-    return n, m, lines
+    start = data.find(b"\n", first_nl + 1) + 1
+    if not start:
+        raise MalformedGraph("line 2: truncated block")
+    later = data.count(b"\n", start)
+    if later < m:
+        raise MalformedGraph(f"line {later + 3}: truncated block")
+    if later == m:  # the tail holds no newline, so no split is needed
+        return n, m, start, data.rfind(b"\n") + 1
+    return n, m, start, len(data) - len(data.split(b"\n", m + 2)[-1])
 
 
-def parse_graph_block(data: bytes) -> tuple[NumberedGraph, bytes]:
-    """Parse a graph block off the front of data; return it and the rest."""
-    n, m, lines = _block_lines(data)
-    numbering = _int_fields(lines[1], 2, n)
-    tail = lines[-1]
-    start = len(lines[0]) + len(lines[1]) + 2
-    edges = _canonical_edge_lines(n, m, data[start:len(data) - len(tail)])
-    if edges is not None:
-        return NumberedGraph(n, _bijection(n, numbering), edges), tail
+def _parse_block(data: bytes) -> tuple[int, tuple[int, ...], Sequence[int], Sequence[int], bytes]:
+    """n, numbering, the endpoint columns us and vs of the edge lines and
+    the raw tail of the graph block at the front of data, with every
+    check of make_graph made."""
+    n, m, start, end = _block_bounds(data)
+    numbering = _int_fields(data[data.find(b"\n") + 1:start - 1], 2, n)
+    columns = _edge_columns(n, data, start, end)
     # Anything else takes the line loop, which finds the first bad line
-    # and lets make_graph name the first bad edge.
+    # and lets the checks of make_graph name the first bad edge.
+    edges = None if columns else _edge_lines(data[start:end], m)
+    numbering = _bijection(n, numbering)
+    us, vs = columns or _checked_columns(n, edges)
+    return n, numbering, us, vs, data[end:]
+
+
+def _edge_lines(region: bytes, m: int) -> list[tuple[int, int]]:
+    """The (u, v) pairs of m edge lines, or an error naming the first
+    line that is not two integer fields."""
     edges = []
     append = edges.append
     # _int_fields(line, lineno, 2) unrolled: this loop runs once per edge.
-    for lineno, line in enumerate(lines[2:m + 2], 3):
+    for lineno, line in enumerate(region.split(b"\n")[:m], 3):
         parts = line.split()
         if len(parts) != 2:
             raise MalformedGraph(f"line {lineno}: expected 2 fields, got {len(parts)}")
@@ -162,30 +194,55 @@ def parse_graph_block(data: bytes) -> tuple[NumberedGraph, bytes]:
             append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise MalformedGraph(f"line {lineno}: non-integer field") from None
-    return make_graph(n, numbering, edges), tail
+    return edges
+
+
+# Bytes of edge lines _edge_columns converts at a time; it keeps the
+# transient split and int lists small next to the columns.
+_CHUNK = 1 << 16
+
+
+def _edge_columns(n: int, data: bytes, start: int, end: int) -> tuple[array, array] | None:
+    """Endpoint columns of the edge lines in data[start:end] when every
+    line is written "u v\\n" in plain decimal and _valid_edges holds,
+    else None. The lines are converted and checked a chunk at a time into
+    int64 arrays, so no list of all the fields is ever held."""
+    us, vs = array("q"), array("q")
+    keys: set[int] = set()
+    while start < end:
+        stop = data.find(b"\n", min(start + _CHUNK, end - 1), end) + 1 or end
+        chunk = data[start:stop]
+        try:
+            ints = list(map(int, chunk.split()))
+        except ValueError:
+            return None
+        # Re-formatting gives the bytes back only if every line is two
+        # plain decimals, one space and a newline.
+        k = chunk.count(b"\n")
+        if len(ints) != 2 * k or b"%d %d\n" * k % tuple(ints) != chunk:
+            return None
+        chunk_us, chunk_vs = ints[0::2], ints[1::2]
+        if not _valid_edges(n, chunk_us, chunk_vs, keys):
+            return None
+        us.fromlist(chunk_us)
+        vs.fromlist(chunk_vs)
+        start = stop
+    return us, vs
 
 
 def _canonical_edge_lines(n: int, m: int, region: bytes) -> frozenset | None:
-    """The canonical edge set of m edge lines written "u v\\n" in plain
-    decimal, in any order and orientation, or None when region is not
-    such text or holds a self-loop, an endpoint outside 1..n or a
-    duplicate edge. Each check is one pass over all edges."""
-    try:
-        ints = list(map(int, region.split()))
-    except ValueError:
+    """The edge set parse_graph_block takes from a region of m edge lines
+    without the line loop, or None when it takes the loop."""
+    if region.count(b"\n") != m:
         return None
-    # Re-formatting gives the bytes back only if every line is two plain
-    # decimals, one space and a newline.
-    if len(ints) != 2 * m or b"%d %d\n" * m % tuple(ints) != region:
-        return None
-    us, vs = ints[0::2], ints[1::2]
-    if any(map(eq, us, vs)) or min(ints, default=1) < 1 or max(ints, default=n) > n:
-        return None
-    # Turned around as in make_graph: a set comprehension is faster than
-    # map(min) and map(max), and its frozenset copy gets the compact hash
-    # table a frozenset built straight from a list may not.
-    edges = frozenset({(u, v) if u < v else (v, u) for u, v in zip(us, vs)})
-    return edges if len(edges) == m else None
+    columns = _edge_columns(n, region, 0, len(region))
+    return _edge_set(*columns) if columns else None
+
+
+def parse_graph_block(data: bytes) -> tuple[NumberedGraph, bytes]:
+    """Parse a graph block off the front of data; return it and the rest."""
+    n, numbering, us, vs, tail = _parse_block(data)
+    return NumberedGraph(n, numbering, _edge_set(us, vs)), tail
 
 
 def parse_graph(data: bytes) -> NumberedGraph:
@@ -202,25 +259,28 @@ def instance_bytes(g: NumberedGraph, u: int, v: int) -> Instance:
 
 def parse_instance(data: Instance) -> tuple[NumberedGraph, int, int]:
     g, rest = parse_graph_block(data)
-    fields = rest.split()
+    return (g, *_query(rest))
+
+
+def _query(tail: bytes) -> tuple[int, int]:
+    fields = tail.split()
     if len(fields) != 2:
         raise MalformedGraph("query tail must be exactly two node ids")
     try:
-        u, v = int(fields[0]), int(fields[1])
+        return int(fields[0]), int(fields[1])
     except ValueError:
         raise MalformedGraph("query tail must be integers") from None
-    return g, u, v
 
 
-def _recorded(g: NumberedGraph) -> Iterator[list[int]]:
+def _recorded(n: int, numbering, edges) -> Iterator[list[int]]:
     """Numbers of the breadth-depth traversal described above, in the
     batches it records them: a restart node alone, then each expanded
-    node's unvisited neighbors in ascending order."""
+    node's unvisited neighbors in ascending order. edges yields (u, v)
+    pairs: a graph's edge set, or zip(us, vs) over parsed columns."""
     # The traversal runs on numbers, where "smallest" is integer order.
-    n = g.n
-    number = (0,) + g.numbering
+    number = (0, *numbering)
     nbrs: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in g.edges:
+    for u, v in edges:
         a, b = number[u], number[v]
         nbrs[a].append(b)
         nbrs[b].append(a)
@@ -252,21 +312,26 @@ def _recorded(g: NumberedGraph) -> Iterator[list[int]]:
 def bds_order(g: NumberedGraph) -> tuple[int, ...]:
     """Visit order of the breadth-depth traversal described above."""
     node_of = sorted(range(g.n + 1), key=((0,) + g.numbering).__getitem__)
-    return tuple(map(node_of.__getitem__, chain.from_iterable(_recorded(g))))
+    recorded = _recorded(g.n, g.numbering, g.edges)
+    return tuple(map(node_of.__getitem__, chain.from_iterable(recorded)))
 
 
 def bds_decide(g: NumberedGraph, u: int, v: int) -> bool:
     """True iff u is recorded strictly before v."""
-    if not (1 <= u <= g.n):
+    return _decide(g.n, g.numbering, g.edges, u, v)
+
+
+def _decide(n: int, numbering, edges, u: int, v: int) -> bool:
+    if not (1 <= u <= n):
         raise UnknownNode(f"node {u} is not in the graph")
-    if not (1 <= v <= g.n):
+    if not (1 <= v <= n):
         raise UnknownNode(f"node {v} is not in the graph")
     if u == v:
         raise SameNode(f"query names node {u} twice")
-    a, b = g.numbering[u - 1], g.numbering[v - 1]
+    a, b = numbering[u - 1], numbering[v - 1]
     # Every node is recorded, so some batch holds a or b. The first such
     # batch decides; one holding both recorded them in ascending order.
-    for batch in _recorded(g):
+    for batch in _recorded(n, numbering, edges):
         if a in batch:
             return b not in batch or a < b
         if b in batch:
@@ -275,9 +340,21 @@ def bds_decide(g: NumberedGraph, u: int, v: int) -> bool:
 
 def bds_member(x: Instance) -> bool:
     """Total membership oracle over raw bytes; malformed input is out."""
+    return block_member(x, None)
+
+
+def block_member(block: bytes, query: bytes | None) -> bool:
+    """Whether the graph block at the front of block records the query's
+    first node before its second, decided from the edge columns without
+    a NumberedGraph. The query is the block's own tail when None, else
+    block must hold the graph block alone. False on malformed input."""
     try:
-        g, u, v = parse_instance(x)
-        return bds_decide(g, u, v)
+        n, numbering, us, vs, tail = _parse_block(block)
+        if query is None:
+            query = tail
+        elif tail:
+            return False
+        return _decide(n, numbering, zip(us, vs), *_query(query))
     except (MalformedGraph, SameNode, UnknownNode):
         return False
 

@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polytract.catalog import build_catalog
 from polytract.errors import MalformedGraph, SameNode, UnknownNode
+from polytract.harness import SuiteConfig
 from polytract.problems import bds
 
 from oracles import bds_order_oracle
@@ -159,3 +162,40 @@ def test_sparse_generator_shape():
     assert len(g.edges) == 400
     x = bds.random_sparse_instance(64, rng)
     bds.parse_instance(x)
+
+
+def test_member_decides_without_a_numbered_graph(monkeypatch):
+    g = bds.make_graph(4, (2, 4, 1, 3), [(1, 2), (3, 4), (2, 3)])
+    x = bds.instance_bytes(g, 3, 1)
+    swapped = bds.swap_query(x)
+    expected = bds.bds_member(x)
+    assert bds.bds_member(swapped) is not expected
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("bds_member built a NumberedGraph")
+
+    monkeypatch.setattr(bds, "NumberedGraph", no_graph)
+    assert bds.bds_member(x) is expected
+    assert bds.bds_member(swapped) is not expected
+    block, tail = bds.split_block_tail(x)
+    assert bds.block_member(block, tail) is expected
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_member_peak_stays_well_below_the_graph_parse():
+    # The 16,384-node rung of the bds verdict-bit ladder. Both peaks are
+    # taken in this process on the same bytes, so the bound holds on any
+    # host: deciding from edge columns must not cost what building the
+    # edge set of a NumberedGraph costs.
+    x = build_catalog(SuiteConfig()).witnesses["bds-verdict-bit"].ladder_gen(16384, 42)[0]
+    parse_peak = _traced_peak(bds.parse_instance, x)
+    member_peak = _traced_peak(bds.bds_member, x)
+    assert member_peak < 0.6 * parse_peak, (member_peak, parse_peak)

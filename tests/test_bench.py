@@ -22,6 +22,14 @@ def test_layer_ns_covers_every_layer_and_rung():
         assert all(ns > 0 for _, ns in rungs)
 
 
+def test_layer_peak_mb_has_one_entry_per_rung():
+    out = bench.layer_peak_mb(0, ladder=(8, 16, 32))
+    assert set(out) == {"bds.parse_instance", "bds.bds_member", "cvp.cvp_member"}
+    for rungs in out.values():
+        assert [n for n, _ in rungs] == [8, 16, 32]
+        assert all(mb > 0 for _, mb in rungs)
+
+
 def test_suite_record_names_failing_rows(monkeypatch):
     reports = [Report("compositions").add("ok", True),
                Report("runtime-fits").add("ok", True).add("slope", False)]

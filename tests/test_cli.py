@@ -69,6 +69,17 @@ def test_oversized_bds_cap_is_usage_error(tmp_path, capsys):
     assert main(["list", "--max-exhaustive", "5"]) == 0
 
 
+def test_budgets_out_of_range_are_usage_errors(tmp_path, capsys):
+    # Each used to run its check on no evidence and pass.
+    cfg = tmp_path / "budget.cfg"
+    for line in ("witness_samples = 0", "random_budget = -1"):
+        cfg.write_text(line + "\n")
+        assert main(["verify-witness", "cvp-verdict-bit", "--config", str(cfg)]) == 2
+        assert f"error: line 1: {line.split()[0]} " in capsys.readouterr().err
+    assert main(["verify-reduction", "bds-identity", "--random", "-3"]) == 2
+    assert "error: random_budget -3 is negative" in capsys.readouterr().err
+
+
 def test_short_ladder_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "short.cfg"
     cfg.write_text("ladder = 512, 1024\n")

@@ -10,11 +10,13 @@ from polytract.encoding import PolylogBound
 from polytract.errors import ConfigError, InsufficientData, UnknownProblem
 from polytract.harness import (
     SuiteConfig,
+    check_config,
     config_echo,
     fit_runtime,
     load_config,
     parse_config,
     run_check,
+    run_suite,
     time_interleaved_ns,
 )
 
@@ -75,6 +77,64 @@ def test_exhaustive_caps_stay_in_range():
             parse_config(line + "\n")
     cfg = parse_config("exhaustive_cap.bds = 5\nexhaustive_cap.separation = 0\n")
     assert cfg.exhaustive_caps == {"bds": 5, "separation": 0}
+
+
+# One out-of-range setting each, with the start of its ConfigError. The
+# config file, load_config overrides and a SuiteConfig built in code must
+# all be refused with it.
+OUT_OF_RANGE = [
+    ("witness_samples = 0", {"witness_samples": 0}, "witness_samples 0 is below 1"),
+    ("witness_samples = -2", {"witness_samples": -2}, "witness_samples -2 is below 1"),
+    ("random_budget = -3", {"random_budget": -3}, "random_budget -3 is negative"),
+    ("lexicon = ,", {"lexicon": ()}, "lexicon needs at least one word"),
+    ("gate_weights = 1, 2", {"gate_weights": (1, 2)}, "gate_weights needs three integers"),
+    ("gate_weights = 0, 0, 0", {"gate_weights": (0, 0, 0)},
+     "gate_weights must be nonnegative"),
+    ("gate_weights = -1, 1, 1", {"gate_weights": (-1, 1, 1)},
+     "gate_weights must be nonnegative"),
+    ("exhaustive_cap.bds = -1", {"exhaustive_caps": {"bds": -1, "separation": 5}},
+     "exhaustive_cap.bds -1 exceeds"),
+    ("exhaustive_cap.bds = 6", {"exhaustive_caps": {"bds": 6, "separation": 5}},
+     "exhaustive_cap.bds 6 exceeds"),
+    ("exhaustive_cap.separation = -1", {"exhaustive_caps": {"bds": 3, "separation": -1}},
+     "exhaustive_cap.separation -1 exceeds"),
+    ("exhaustive_cap.separation = 8", {"exhaustive_caps": {"bds": 3, "separation": 8}},
+     "exhaustive_cap.separation 8 exceeds"),
+]
+
+
+@pytest.mark.parametrize("line, fields, message", OUT_OF_RANGE)
+def test_every_way_of_making_a_config_is_range_checked(line, fields, message):
+    with pytest.raises(ConfigError, match=f"^line 1: {re.escape(message)}"):
+        parse_config(line + "\n")
+    cfg = SuiteConfig(**fields)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        check_config(cfg)
+    # A config built in code reaches no check body and no catalog.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        run_check(None, cfg, "reduction:bds-identity")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        run_suite(cfg)
+
+
+@pytest.mark.parametrize("key", ["witness_samples", "random_budget"])
+def test_load_config_overrides_are_range_checked(key):
+    with pytest.raises(ConfigError, match=f"^{key} -3 "):
+        load_config(None, {key: -3})
+
+
+def test_exhaustive_caps_built_in_code_must_name_both():
+    for caps in ({"bds": 3}, {"bds": 3, "separation": 5, "qbds": 1}):
+        with pytest.raises(ConfigError, match="^exhaustive caps must be bds, separation"):
+            check_config(SuiteConfig(exhaustive_caps=caps))
+
+
+def test_smallest_budgets_and_shipped_configs_are_legal():
+    for cfg in (SuiteConfig(random_budget=0, witness_samples=1), SuiteConfig(),
+                SuiteConfig(random_budget=25, witness_samples=10),
+                SuiteConfig(random_budget=120), SuiteConfig(random_budget=60, witness_samples=30)):
+        check_config(cfg)
+    assert parse_config("random_budget = 0\nwitness_samples = 1\n").witness_samples == 1
 
 
 def test_build_catalog_rejects_unknown_injection():

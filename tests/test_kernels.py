@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from polytract.catalog import build_catalog
 from polytract.encoding import decode_pair, split_packed, unescape_payload
 from polytract.errors import CyclicCircuit, MalformedGraph, MalformedInstance
+from polytract.harness import SuiteConfig
 from polytract.problems import bds, cvp
 
 
@@ -199,6 +201,96 @@ def test_bulk_edge_parse_matches_line_parser(x):
 def test_bulk_edge_parse_named_cases(x):
     new = _outcome(lambda d: _graph_view(bds.parse_graph_block(d)), x)
     assert new == _outcome(oracles.parse_graph_block_oracle, x)
+
+
+# ------------------------------------------------------------ membership
+
+
+def _decided_by_oracle(block: bytes, query: bytes | None) -> bool:
+    """Whether the line parser and the stack simulation put the query's
+    first node before its second; the query is the block's own tail when
+    None. Any exception means the bytes are not a member."""
+    try:
+        (n, numbering, edges), rest = oracles.parse_graph_block_oracle(block)
+        if query is None:
+            query = rest
+        elif rest:
+            return False
+        u, v = map(int, query.split())
+        if u == v or not (1 <= u <= n and 1 <= v <= n):
+            return False
+        order = oracles.bds_order_oracle(n, numbering, edges)
+        return order.index(u) < order.index(v)
+    except Exception:
+        return False
+
+
+# The qbds pair language's membership, which reads a graph block and its
+# query tail given apart.
+QBDS_PAIR_MEMBER = build_catalog(SuiteConfig()).pair_languages["qbds-pairs"].membership
+
+
+def _assert_members_match_oracle(x: bytes, cut: int) -> None:
+    """bds_member on x, and the pair members on x cut in two and on all
+    of x as the block, which must then hold no query of its own."""
+    assert _outcome(bds.bds_member, x) == ("ok", _decided_by_oracle(x, None))
+    for block, tail in ((x[:cut], x[cut:]), (x, b"1 2"), (x, b"2 1")):
+        expected = ("ok", _decided_by_oracle(block, tail))
+        assert _outcome(bds.block_member, block, tail) == expected
+        assert _outcome(QBDS_PAIR_MEMBER, block, tail) == expected
+
+
+@st.composite
+def canonical_instances(draw):
+    n = draw(st.integers(2, 9))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    x = bds.random_instance(n, rng, draw(st.sampled_from((0.0, 0.3, 0.8))))
+    return draw(st.sampled_from((x, bds.swap_query(x))))
+
+
+@st.composite
+def instances_and_cuts(draw):
+    """Canonical instances and canonical blocks with bad edges, mutated,
+    with a cut at the block's end when the block splits, else anywhere."""
+    x = draw(st.one_of(canonical_instances(), canonical_blocks()).flatmap(mutated))
+    try:
+        cut = len(oracles.split_block_tail_oracle(x)[0])
+    except MalformedGraph:
+        cut = draw(st.integers(0, len(x)))
+    return x, draw(st.sampled_from((cut, draw(st.integers(0, len(x))))))
+
+
+@settings(max_examples=400)
+@given(instances_and_cuts())
+def test_members_match_oracle_on_mutated_instances(case):
+    _assert_members_match_oracle(*case)
+
+
+@pytest.mark.parametrize("x", [
+    b"3 2\n2 3 1\n1 2\n2 3\n1 3",        # well formed
+    b"3 2\n2 3 1\n1 2\n2 3\n3 1",        # the same, query swapped
+    b"3 1\n1 2 3\n1 2\n1 3\n",          # tail holds a newline
+    b"3 1\n1 2 3\n1 2\n\n1\n3\n",       # tail holds three
+    b"3 1\n1 2 3\n01 2\n1 3",            # leading zero in an edge line
+    b"03 1\n1 2 3\n1 2\n1 03",           # leading zeros in header and query
+    b"3 1\n01 2 3\n1 2\n1 3",            # leading zero in the numbering
+    b"3 2\n1 2 3\n1 2\n1 2\n1 3",        # duplicate edge
+    b"3 2\n1 2 3\n1 2\n2 1\n1 3",        # duplicate edge, other orientation
+    b"3 1\n1 2 3\n2 2\n1 3",             # self-loop
+    b"3 1\n1 2 3\n0 2\n1 3",             # endpoint 0
+    b"3 1\n1 2 3\n2 4\n1 3",             # endpoint n + 1
+    b"3 0\n2 3 1\n1 2",                  # m = 0
+    b"3 0\n2 3 1\n2 1",                  # m = 0, query swapped
+    b"3 2\n1 2 3\n1 2\n1 3",             # truncated block
+    b"3 2\n1 2 3\n",                     # truncated after the numbering
+    b"3 1\n1 2 3",                        # truncated numbering line
+])
+def test_members_match_oracle_named_cases(x):
+    try:
+        cut = len(oracles.split_block_tail_oracle(x)[0])
+    except MalformedGraph:
+        cut = len(x)
+    _assert_members_match_oracle(x, cut)
 
 
 @given(st.integers(1, 6),
