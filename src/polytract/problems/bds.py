@@ -22,15 +22,21 @@ Text form of an instance, all ASCII digits, spaces, and newlines:
 
 The header makes the graph block self-delimiting, so the query can ride
 directly behind it with no separator byte.
+
+A graph is held in one form: n, the numbering and an int64 column of the
+edge keys u * (n + 1) + v, u < v, in ascending order, which is the order
+of the edge lines graph_to_bytes writes. The edges view of a
+NumberedGraph derives the (u, v) pairs. Membership decides from the same
+column as parsed, without building a NumberedGraph.
 """
 from __future__ import annotations
 
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import chain, combinations, permutations, repeat
+from itertools import chain, combinations, islice, permutations, repeat
 from operator import eq
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from ..encoding import Instance
 from ..errors import MalformedGraph, SameNode, UnknownNode
@@ -40,18 +46,29 @@ from ..errors import MalformedGraph, SameNode, UnknownNode
 class NumberedGraph:
     """Undirected graph on nodes 1..n with a bijective numbering.
 
-    numbering[i] is the number of node i+1; edges hold (u, v) with u < v,
-    no self-loops, no duplicates. Use make_graph to get validation.
+    numbering[i] is the number of node i+1; keys is the ascending int64
+    column of edge keys described above, so no self-loop and no edge
+    twice, and edges derives its (u, v) pairs, u < v. Use make_graph to
+    get validation.
     """
 
     n: int
     numbering: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    keys: array
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(_pairs(self.n, self.keys))
+
+
+def _pairs(n: int, keys) -> Iterator[tuple[int, int]]:
+    """The (u, v) pair of each key, in the keys' order."""
+    return map(divmod, keys, repeat(n + 1))
 
 
 def make_graph(n: int, numbering, edges) -> NumberedGraph:
     numbering = _bijection(n, numbering)
-    return NumberedGraph(n, numbering, _edge_set(*_checked_columns(n, list(edges))))
+    return NumberedGraph(n, numbering, _checked_keys(n, list(edges)))
 
 
 def _bijection(n: int, numbering) -> tuple[int, ...]:
@@ -63,30 +80,35 @@ def _bijection(n: int, numbering) -> tuple[int, ...]:
     return numbering
 
 
-def _checked_columns(n: int, edges: list) -> tuple[list[int], list[int]]:
-    """The endpoint columns of edges, after whole-set checks; edges that
-    fail one are walked one by one so the error names the first bad edge
-    in input order."""
-    us = [u for u, _ in edges]
-    vs = [v for _, v in edges]
-    if not _valid_edges(n, us, vs, set()):
+def _checked_keys(n: int, edges: list) -> array:
+    """The key column of edges, after whole-set checks; edges that fail
+    one are walked one by one so the error names the first bad edge in
+    input order."""
+    keys = _valid_keys(n, [u for u, _ in edges], [v for _, v in edges])
+    column = None if keys is None else _ascending(keys)
+    if column is None:
         _reject_edges(n, edges)
-    return us, vs
+    return column
 
 
-def _valid_edges(n: int, us, vs, keys: set) -> bool:
-    """No self-loop, every endpoint in 1..n and no edge twice in either
-    orientation, counting the edges whose keys are already in keys; each
-    checked in one pass over the columns. The new edges' keys
-    u * (n + 1) + v, u < v, join keys."""
+def _valid_keys(n: int, us, vs) -> list[int] | None:
+    """The keys u * (n + 1) + v, u < v, of the edge columns us and vs in
+    input order, or None if an edge is a self-loop or leaves 1..n; each
+    checked in one pass over the columns."""
     if any(map(eq, us, vs)) or min(us, default=1) < 1 or min(vs, default=1) < 1 \
             or max(us, default=n) > n or max(vs, default=n) > n:
-        return False
-    # Distinct in-range edges have distinct keys, as in _draw_sparse.
+        return None
     stride = n + 1
-    known = len(keys)
-    keys.update({u * stride + v if u < v else v * stride + u for u, v in zip(us, vs)})
-    return len(keys) == known + len(us)
+    return [u * stride + v if u < v else v * stride + u for u, v in zip(us, vs)]
+
+
+def _ascending(keys: list[int]) -> array | None:
+    """keys, sorted in place, as an int64 column, or None if an edge
+    repeats: distinct in-range edges have distinct keys."""
+    keys.sort()
+    if any(map(eq, keys, islice(keys, 1, None))):
+        return None
+    return array("q", keys)
 
 
 def _reject_edges(n: int, edges) -> None:
@@ -104,22 +126,11 @@ def _reject_edges(n: int, edges) -> None:
         seen.add(e)
 
 
-def _edge_set(us, vs) -> frozenset[tuple[int, int]]:
-    """The canonical (low, high) pairs of checked edge columns."""
-    # A set comprehension is faster than map(min) and map(max).
-    return frozenset({(u, v) if u < v else (v, u) for u, v in zip(us, vs)})
-
-
 def graph_to_bytes(g: NumberedGraph) -> bytes:
-    return _block_text(g.n, g.numbering, len(g.edges),
-                       chain.from_iterable(sorted(g.edges))).encode("ascii")
-
-
-def _block_text(n: int, numbering, m: int, flat_edges) -> str:
-    """Text of a graph block whose m edge lines hold the integers of
-    flat_edges two by two."""
-    return (f"{n} {m}\n" + " ".join(map(str, numbering)) + "\n"
-            + "%d %d\n" * m % tuple(flat_edges))
+    m = len(g.keys)
+    return (f"{g.n} {m}\n" + " ".join(map(str, g.numbering)) + "\n"
+            + "%d %d\n" * m % tuple(chain.from_iterable(_pairs(g.n, g.keys)))
+            ).encode("ascii")
 
 
 def _int_fields(line: bytes, lineno: int, want: int) -> list[int]:
@@ -165,19 +176,20 @@ def _block_bounds(data: bytes) -> tuple[int, int, int, int]:
     return n, m, start, len(data) - len(data.split(b"\n", m + 2)[-1])
 
 
-def _parse_block(data: bytes) -> tuple[int, tuple[int, ...], Sequence[int], Sequence[int], bytes]:
-    """n, numbering, the endpoint columns us and vs of the edge lines and
-    the raw tail of the graph block at the front of data, with every
-    check of make_graph made."""
+def _parse_block(data: bytes) -> tuple[int, tuple[int, ...], array, bytes]:
+    """n, numbering, the key column of the edge lines and the raw tail of
+    the graph block at the front of data, with every check of make_graph
+    made."""
     n, m, start, end = _block_bounds(data)
     numbering = _int_fields(data[data.find(b"\n") + 1:start - 1], 2, n)
-    columns = _edge_columns(n, data, start, end)
+    keys = _edge_columns(n, data, start, end)
     # Anything else takes the line loop, which finds the first bad line
     # and lets the checks of make_graph name the first bad edge.
-    edges = None if columns else _edge_lines(data[start:end], m)
+    edges = None if keys is not None else _edge_lines(data[start:end], m)
     numbering = _bijection(n, numbering)
-    us, vs = columns or _checked_columns(n, edges)
-    return n, numbering, us, vs, data[end:]
+    if keys is None:
+        keys = _checked_keys(n, edges)
+    return n, numbering, keys, data[end:]
 
 
 def _edge_lines(region: bytes, m: int) -> list[tuple[int, int]]:
@@ -202,13 +214,12 @@ def _edge_lines(region: bytes, m: int) -> list[tuple[int, int]]:
 _CHUNK = 1 << 16
 
 
-def _edge_columns(n: int, data: bytes, start: int, end: int) -> tuple[array, array] | None:
-    """Endpoint columns of the edge lines in data[start:end] when every
-    line is written "u v\\n" in plain decimal and _valid_edges holds,
-    else None. The lines are converted and checked a chunk at a time into
-    int64 arrays, so no list of all the fields is ever held."""
-    us, vs = array("q"), array("q")
-    keys: set[int] = set()
+def _edge_columns(n: int, data: bytes, start: int, end: int) -> array | None:
+    """The key column of the edge lines in data[start:end] when every
+    line is written "u v\\n" in plain decimal and no edge is a self-loop,
+    leaves 1..n or repeats, else None. The lines are converted and checked
+    a chunk at a time, so of all the lines only their keys are held."""
+    keys: list[int] = []
     while start < end:
         stop = data.find(b"\n", min(start + _CHUNK, end - 1), end) + 1 or end
         chunk = data[start:stop]
@@ -221,28 +232,18 @@ def _edge_columns(n: int, data: bytes, start: int, end: int) -> tuple[array, arr
         k = chunk.count(b"\n")
         if len(ints) != 2 * k or b"%d %d\n" * k % tuple(ints) != chunk:
             return None
-        chunk_us, chunk_vs = ints[0::2], ints[1::2]
-        if not _valid_edges(n, chunk_us, chunk_vs, keys):
+        chunk_keys = _valid_keys(n, ints[0::2], ints[1::2])
+        if chunk_keys is None:
             return None
-        us.fromlist(chunk_us)
-        vs.fromlist(chunk_vs)
+        keys += chunk_keys
         start = stop
-    return us, vs
-
-
-def _canonical_edge_lines(n: int, m: int, region: bytes) -> frozenset | None:
-    """The edge set parse_graph_block takes from a region of m edge lines
-    without the line loop, or None when it takes the loop."""
-    if region.count(b"\n") != m:
-        return None
-    columns = _edge_columns(n, region, 0, len(region))
-    return _edge_set(*columns) if columns else None
+    return _ascending(keys)
 
 
 def parse_graph_block(data: bytes) -> tuple[NumberedGraph, bytes]:
     """Parse a graph block off the front of data; return it and the rest."""
-    n, numbering, us, vs, tail = _parse_block(data)
-    return NumberedGraph(n, numbering, _edge_set(us, vs)), tail
+    n, numbering, keys, tail = _parse_block(data)
+    return NumberedGraph(n, numbering, keys), tail
 
 
 def parse_graph(data: bytes) -> NumberedGraph:
@@ -272,15 +273,14 @@ def _query(tail: bytes) -> tuple[int, int]:
         raise MalformedGraph("query tail must be integers") from None
 
 
-def _recorded(n: int, numbering, edges) -> Iterator[list[int]]:
+def _recorded(n: int, numbering, keys) -> Iterator[list[int]]:
     """Numbers of the breadth-depth traversal described above, in the
     batches it records them: a restart node alone, then each expanded
-    node's unvisited neighbors in ascending order. edges yields (u, v)
-    pairs: a graph's edge set, or zip(us, vs) over parsed columns."""
+    node's unvisited neighbors in ascending order."""
     # The traversal runs on numbers, where "smallest" is integer order.
     number = (0, *numbering)
     nbrs: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in edges:
+    for u, v in _pairs(n, keys):
         a, b = number[u], number[v]
         nbrs[a].append(b)
         nbrs[b].append(a)
@@ -312,16 +312,16 @@ def _recorded(n: int, numbering, edges) -> Iterator[list[int]]:
 def bds_order(g: NumberedGraph) -> tuple[int, ...]:
     """Visit order of the breadth-depth traversal described above."""
     node_of = sorted(range(g.n + 1), key=((0,) + g.numbering).__getitem__)
-    recorded = _recorded(g.n, g.numbering, g.edges)
+    recorded = _recorded(g.n, g.numbering, g.keys)
     return tuple(map(node_of.__getitem__, chain.from_iterable(recorded)))
 
 
 def bds_decide(g: NumberedGraph, u: int, v: int) -> bool:
     """True iff u is recorded strictly before v."""
-    return _decide(g.n, g.numbering, g.edges, u, v)
+    return _decide(g.n, g.numbering, g.keys, u, v)
 
 
-def _decide(n: int, numbering, edges, u: int, v: int) -> bool:
+def _decide(n: int, numbering, keys, u: int, v: int) -> bool:
     if not (1 <= u <= n):
         raise UnknownNode(f"node {u} is not in the graph")
     if not (1 <= v <= n):
@@ -331,7 +331,7 @@ def _decide(n: int, numbering, edges, u: int, v: int) -> bool:
     a, b = numbering[u - 1], numbering[v - 1]
     # Every node is recorded, so some batch holds a or b. The first such
     # batch decides; one holding both recorded them in ascending order.
-    for batch in _recorded(n, numbering, edges):
+    for batch in _recorded(n, numbering, keys):
         if a in batch:
             return b not in batch or a < b
         if b in batch:
@@ -345,16 +345,16 @@ def bds_member(x: Instance) -> bool:
 
 def block_member(block: bytes, query: bytes | None) -> bool:
     """Whether the graph block at the front of block records the query's
-    first node before its second, decided from the edge columns without
-    a NumberedGraph. The query is the block's own tail when None, else
+    first node before its second, decided from the key column without a
+    NumberedGraph. The query is the block's own tail when None, else
     block must hold the graph block alone. False on malformed input."""
     try:
-        n, numbering, us, vs, tail = _parse_block(block)
+        n, numbering, keys, tail = _parse_block(block)
         if query is None:
             query = tail
         elif tail:
             return False
-        return _decide(n, numbering, zip(us, vs), *_query(query))
+        return _decide(n, numbering, keys, *_query(query))
     except (MalformedGraph, SameNode, UnknownNode):
         return False
 
@@ -400,9 +400,9 @@ def _shuffled_numbering(n: int, rng: random.Random) -> list[int]:
     return numbering
 
 
-def _draw_sparse(n: int, rng: random.Random, avg_degree: float) -> tuple[list[int], set[int]]:
-    """Numbering and edges of a random sparse graph, each edge (u, v),
-    u < v, kept as the integer key u * (n + 1) + v."""
+def random_sparse_graph(n: int, rng: random.Random, avg_degree: float = 4.0) -> NumberedGraph:
+    """Random graph drawn edge by edge; usable for large n where the
+    quadratic edge sweep of random_graph would be wasteful."""
     numbering = _shuffled_numbering(n, rng)
     target = min(int(avg_degree * n / 2), n * (n - 1) // 2)
     stride = n + 1
@@ -427,7 +427,7 @@ def _draw_sparse(n: int, rng: random.Random, avg_degree: float) -> tuple[list[in
             while j >= n or j == i:
                 j = getrandbits(bits)
             add_key(i * stride + j + offset if i < j else j * stride + i + offset)
-    return numbering, keys
+    return NumberedGraph(n, tuple(numbering), array("q", sorted(keys)))
 
 
 # Largest population random.Random.sample(population, 2) draws from a
@@ -435,33 +435,21 @@ def _draw_sparse(n: int, rng: random.Random, avg_degree: float) -> tuple[list[in
 _SAMPLE_POOL_MAX = 21
 
 
-def random_sparse_graph(n: int, rng: random.Random, avg_degree: float = 4.0) -> NumberedGraph:
-    """Random graph drawn edge by edge; usable for large n where the
-    quadratic edge sweep of random_graph would be wasteful."""
-    numbering, keys = _draw_sparse(n, rng, avg_degree)
-    return NumberedGraph(n, tuple(numbering), frozenset(map(divmod, keys, repeat(n + 1))))
-
-
 def random_sparse_instance(n: int, rng: random.Random, avg_degree: float = 4.0) -> Instance:
-    """instance_bytes of random_sparse_graph and a random query, written
-    from the integer edge keys without building the graph."""
-    numbering, keys = _draw_sparse(n, rng, avg_degree)
+    """instance_bytes of random_sparse_graph and a random query."""
+    g = random_sparse_graph(n, rng, avg_degree)
     u, v = rng.sample(range(1, n + 1), 2)
-    # Keys sort in the order of their (u, v) pairs, as graph_to_bytes writes.
-    edges = map(divmod, sorted(keys), repeat(n + 1))
-    text = _block_text(n, numbering, len(keys), chain.from_iterable(edges))
-    return (text + f"{u} {v}").encode("ascii")
+    return instance_bytes(g, u, v)
 
 
 def enumerate_graphs(n: int) -> Iterator[NumberedGraph]:
     """All numberings crossed with all edge subsets for a fixed n."""
-    slots = list(combinations(range(1, n + 1), 2))
+    stride = n + 1
+    slots = [u * stride + v for u, v in combinations(range(1, n + 1), 2)]  # ascending
     for numbering in permutations(range(1, n + 1)):
         for mask in range(1 << len(slots)):
-            edges = frozenset(
-                slots[i] for i in range(len(slots)) if mask >> i & 1
-            )
-            yield NumberedGraph(n, numbering, edges)
+            keys = array("q", [k for i, k in enumerate(slots) if mask >> i & 1])
+            yield NumberedGraph(n, numbering, keys)
 
 
 def enumerate_instances(max_n: int) -> Iterator[Instance]:

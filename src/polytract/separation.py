@@ -15,52 +15,31 @@ capacity column 2^bound(n), which is compared through logarithms.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import permutations
 
 from .encoding import PolylogBound
 from .errors import CapExceeded
-from .problems.bds import NumberedGraph, bds_order, enumerate_graphs, graph_to_bytes
+from .problems.bds import NumberedGraph, bds_order, graph_to_bytes
 
 ENUMERATION_CAP = 7      # 7! = 5040 numberings; beyond that it drags
-ALL_GRAPHS_CAP = 4       # 2^6 * 24 = 1536 graphs at n = 4
 
 
 def realizable_orders(n: int, family: str = "edgeless") -> set:
-    """Distinct visit orders over a family of graphs on n nodes."""
-    if family == "edgeless":
-        if n > ENUMERATION_CAP:
-            raise CapExceeded(
-                f"n={n} exceeds the edgeless enumeration cap {ENUMERATION_CAP}")
-        orders = set()
-        for numbering in permutations(range(1, n + 1)):
-            g = NumberedGraph(n, numbering, frozenset())
-            orders.add(bds_order(g))
-        return orders
-    if family == "all":
-        if n > ALL_GRAPHS_CAP:
-            raise CapExceeded(
-                f"n={n} exceeds the all-graphs enumeration cap {ALL_GRAPHS_CAP}")
-        return {bds_order(g) for g in enumerate_graphs(n)}
-    raise ValueError(f"unknown graph family {family!r}")
+    """Distinct visit orders over a family of graphs on n nodes; the
+    edgeless graphs are the one family."""
+    if family != "edgeless":
+        raise ValueError(f"unknown graph family {family!r}")
+    if n > ENUMERATION_CAP:
+        raise CapExceeded(
+            f"n={n} exceeds the edgeless enumeration cap {ENUMERATION_CAP}")
+    return {bds_order(NumberedGraph(n, numbering, array("q")))
+            for numbering in permutations(range(1, n + 1))}
 
 
 def count_realizable_orders(n: int, family: str = "edgeless") -> int:
     return len(realizable_orders(n, family))
-
-
-def digest_capacity(bits: int) -> int:
-    """Distinct digests of exactly `bits` bits: 2^bits."""
-    if bits < 0:
-        raise ValueError("bit budget must be nonnegative")
-    return 1 << bits
-
-
-def exact_digest_count(bits: int) -> int:
-    """Distinct digests of at most `bits` bits: sum of 2^i, i = 0..bits."""
-    if bits < 0:
-        raise ValueError("bit budget must be nonnegative")
-    return (1 << (bits + 1)) - 1
 
 
 def truncation_digest(data: bytes, bits: int) -> bytes:
@@ -93,7 +72,7 @@ def find_truncation_collision(n: int, bits: int) -> CollisionWitness | None:
         raise CapExceeded(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     seen: dict[bytes, tuple[NumberedGraph, tuple]] = {}
     for numbering in permutations(range(1, n + 1)):
-        g = NumberedGraph(n, numbering, frozenset())
+        g = NumberedGraph(n, numbering, array("q"))
         order = bds_order(g)
         digest = truncation_digest(graph_to_bytes(g), bits)
         if digest in seen:

@@ -1,6 +1,8 @@
 import random
 import tracemalloc
-from itertools import permutations
+from array import array
+from itertools import islice, permutations, repeat
+from operator import lt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,12 +192,44 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def test_member_peak_stays_well_below_the_graph_parse():
-    # The 16,384-node rung of the bds verdict-bit ladder. Both peaks are
-    # taken in this process on the same bytes, so the bound holds on any
-    # host: deciding from edge columns must not cost what building the
-    # edge set of a NumberedGraph costs.
+def test_parse_and_member_peaks_stay_linear_in_the_input():
+    # The 16,384-node rung of the bds verdict-bit ladder. Both calls build
+    # the same key column, so neither may hold a tuple or hash set per
+    # edge on top of it; the peaks are counted in input bytes, so the
+    # bound holds on any host.
     x = build_catalog(SuiteConfig()).witnesses["bds-verdict-bit"].ladder_gen(16384, 42)[0]
     parse_peak = _traced_peak(bds.parse_instance, x)
     member_peak = _traced_peak(bds.bds_member, x)
-    assert member_peak < 0.6 * parse_peak, (member_peak, parse_peak)
+    assert parse_peak < 12 * len(x), (parse_peak, len(x))
+    assert member_peak < 12 * len(x), (member_peak, len(x))
+
+
+def _assert_key_column(g):
+    assert type(g.keys) is array and g.keys.typecode == "q"
+    assert all(map(lt, g.keys, islice(g.keys, 1, None))), g
+    assert all(1 <= u < v <= g.n for u, v in map(divmod, g.keys, repeat(g.n + 1))), g
+
+
+def test_every_constructor_holds_one_ascending_key_column():
+    rng = random.Random(19)
+    for _ in range(60):
+        n = rng.randrange(1, 12)
+        g = bds.random_graph(n, rng, 0.5)
+        _assert_key_column(g)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in sorted(g.edges)]
+        rng.shuffle(edges)
+        made = bds.make_graph(n, g.numbering, edges)
+        _assert_key_column(made)
+        assert made == g == bds.parse_graph(bds.graph_to_bytes(made))
+        head = f"{n} {len(edges)}\n" + " ".join(map(str, g.numbering)) + "\n"
+        # Canonical lines out of order take the bulk parse; tabs take the
+        # line loop.
+        for sep in (" ", "\t"):
+            text = head + "".join(f"{u}{sep}{v}\n" for u, v in edges)
+            parsed, rest = bds.parse_graph_block(text.encode("ascii") + b"1 2")
+            _assert_key_column(parsed)
+            assert (parsed, rest) == (g, b"1 2")
+    for n in (2, 21, 22, 300):
+        _assert_key_column(bds.random_sparse_graph(n, rng, 3.0))
+    for g in bds.enumerate_graphs(4):
+        _assert_key_column(g)

@@ -175,10 +175,12 @@ def test_bulk_edge_parse_matches_line_parser(x):
     ref = _outcome(oracles.parse_graph_block_oracle, x)
     assert new == ref
     # Only a block the line parser accepts, or rejects for its numbering,
-    # may get an edge set from the bulk parse.
-    bulk = bds._canonical_edge_lines(*_edge_region(x))
+    # may get an edge set from the bulk parse of its m edge lines.
+    n, m, region = _edge_region(x)
+    keys = bds._edge_columns(n, region, 0, len(region)) if region.count(b"\n") == m else None
+    bulk = None if keys is None else {divmod(k, n + 1) for k in keys}
     if ref[0] == "ok":
-        assert bulk == ref[1][0][2]
+        assert bulk == ref[1][0][2] and len(keys) == m
     elif bulk is not None:
         assert ref == (MalformedGraph, "numbering is not a bijection onto 1..n")
 

@@ -6,8 +6,6 @@ from polytract.problems import bds
 from polytract.separation import (
     CollisionWitness,
     count_realizable_orders,
-    digest_capacity,
-    exact_digest_count,
     find_truncation_collision,
     log2_factorial,
     realizable_orders,
@@ -15,7 +13,7 @@ from polytract.separation import (
     truncation_digest,
 )
 
-from oracles import factorial_oracle
+from oracles import bds_order_oracle, factorial_oracle
 
 
 def test_edgeless_family_realizes_every_order():
@@ -28,20 +26,12 @@ def test_edgeless_family_realizes_every_order():
 def test_all_graphs_family_matches_edgeless_at_small_n():
     # edges never create visit orders beyond the n! the numberings give
     for n in (1, 2, 3, 4):
-        assert realizable_orders(n, family="all") == realizable_orders(n, "edgeless")
+        assert {bds.bds_order(g) for g in bds.enumerate_graphs(n)} == realizable_orders(n, "edgeless")
 
 
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         realizable_orders(9, family="edgeless")
-
-
-def test_digest_capacity_and_exact_count():
-    assert digest_capacity(4) == 16
-    assert digest_capacity(0) == 1
-    # all digests of length at most `bits`: sum over lengths of 2^len
-    assert exact_digest_count(4) == 31
-    assert exact_digest_count(0) == 1
 
 
 def test_truncation_digest_prefix():
@@ -98,6 +88,6 @@ def test_separation_report_rows():
 
 def test_orders_are_actually_reachable():
     # spot check: every enumerated order comes from some real traversal
-    orders = realizable_orders(3, family="all")
-    for g in bds.enumerate_graphs(3):
-        assert bds.bds_order(g) in orders
+    orders = {bds.bds_order(g) for g in bds.enumerate_graphs(3)}
+    assert orders == {bds_order_oracle(g.n, g.numbering, g.edges)
+                      for g in bds.enumerate_graphs(3)}
