@@ -21,7 +21,6 @@ from .preprocessing import PreprocessingWitness, digest_size_ladder, verify_witn
 from .reductions import (
     FcrReduction,
     FReduction,
-    compose_f,
     compose_fcr,
     hardness_pack,
     pullback_witness_f,
@@ -57,7 +56,6 @@ __all__ = [
     "verify_fcr_reduction",
     "verify_f_reduction",
     "compose_fcr",
-    "compose_f",
     "transfer_witness",
     "pullback_witness_f",
     "hardness_pack",

@@ -61,6 +61,7 @@ def _layer_tasks(n: int, seed: int) -> dict:
     instance = block + b"1 2"
     circuit = cvp.random_circuit(n, random.Random(f"{seed}:bench-circuit:{n}"))
     text = cvp.circuit_to_bytes(circuit)
+    forward_text = cvp.circuit_to_bytes(_forward_wired(circuit))
     # An escaped payload of the block's size, about a quarter of whose
     # bytes are delimiters or the escape byte before escaping.
     rng = random.Random(f"{seed}:bench-payload:{n}")
@@ -81,7 +82,19 @@ def _layer_tasks(n: int, seed: int) -> dict:
         "cvp.circuit_to_bytes": (cvp.circuit_to_bytes, [(circuit,)]),
         "cvp.parse_circuit": (cvp.parse_circuit, [(text,)]),
         "cvp.cvp_member": (cvp.cvp_member, [(text,)]),
+        "cvp.cvp_member (forward-wired)": (cvp.cvp_member, [(forward_text,)]),
     }
+
+
+def _forward_wired(c: cvp.Circuit) -> cvp.Circuit:
+    """c with ids 1..n-1 reversed and the output kept last, so every gate
+    names later nodes only and cvp_member evaluates in topological order."""
+    n = len(c.nodes)
+
+    def renamed(node):
+        return node if node[0] == "input" else (node[0], *(n - ref for ref in node[1:]))
+
+    return cvp.Circuit(tuple(map(renamed, c.nodes[-2::-1] + c.nodes[-1:])))
 
 
 def layer_ns(seed: int, ladder=DEFAULT_LADDER) -> dict:

@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
-from .errors import MalformedInstance, NonMemberSample
-from .report import Report
+from .errors import MalformedInstance
 
 Instance = bytes
 
@@ -65,11 +64,6 @@ def _reject(escaped: Instance):
     if at + 1 == len(escaped):
         raise MalformedInstance("dangling escape byte at end of payload")
     raise MalformedInstance(f"unknown escape sequence at offset {at}")
-
-
-def escape_overhead(payload: Instance) -> int:
-    """Extra bytes escaping adds: one per delimiter or escape occurrence."""
-    return payload.count(b"#") + payload.count(b"@") + payload.count(b"\\")
 
 
 def _split_once(x: Instance, sep: bytes) -> tuple[Instance, Instance]:
@@ -165,7 +159,7 @@ class LanguageOfPairs:
     """A set of data/query pairs given by a total membership predicate.
 
     short_query_bound caps |query| as a function of |data| for members;
-    check_short_query probes it on samples.
+    factorization.check_short_query probes it on samples.
     """
 
     name: str
@@ -174,38 +168,3 @@ class LanguageOfPairs:
 
     def member(self, pair: Pair) -> bool:
         return self.membership(pair.data, pair.query)
-
-
-def check_short_query(language: LanguageOfPairs, samples: Iterable[Pair]) -> Report:
-    """Check |query| <= bound(|data|) on member samples.
-
-    Raises NonMemberSample if any sample fails the membership oracle; an
-    empty sample set passes vacuously.
-    """
-    rep = Report(f"short-query:{language.name}")
-    bound = language.short_query_bound
-    failures = []
-    worst = None
-    total = 0
-    for idx, pair in enumerate(samples):
-        if not language.member(pair):
-            raise NonMemberSample(
-                f"sample {idx} is not a member of {language.name}"
-            )
-        total += 1
-        limit = bound(len(pair.data))
-        if worst is None or len(pair.query) > worst[0]:
-            worst = (len(pair.query), limit)
-        if len(pair.query) > limit:
-            failures.append(
-                (idx, "short-query", f"|Q|={len(pair.query)} > {limit:.2f}")
-            )
-    rep.add(
-        "short-query",
-        not failures,
-        measured=None if worst is None else worst[0],
-        bound=bound.describe(),
-        detail=f"{total} member samples",
-    )
-    rep.itemize("sample", failures)
-    return rep

@@ -14,7 +14,7 @@ a member iff restoring it lands in L.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .encoding import (
     Instance,
@@ -181,5 +181,40 @@ def check_prop1(fl: FactoredLanguage, samples: Sequence[Instance]) -> Report:
     rep.add("query-short-in-whole-size", not failures, measured=worst,
             bound=f"{fact.query_bound.describe()} at n+{fact.redundancy}",
             detail=f"{total} member samples")
+    rep.itemize("sample", failures)
+    return rep
+
+
+def check_short_query(language: LanguageOfPairs, samples: Iterable[Pair]) -> Report:
+    """Check |query| <= bound(|data|) on member samples.
+
+    Raises NonMemberSample if any sample fails the membership oracle; an
+    empty sample set passes vacuously.
+    """
+    rep = Report(f"short-query:{language.name}")
+    bound = language.short_query_bound
+    failures = []
+    worst = None
+    total = 0
+    for idx, pair in enumerate(samples):
+        if not language.member(pair):
+            raise NonMemberSample(
+                f"sample {idx} is not a member of {language.name}"
+            )
+        total += 1
+        limit = bound(len(pair.data))
+        if worst is None or len(pair.query) > worst[0]:
+            worst = (len(pair.query), limit)
+        if len(pair.query) > limit:
+            failures.append(
+                (idx, "short-query", f"|Q|={len(pair.query)} > {limit:.2f}")
+            )
+    rep.add(
+        "short-query",
+        not failures,
+        measured=None if worst is None else worst[0],
+        bound=bound.describe(),
+        detail=f"{total} member samples",
+    )
     rep.itemize("sample", failures)
     return rep

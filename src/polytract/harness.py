@@ -17,11 +17,12 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 from . import catalog as catalog_mod
-from .encoding import Pair, PolylogBound, check_short_query, parse_bound
+from .encoding import Pair, PolylogBound, parse_bound
 from .errors import ConfigError, InsufficientData
 from .factorization import (
     apply_factorization,
     check_prop1,
+    check_short_query,
     induced_pairs,
     verify_factorization,
 )

@@ -435,9 +435,9 @@ def random_sparse_graph(n: int, rng: random.Random, avg_degree: float = 4.0) -> 
 _SAMPLE_POOL_MAX = 21
 
 
-def random_sparse_instance(n: int, rng: random.Random, avg_degree: float = 4.0) -> Instance:
+def random_sparse_instance(n: int, rng: random.Random) -> Instance:
     """instance_bytes of random_sparse_graph and a random query."""
-    g = random_sparse_graph(n, rng, avg_degree)
+    g = random_sparse_graph(n, rng)
     u, v = rng.sample(range(1, n + 1), 2)
     return instance_bytes(g, u, v)
 

@@ -11,9 +11,10 @@ text form:
 
 Ids must equal the line number. References may point forward as long as
 the wiring stays acyclic; exactly one output node is required and nothing
-may reference it. Evaluation walks the nodes in id order, or in a
-topological order when a reference points forward, and returns the output
-node's value.
+may reference it. The structure check that ends parsing and validation
+also picks the evaluation order: id order when every reference points
+backward, else the topological order it builds to rule out a cycle.
+Evaluation is one walk in that order up to the output node.
 """
 from __future__ import annotations
 
@@ -58,6 +59,11 @@ def circuit_to_bytes(c: Circuit) -> Instance:
 
 
 def parse_circuit(data: Instance) -> Circuit:
+    return _parse(data)[0]
+
+
+def _parse(data: Instance) -> tuple[Circuit, list[int] | None]:
+    """The circuit and its evaluation order (see _check_structure)."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError:
@@ -113,8 +119,7 @@ def parse_circuit(data: Instance) -> Circuit:
     if dangling is not None:
         raise DanglingRef(dangling)
     circuit = Circuit(tuple(nodes))
-    _check_structure(circuit, outputs, backward)
-    return circuit
+    return circuit, _check_structure(circuit, outputs, backward)
 
 
 def _refs(node: Node) -> tuple[int, ...]:
@@ -124,6 +129,11 @@ def _refs(node: Node) -> tuple[int, ...]:
 
 def validate_circuit(c: Circuit) -> None:
     """Structural checks: arities, ref ranges, one unreferenced output, acyclicity."""
+    _validate(c)
+
+
+def _validate(c: Circuit) -> list[int] | None:
+    """validate_circuit's checks; returns the evaluation order."""
     n = len(c.nodes)
     outputs = []
     backward = True
@@ -143,13 +153,15 @@ def validate_circuit(c: Circuit) -> None:
                 backward = False
                 if not 1 <= ref <= n:
                     raise DanglingRef(f"node {i}: reference to missing node {ref}")
-    _check_structure(c, outputs, backward)
+    return _check_structure(c, outputs, backward)
 
 
-def _check_structure(c: Circuit, outputs: list[int], backward: bool) -> None:
+def _check_structure(c: Circuit, outputs: list[int], backward: bool) -> list[int] | None:
     """The checks after a per-node pass that found the output ids and
     whether every ref names an earlier node: one output, nothing reading
-    it, no cycle."""
+    it, no cycle. Returns the evaluation order: None for id order, which
+    is topological when every ref names an earlier node, else a
+    topological order."""
     n = len(c.nodes)
     if n == 0:
         raise MalformedCircuit("circuit has no nodes")
@@ -158,11 +170,11 @@ def _check_structure(c: Circuit, outputs: list[int], backward: bool) -> None:
     out = outputs[0]
     # Backward refs cannot reach a last-node output or close a cycle.
     if backward and out == n:
-        return
+        return None
     for i, node in enumerate(c.nodes, 1):
         if out in _refs(node):
             raise MalformedCircuit(f"node {i}: references the output node")
-    _topo_order(c)  # raises CyclicCircuit
+    return None if backward else _topo_order(c)  # raises CyclicCircuit
 
 
 def _topo_order(c: Circuit) -> list[int]:
@@ -189,60 +201,35 @@ def _topo_order(c: Circuit) -> list[int]:
 
 def cvp_eval(c: Circuit) -> bool:
     """Value of the designated output under the baked-in input assignment."""
-    validate_circuit(c)
-    return _eval_validated(c)
+    return _walk(c, _validate(c))
 
 
-def _eval_validated(c: Circuit) -> bool:
-    """Value of a circuit already past validate_circuit.
-
-    One walk in id order settles every backward-wired circuit. A forward
-    reference shows up as a still-unset operand; the same walk then runs
-    again over an explicit topological order, where none can occur.
-    """
-    n = len(c.nodes)
-    value = _walk(enumerate(c.nodes, 1), n)
-    if value is None:
-        nodes = c.nodes
-        value = _walk(((i, nodes[i - 1]) for i in _topo_order(c)), n)
-    return value
-
-
-def _walk(steps, n: int) -> bool | None:
-    """Evaluate (id, node) steps in the order given; None as soon as an
-    operand has no value yet."""
-    values: list = [None] * (n + 1)
-    result = None
+def _walk(c: Circuit, order: list[int] | None) -> bool:
+    """Value of a checked circuit: evaluate its nodes in id order, or in
+    `order` when given, and stop at the output. Either order sets every
+    operand before it is read."""
+    nodes = c.nodes
+    values: list = [None] * (len(nodes) + 1)
+    steps = (enumerate(nodes, 1) if order is None
+             else ((i, nodes[i - 1]) for i in order))
     for i, node in steps:
         kind = node[0]
         if kind == "input":
             values[i] = node[1]
-            continue
-        a = values[node[1]]
-        if a is None:
-            return None
-        if kind == "not":
-            values[i] = not a
+        elif kind == "not":
+            values[i] = not values[node[1]]
         elif kind == "and":
-            b = values[node[2]]
-            if b is None:
-                return None
-            values[i] = a and b
+            values[i] = values[node[1]] and values[node[2]]
         elif kind == "or":
-            b = values[node[2]]
-            if b is None:
-                return None
-            values[i] = a or b
+            values[i] = values[node[1]] or values[node[2]]
         else:
-            result = a
-            values[i] = a
-    return result
+            return values[node[1]]
 
 
 def cvp_member(x: Instance) -> bool:
     """Total oracle over raw bytes: well-formed and evaluating to true."""
     try:
-        return _eval_validated(parse_circuit(x))
+        return _walk(*_parse(x))
     except MalformedCircuit:
         return False
 

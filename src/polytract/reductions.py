@@ -31,6 +31,7 @@ from .encoding import (
     PolylogBound,
     ZERO_BOUND,
     pack_at,
+    shifted_bound,
     split_packed,
 )
 from .errors import FactorizationMismatch, MalformedInstance
@@ -229,15 +230,6 @@ def verify_f_reduction(
     return rep
 
 
-def compose_f(first: FReduction, second: FReduction) -> FReduction:
-    """Plain function composition; no packing is needed for this shape."""
-    return FReduction(
-        name=f"{first.name}*{second.name}",
-        map_data=lambda d: second.map_data(first.map_data(d)),
-        map_query=lambda q: second.map_query(first.map_query(q)),
-    )
-
-
 def pullback_witness_f(
     r: FReduction,
     target_witness: PreprocessingWitness,
@@ -249,8 +241,6 @@ def pullback_witness_f(
     query map. growth_pad widens the output bound when the data map can
     enlarge its input by a bounded number of bytes.
     """
-    from .encoding import shifted_bound
-
     inner = target_witness.post_language
     post = LanguageOfPairs(
         name=f"post({target_witness.name})<-{r.name}",

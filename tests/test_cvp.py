@@ -37,6 +37,30 @@ def test_forward_references_are_allowed():
     assert cvp_eval_oracle(circ.nodes) is True
 
 
+def test_topo_order_runs_at_most_once_and_never_on_backward_wiring(monkeypatch):
+    calls = []
+    topo_order = cvp._topo_order
+
+    def counted(circ):
+        calls.append(circ)
+        return topo_order(circ)
+
+    monkeypatch.setattr(cvp, "_topo_order", counted)
+    forward = b"1 not 2\n2 input 1\n3 output 1\n"
+    assert cvp.cvp_member(forward) is False
+    assert len(calls) == 1
+    circ = cvp.parse_circuit(forward)
+    calls.clear()
+    assert cvp.cvp_eval(circ) is False
+    assert len(calls) == 1
+
+    calls.clear()
+    backward = b"1 input 1\n2 output 1\n3 not 1\n"  # output mid-sequence
+    assert cvp.cvp_member(backward) is True
+    assert cvp.cvp_eval(cvp.parse_circuit(backward)) is True
+    assert calls == []
+
+
 def test_eval_matches_oracle_on_random_circuits():
     rng = random.Random(23)
     for _ in range(500):

@@ -11,7 +11,6 @@ from polytract.preprocessing import PreprocessingWitness, verify_witness
 from polytract.reductions import (
     FcrReduction,
     FReduction,
-    compose_f,
     compose_fcr,
     hardness_pack,
     pullback_witness_f,
@@ -179,14 +178,6 @@ F_PAIRS = [Pair(b"abc", b"b"), Pair(b"abc", b"z"), Pair(b"", b"a"), Pair(b"q", b
 
 def test_verify_f_reduction():
     assert verify_f_reduction(UPPER, SRC_LANG, DST_LANG, F_PAIRS).passed
-
-
-def test_compose_f_is_plain_composition():
-    ident = FReduction("id", lambda d: d, lambda q: q)
-    composed = compose_f(UPPER, ident)
-    assert verify_f_reduction(composed, SRC_LANG, DST_LANG, F_PAIRS).passed
-    assert composed.map_data(b"ab") == b"AB"
-    assert composed.map_query(b"x") == b"x"
 
 
 def test_pullback_witness_f():
