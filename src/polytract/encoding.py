@@ -33,23 +33,33 @@ def escape_payload(payload: Instance) -> Instance:
     )
 
 
+# Swaps '#' and '\': the last decoding pass of unescape_payload.
+_SWAP_HASH_ESCAPE = bytes.maketrans(b"#\\", b"\\#")
+
+
 def unescape_payload(escaped: Instance) -> Instance:
     """Invert escape_payload; rejects raw delimiters and bad escapes.
 
-    Splitting at the escaped backslashes leaves pieces whose remaining
-    escapes are all two-byte \\h or \\a, so plain replaces decode them.
-    An input is a valid escaping exactly when re-escaping the result gives
-    it back; anything else is located by the token scan in _reject.
+    A valid escaping is a sequence of tokens: a byte other than '#', '@'
+    and '\\', or one of the escapes \\\\, \\h and \\a. The tokens pair
+    each run of backslashes from its left end, and so does a left-to-right
+    replace of \\\\, so after it every backslash left over opens a \\h or
+    \\a escape. A valid escaping holds no raw '#' or '@', which leaves
+    both free to stand in during the passes: '#' for a decoded backslash,
+    '@' for a decoded '@'. The input is valid iff it holds no raw
+    delimiter and every backslash still left after the \\a replace opens a
+    \\h; then \\h turns into a lone backslash standing for '#', and one
+    translate swaps '#' and '\\' back. An invalid input goes to _reject,
+    whose token scan locates the first bad token.
     """
-    if b"\\" not in escaped and b"#" not in escaped and b"@" not in escaped:
-        return escaped
-    out = b"\\".join([
-        piece.replace(b"\\h", b"#").replace(b"\\a", b"@")
-        for piece in escaped.split(b"\\\\")
-    ])
-    if escape_payload(out) != escaped:
+    if b"#" in escaped or b"@" in escaped:
         _reject(escaped)
-    return out
+    if b"\\" not in escaped:
+        return escaped
+    x = escaped.replace(b"\\\\", b"#").replace(b"\\a", b"@")
+    if x.count(b"\\") != x.count(b"\\h"):
+        _reject(escaped)
+    return x.replace(b"\\h", b"\\").translate(_SWAP_HASH_ESCAPE)
 
 
 # Longest prefix of well-formed tokens: plain bytes and the three escapes.

@@ -280,8 +280,10 @@ def _recorded(n: int, numbering, keys) -> Iterator[list[int]]:
     # The traversal runs on numbers, where "smallest" is integer order.
     number = (0, *numbering)
     nbrs: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in _pairs(n, keys):
-        a, b = number[u], number[v]
+    # Decoded in the loop: _pairs' divmod allocates a tuple per edge.
+    stride = n + 1
+    for k in keys:
+        a, b = number[k // stride], number[k % stride]
         nbrs[a].append(b)
         nbrs[b].append(a)
     for lst in nbrs:

@@ -24,7 +24,8 @@ def test_layer_ns_covers_every_layer_and_rung():
 
 def test_layer_peak_mb_has_one_entry_per_rung():
     out = bench.layer_peak_mb(0, ladder=(8, 16, 32))
-    assert set(out) == {"bds.parse_instance", "bds.bds_member", "cvp.cvp_member"}
+    assert set(out) == {"bds.parse_instance", "bds.bds_member", "cvp.cvp_member",
+                        "encoding.unescape_payload (escape-dense)"}
     for rungs in out.values():
         assert [n for n, _ in rungs] == [8, 16, 32]
         assert all(mb > 0 for _, mb in rungs)
@@ -50,6 +51,35 @@ def test_records_are_kept_side_by_side(tmp_path, monkeypatch):
     columns = json.loads(path.read_text())["columns"]
     assert {k: v["suite"]["wall_s"] for k, v in columns.items()} == {
         "parent": 1.0, "change": 2.0}
+
+
+def test_parent_checkout_is_timed_against_this_one_in_one_process():
+    parent = bench.import_checkout(ROOT)
+    assert bench.import_checkout(ROOT) == parent
+    assert sys.modules[f"{parent}.encoding"] is not sys.modules["polytract.encoding"]
+    out = bench.interleaved(0, parent, ladder=(8, 16))
+    assert set(out["ns_per_call"]) == set(bench._layer_tasks(8, 0))
+    for rows in out["ns_per_call"].values():
+        assert [row[0] for row in rows] == [8, 16]
+        for _, p, c, ratio in rows:
+            assert p > 0 and c > 0 and ratio == round(c / p, 3)
+    assert set(out["traced_peak_mb"]) == set(bench.PEAK_LAYERS)
+    for rows in out["traced_peak_mb"].values():
+        assert [n for n, _, _ in rows] == [8, 16]
+        assert all(p > 0 and c > 0 for _, p, c in rows)
+
+
+def test_parent_flag_adds_interleaved_rows(tmp_path, monkeypatch):
+    path = tmp_path / "bench.json"
+    monkeypatch.setattr(bench, "measure", lambda: {"python": "3", "suite": {
+        "wall_s": 1.0, "peak_rss_mb": 3.0}})
+    monkeypatch.setattr(bench, "interleaved", lambda seed, parent: {"ns_per_call": {
+        "layer": [[8, 2, 1, 0.5]]}})
+    bench.main(["--json", str(path), "--parent", str(ROOT)])
+    doc = json.loads(path.read_text())
+    assert doc["columns"]["change"]["suite"]["wall_s"] == 1.0
+    assert doc["interleaved"] == {"python": "3", "seed": bench.SEED,
+                                  "ns_per_call": {"layer": [[8, 2, 1, 0.5]]}}
 
 
 def test_perfbench_trace_targets_resolve():

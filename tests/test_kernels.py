@@ -9,6 +9,7 @@ split pick different points, both reject, for different reasons. The generators 
 instances and leave the random stream in the same state as their
 rng.shuffle / rng.sample / rng.choices references.
 """
+import itertools
 import random
 
 import pytest
@@ -72,6 +73,23 @@ def test_raw_delimiter_split_matches_parity_scan(x):
 @given(ESCAPE_DENSE)
 def test_unescape_matches_byte_scan(x):
     assert _outcome(unescape_payload, x) == _outcome(oracles.unescape_oracle, x)
+
+
+def test_unescape_matches_byte_scan_on_every_short_string():
+    # Every string of length 0-6 over the escape byte, both escape
+    # letters, both delimiters and one plain byte: 55,987 strings.
+    count = 0
+    for length in range(7):
+        for chars in itertools.product(b"\\ha#@x", repeat=length):
+            x = bytes(chars)
+            assert _outcome(unescape_payload, x) == _outcome(oracles.unescape_oracle, x), x
+            count += 1
+    assert count == 55_987
+
+
+def test_unescape_returns_a_clean_payload_itself():
+    clean = b"plain payload, no delimiter or escape byte"
+    assert unescape_payload(clean) is clean
 
 
 # ------------------------------------------------------------ graphs
