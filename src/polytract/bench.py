@@ -128,8 +128,8 @@ def layer_ns(seed: int, ladder=DEFAULT_LADDER) -> dict:
 
 
 # Layers whose traced peak layer_peak_mb records.
-PEAK_LAYERS = ("bds.parse_instance", "bds.bds_member", "cvp.cvp_member",
-               "encoding.unescape_payload (escape-dense)")
+PEAK_LAYERS = ("bds.parse_instance", "bds.bds_member", "cvp.parse_circuit", "cvp.cvp_member",
+               "cvp.cvp_member (forward-wired)", "encoding.unescape_payload (escape-dense)")
 
 
 def layer_peak_mb(seed: int, ladder=DEFAULT_LADDER, package: str = __package__) -> dict:

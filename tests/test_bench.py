@@ -24,7 +24,8 @@ def test_layer_ns_covers_every_layer_and_rung():
 
 def test_layer_peak_mb_has_one_entry_per_rung():
     out = bench.layer_peak_mb(0, ladder=(8, 16, 32))
-    assert set(out) == {"bds.parse_instance", "bds.bds_member", "cvp.cvp_member",
+    assert set(out) == {"bds.parse_instance", "bds.bds_member", "cvp.parse_circuit",
+                        "cvp.cvp_member", "cvp.cvp_member (forward-wired)",
                         "encoding.unescape_payload (escape-dense)"}
     for rungs in out.values():
         assert [n for n, _ in rungs] == [8, 16, 32]

@@ -18,7 +18,13 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from polytract.catalog import build_catalog
 from polytract.encoding import decode_pair, split_packed, unescape_payload
-from polytract.errors import CyclicCircuit, MalformedGraph, MalformedInstance
+from polytract.errors import (
+    CyclicCircuit,
+    DanglingRef,
+    MalformedCircuit,
+    MalformedGraph,
+    MalformedInstance,
+)
 from polytract.harness import SuiteConfig
 from polytract.problems import bds, cvp
 
@@ -402,6 +408,101 @@ def test_forward_wired_and_cyclic_circuits():
         assert _outcome(cvp.parse_circuit, cyclic) == _outcome(
             oracles.parse_circuit_oracle, cyclic)
         assert _outcome(cvp.parse_circuit, cyclic)[0] is CyclicCircuit
+
+
+def _member_by_oracle(x: bytes) -> bool:
+    """Whether the two-pass parser accepts x and the memoized evaluator
+    finds it true."""
+    try:
+        nodes = oracles.parse_circuit_oracle(x)
+    except MalformedCircuit:
+        return False
+    return oracles.cvp_eval_oracle(nodes)
+
+
+@st.composite
+def forward_circuit_texts(draw):
+    """Canonical text of a random circuit with its ids permuted, so refs
+    point both ways and the output may sit anywhere, then mutated."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nodes = cvp.random_circuit(draw(st.integers(2, 12)), rng).nodes
+    order = draw(st.permutations(range(len(nodes))))
+    new_id = {old + 1: new + 1 for new, old in enumerate(order)}
+    renumbered = tuple(node if node[0] == "input" else (node[0], *map(new_id.get, node[1:]))
+                       for node in (nodes[old] for old in order))
+    return draw(mutated(cvp.circuit_to_bytes(cvp.Circuit(renumbered))))
+
+
+@settings(max_examples=400)
+@given(st.one_of(circuit_texts(), forward_circuit_texts()))
+def test_member_matches_oracles(x):
+    assert cvp.cvp_member(x) is _member_by_oracle(x)
+
+
+# (text, whether the column path takes it: all canonical text but one)
+CIRCUIT_EDGES = [
+    (b"01 input 1\n2 output 1\n", False),                  # id with a leading zero
+    (b"+1 input 1\n2 output 1\n", False),                  # id with a sign
+    (b"1 input 1\n2 not 1_0\n3 output 2\n", False),        # int() reads 10
+    (b"1 input 01\n2 output 1\n", False),                  # bit with a leading zero
+    (b"1 input 2\n2 output 1\n", False),                   # bit not 0 or 1
+    (b"1 input 1\n2\tnot 1\n3 output 2\n", False),         # a tab
+    (b"1 input 1\r\n2 output 1\r\n", False),               # CRLF line ends
+    (b"1 input 1\n2  not 1\n3 output 2\n", False),         # a double space
+    (b"1 input 1\n2 output 1", False),                      # no final newline
+    (b"1 input 1\n\n2 output 1\n", False),                 # a blank line
+    (b"1 2 3 4\n", False),                                 # a numeric kind
+    (b"1 -6 0 0\n2 output 1\n", False),                    # a kind code as text
+    (b"1 input 1\n2 1 and 1\n3 output 2\n", False),        # a kind word one field late
+    (b"1 input 1\n2 and or 1\n3 output 2\n", False),       # two kind words
+    (b"1 input 1\n2 not -1\n3 output 2\n", False),         # a negative ref
+    # Canonical, but the ref is past what an int64 column holds.
+    (b"1 input 1\n2 and 1 99999999999999999999\n3 output 2\n", False),
+    (b"", True),                                            # no nodes
+    (b"1 not 2\n2 input 0\n3 output 1\n", True),           # a forward reference
+    (b"1 input 1\n2 output 1\n3 not 1\n", True),           # output mid-sequence
+    (b"1 input 1\n2 output 1\n3 not 2\n", True),           # a ref to the output
+    (b"1 input 1\n2 output 1\n3 output 1\n", True),        # two outputs
+    (b"1 input 1\n2 not 0\n3 output 2\n", True),           # ref 0
+    (b"1 input 1\n2 not 4\n3 output 2\n", True),           # ref n + 1
+    (b"1 input 1\n2 and 3 1\n3 not 2\n4 output 3\n", True),  # a cycle
+]
+
+
+@pytest.mark.parametrize("x, columns", CIRCUIT_EDGES)
+def test_circuit_edges_match_oracles(x, columns):
+    new = _outcome(lambda d: cvp.parse_circuit(d).nodes, x)
+    assert new == _outcome(oracles.parse_circuit_oracle, x)
+    assert cvp.cvp_member(x) is _member_by_oracle(x)
+    assert (cvp._chunk_columns(x) is not None) == columns
+
+
+def _second_chunk_line(text: bytes) -> int:
+    """Number of a line a few lines into the second chunk of text."""
+    first_chunk = text.find(b"\n", cvp._CHUNK) + 1
+    return text.count(b"\n", 0, first_chunk) + 5
+
+
+@pytest.mark.parametrize("how", ["bad id", "dangling ref", "cycle"])
+def test_bad_line_in_second_chunk_matches_oracle(how):
+    text = cvp.circuit_to_bytes(cvp.random_circuit(6000, random.Random(14)))
+    assert len(text) > 1 << 16
+    lines = text.split(b"\n")
+    j = _second_chunk_line(text)  # lines[j - 1] is line j
+    if how == "bad id":
+        lines[j - 1] = b"%d not 1" % (j + 1)
+    elif how == "dangling ref":
+        lines[j - 1] = b"%d and 1 %d" % (j, len(lines) + 3)
+    else:
+        lines[j - 1] = b"%d not %d" % (j, j + 1)
+        lines[j] = b"%d not %d" % (j + 1, j)
+    broken = b"\n".join(lines)
+    ref = _outcome(oracles.parse_circuit_oracle, broken)
+    assert ref[0] is {"bad id": MalformedCircuit, "dangling ref": DanglingRef,
+                      "cycle": CyclicCircuit}[how]
+    assert _outcome(cvp.parse_circuit, broken) == ref
+    assert cvp.cvp_member(broken) is False
+    assert (cvp._chunk_columns(broken) is None) == (how == "bad id")
 
 
 @settings(max_examples=60)
