@@ -77,7 +77,7 @@ def _layer_tasks(n: int, seed: int, package: str = __package__) -> dict:
     instance = block + b"1 2"
     circuit = cvp.random_circuit(n, random.Random(f"{seed}:bench-circuit:{n}"))
     text = cvp.circuit_to_bytes(circuit)
-    forward_text = cvp.circuit_to_bytes(_forward_wired(circuit))
+    forward_text = _forward_wired_text(circuit)
     # An escaped payload of the block's size, about a quarter of whose
     # bytes are delimiters or the escape byte before escaping.
     rng = random.Random(f"{seed}:bench-payload:{n}")
@@ -100,21 +100,23 @@ def _layer_tasks(n: int, seed: int, package: str = __package__) -> dict:
             lambda: cvp.random_circuit(n, random.Random(f"{seed}:bench-circuit:{n}")), [()]),
         "cvp.circuit_to_bytes": (cvp.circuit_to_bytes, [(circuit,)]),
         "cvp.parse_circuit": (cvp.parse_circuit, [(text,)]),
+        "cvp.negate_output": (cvp.negate_output, [(circuit,)]),
         "cvp.cvp_member": (cvp.cvp_member, [(text,)]),
         "cvp.cvp_member (forward-wired)": (cvp.cvp_member, [(forward_text,)]),
     }
 
 
-def _forward_wired(c):
-    """Circuit c with ids 1..n-1 reversed and the output kept last, so
-    every gate names later nodes only and cvp_member evaluates in
-    topological order."""
-    n = len(c.nodes)
-
-    def renamed(node):
-        return node if node[0] == "input" else (node[0], *(n - ref for ref in node[1:]))
-
-    return type(c)(tuple(map(renamed, c.nodes[-2::-1] + c.nodes[-1:])))
+def _forward_wired_text(c) -> bytes:
+    """Text of circuit c with ids 1..n-1 reversed and the output kept
+    last, so every gate names later nodes only and cvp_member evaluates
+    in topological order. Written from c.nodes, which circuits of older
+    checkouts have too."""
+    nodes = c.nodes
+    n = len(nodes)
+    return "".join(
+        f"{i} input {int(node[1])}\n" if node[0] == "input"
+        else " ".join(map(str, (i, node[0], *(n - ref for ref in node[1:])))) + "\n"
+        for i, node in enumerate(nodes[-2::-1] + nodes[-1:], 1)).encode("ascii")
 
 
 def layer_ns(seed: int, ladder=DEFAULT_LADDER) -> dict:

@@ -13,15 +13,16 @@ Ids must equal the line number. References may point forward as long as
 the wiring stays acyclic; exactly one output node is required and nothing
 may reference it.
 
-Checks and evaluation read three columns, index i for node i: a kind
-code, the first argument of and/or and the last argument of every kind
-but input. A missing argument is 0, which names node 0: index 0 holds a
-false input that no text or Circuit lists. An input's bit is part of its
-code. Text written as circuit_to_bytes writes it is turned into columns a
-chunk at a time, with no per-line objects; any other text takes a line
-loop that names its first bad line. validate_circuit turns a Circuit into
-the same columns with its per-node checks. The structure check that
-follows picks the evaluation order: id order when every reference points
+A Circuit is three columns, index i for node i: a kind code, the first
+argument of and/or and the last argument of every kind but input. A
+missing argument is 0, which names node 0: index 0 holds a false input
+that no text lists. An input's bit is part of its code. Its nodes view
+derives node tuples from the columns. parse_circuit checks the columns;
+the generators and negate_output build them valid. Text written as
+circuit_to_bytes writes it is turned into columns a chunk at a time;
+any other text takes a line loop that names its first bad line. The one
+check, for text and Circuit alike, is a ref scan, then a structure check
+that picks the evaluation order: id order when every reference points
 backward, else the topological order it builds to rule out a cycle.
 Evaluation is one walk in that order up to the output node.
 """
@@ -32,7 +33,7 @@ import random
 from array import array
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, count, islice
 
 from ..encoding import Instance
 from ..errors import (
@@ -58,36 +59,50 @@ _CODE = {"not": NOT, "output": OUTPUT, "and": AND, "or": OR}
 
 @dataclass(frozen=True)
 class Circuit:
-    nodes: tuple[Node, ...]
+    """The kind-code list and the two int64 argument columns described
+    above, node 0 included; nodes derives the node tuples of nodes
+    1..n."""
+
+    kinds: list[int]
+    left: array
+    right: array
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple([
+            (_KINDS[k], a, b) if k >= AND else (_KINDS[k], b) if k >= NOT
+            else ("input", k == IN1)
+            for k, a, b in islice(zip(self.kinds, self.left, self.right), 1, None)])
 
 
-# Line templates by node tuple length: the id goes in first, then the
-# node's fields; %d writes an input's bool as 0 or 1.
-_LINE_TEMPLATE = {2: "%d %%s %%d\n", 3: "%d %%s %%d %%d\n"}
+# Each code's line: the id goes in first, then the node's refs.
+_LINE = {IN0: "%d input 0\n", IN1: "%d input 1\n", NOT: "%d not %%d\n",
+         OUTPUT: "%d output %%d\n", AND: "%d and %%d %%d\n", OR: "%d or %%d %%d\n"}
 
 
 def circuit_to_bytes(c: Circuit) -> Instance:
-    nodes = c.nodes
-    fmt = "".join(map(_LINE_TEMPLATE.__getitem__, map(len, nodes))) % tuple(
-        range(1, len(nodes) + 1))
-    return (fmt % tuple(chain.from_iterable(nodes))).encode("ascii")
+    n = len(c.kinds) - 1
+    # Both argument columns interleaved: a ref is never 0, so the refs
+    # in line order are the nonzero entries.
+    args = array("q", bytes(16 * n))
+    args[0::2] = c.left[1:]
+    args[1::2] = c.right[1:]
+    fmt = "".join(map(_LINE.__getitem__, islice(c.kinds, 1, None))) % tuple(range(1, n + 1))
+    return (fmt % tuple(filter(None, args))).encode("ascii")
 
 
 def parse_circuit(data: Instance) -> Circuit:
-    kinds, left, right = _parse(data)[0]
-    return Circuit(tuple([
-        (_KINDS[k], a, b) if k >= AND else (_KINDS[k], b) if k >= NOT
-        else ("input", k == IN1)
-        for k, a, b in islice(zip(kinds, left, right), 1, None)]))
+    return _parse(data)[0]
 
 
-def _parse(data: Instance) -> tuple[tuple, list[int] | None]:
-    """The columns of a circuit text and its evaluation order (see
-    _check_structure)."""
+def _parse(data: Instance) -> tuple[Circuit, list[int] | None]:
+    """The checked columns of a circuit text and its evaluation order
+    (see _check_structure)."""
     cols = _chunk_columns(data)
     if cols is None:
         cols = _line_columns(data)
-    return cols, _check_structure(cols, _scan_refs(cols))
+    c = Circuit(*cols)
+    return c, _order(c)
 
 
 # Bytes of lines _chunk_columns converts at a time; it keeps the
@@ -106,7 +121,8 @@ _CODED_WORDS = (
     (b" and ", b" %d " % AND),
     (b" or ", b" %d " % OR),
 )
-# The argument columns' entry for node 0, copied to start each column.
+# The argument columns' entry for node 0, copied to start each column;
+# also the missing argument appended for a new output.
 _NODE_0 = array("q", [0])
 # Every byte canonical text can hold: separators, digits and the
 # letters of the kind words.
@@ -158,7 +174,7 @@ def _chunk_columns(data: bytes) -> tuple[list, array, array] | None:
     return kinds, left, right
 
 
-def _line_columns(data: bytes) -> tuple[list, list, list]:
+def _line_columns(data: bytes) -> tuple[list, array, array]:
     """The columns of a circuit text that _chunk_columns turned down:
     every line is split and converted, and the first line that is not
     "id kind args" raises."""
@@ -199,65 +215,32 @@ def _line_columns(data: bytes) -> tuple[list, list, list]:
             if args[0] not in (0, 1):
                 raise MalformedCircuit(f"line {lineno}: input must be 0 or 1")
             add_kind(IN1 if args[0] else IN0)
-            add_left(0)
-            add_right(0)
+            args = (0,)  # an input reads no node
         else:
             add_kind(_CODE[kind])
-            add_left(args[0] if arity == 2 else 0)
-            add_right(args[-1])
-    return kinds, left, right
+        add_left(args[0] if arity == 2 else 0)
+        add_right(args[-1])
+    try:
+        return kinds, array("q", left), array("q", right)
+    except OverflowError:  # a ref past int64, so out of range: name the first
+        _scan_refs(Circuit(kinds, left, right))
+        raise
 
 
 def validate_circuit(c: Circuit) -> None:
-    """Structural checks: arities, ref ranges, one unreferenced output, acyclicity."""
-    _validate(c)
+    """parse_circuit's checks: ref ranges, one unreferenced output, acyclicity."""
+    _order(c)
 
 
-def _validate(c: Circuit) -> tuple[tuple, list[int] | None]:
-    """validate_circuit's checks; returns the columns and the evaluation
-    order."""
-    n = len(c.nodes)
-    kinds, left, right = [IN0], [0], [0]
-    add_kind, add_left, add_right = kinds.append, left.append, right.append
-    backward = True  # every ref names an earlier node: acyclic for sure
-    for i, node in enumerate(c.nodes, 1):
-        kind = node[0]
-        arity = _ARITY.get(kind)
-        if arity is None:
-            raise MalformedCircuit(f"node {i}: unknown kind {kind!r}")
-        if len(node) - 1 != arity:
-            raise ArityError(
-                f"node {i}: {kind} takes {arity} argument(s), got {len(node) - 1}"
-            )
-        if kind == "input":
-            add_kind(IN1 if node[1] else IN0)
-            add_left(0)
-            add_right(0)
-            continue
-        if arity == 2:
-            _, a, b = node
-            if not 0 < a < i:
-                backward = False
-                if not 1 <= a <= n:
-                    raise DanglingRef(f"node {i}: reference to missing node {a}")
-        else:
-            _, b = node
-            a = 0
-        if not 0 < b < i:
-            backward = False
-            if not 1 <= b <= n:
-                raise DanglingRef(f"node {i}: reference to missing node {b}")
-        add_kind(_CODE[kind])
-        add_left(a)
-        add_right(b)
-    cols = (kinds, left, right)
-    return cols, _check_structure(cols, backward)
+def _order(c: Circuit) -> list[int] | None:
+    """Checks c; returns its evaluation order (see _check_structure)."""
+    return _check_structure(c, _scan_refs(c))
 
 
-def _scan_refs(cols) -> bool:
-    """Whether every ref of the columns names an earlier node; raises
-    for the first ref, in node order, outside 1..n."""
-    kinds, left, right = cols
+def _scan_refs(c: Circuit) -> bool:
+    """Whether every ref of c names an earlier node; raises for the
+    first ref, in node order, outside 1..n."""
+    kinds, left, right = c.kinds, c.left, c.right
     n = len(kinds) - 1
     backward = True
     for i, kind, a, b in zip(count(), kinds, left, right):
@@ -274,13 +257,13 @@ def _scan_refs(cols) -> bool:
     return backward
 
 
-def _check_structure(cols, backward: bool) -> list[int] | None:
-    """The checks after a per-node pass that found every ref in range
-    and whether each names an earlier node: one output, nothing reading
-    it, no cycle. Returns the evaluation order: None for id order, which
-    is topological when every ref names an earlier node, else a
+def _check_structure(c: Circuit, backward: bool) -> list[int] | None:
+    """The checks after _scan_refs found every ref in range and whether
+    each names an earlier node: one output, nothing reading it, no
+    cycle. Returns the evaluation order: None for id order, which is
+    topological when every ref names an earlier node, else a
     topological order."""
-    kinds, left, right = cols
+    kinds, left, right = c.kinds, c.left, c.right
     n = len(kinds) - 1
     if n == 0:
         raise MalformedCircuit("circuit has no nodes")
@@ -294,14 +277,14 @@ def _check_structure(cols, backward: bool) -> list[int] | None:
     if out in left or out in right:
         first = min(col.index(out) for col in (left, right) if out in col)
         raise MalformedCircuit(f"node {first}: references the output node")
-    return None if backward else _topo_order(cols)  # raises CyclicCircuit
+    return None if backward else _topo_order(c)  # raises CyclicCircuit
 
 
-def _topo_order(cols) -> list[int]:
+def _topo_order(c: Circuit) -> list[int]:
     """Ids in an order that puts every node after the nodes it reads:
     the order in which a depth-first search over the refs finishes
     them."""
-    _, left, right = cols
+    left, right = c.left, c.right
     # 0 unseen, 1 on the search path, 2 finished; node 0 reads nothing.
     state = bytearray(len(left))
     state[0] = 2
@@ -333,14 +316,14 @@ def _topo_order(cols) -> list[int]:
 
 def cvp_eval(c: Circuit) -> bool:
     """Value of the designated output under the baked-in input assignment."""
-    return _walk(*_validate(c))
+    return _walk(c, _order(c))
 
 
-def _walk(cols, order: list[int] | None) -> bool:
-    """Value of checked columns: evaluate the nodes in id order, or in
+def _walk(c: Circuit, order: list[int] | None) -> bool:
+    """Value of a checked circuit: evaluate the nodes in id order, or in
     `order` when given, and stop at the output. Either order sets every
     operand before it is read."""
-    kinds, left, right = cols
+    kinds, left, right = c.kinds, c.left, c.right
     values = [False] * len(kinds)
     steps = (zip(count(), kinds, left, right) if order is None
              else zip(order, map(kinds.__getitem__, order), map(left.__getitem__, order),
@@ -369,15 +352,16 @@ def cvp_member(x: Instance) -> bool:
 def negate_output(c: Circuit) -> Circuit:
     """Rewire the output through one extra negation, flipping its value.
 
-    The old output node turns into the negation in place, so every other
-    reference survives unchanged; a fresh output node is appended.
+    The old output node turns into the negation in place (both kinds read
+    only their last argument), so every other reference survives
+    unchanged; a fresh output node reading it is appended. An edit of
+    valid columns that keeps them valid, so nothing is checked.
     """
-    validate_circuit(c)
-    out_idx = next(i for i, node in enumerate(c.nodes, 1) if node[0] == "output")
-    nodes = list(c.nodes)
-    nodes[out_idx - 1] = ("not", nodes[out_idx - 1][1])
-    nodes.append(("output", out_idx))
-    return Circuit(tuple(nodes))
+    out = c.kinds.index(OUTPUT)
+    kinds = c.kinds[:]
+    kinds[out] = NOT
+    kinds.append(OUTPUT)
+    return Circuit(kinds, c.left + _NODE_0, c.right + array("q", [out]))
 
 
 def double_negate_output(c: Circuit) -> Circuit:
@@ -395,34 +379,41 @@ def random_circuit(
         raise ValueError("need at least one input and the output")
     n_inputs = 1 + rng.randrange(min(4, size - 1))
     n_gates = size - n_inputs - 1
-    nodes: list[Node] = [("input", rng.random() < 0.5) for _ in range(n_inputs)]
-    ops = ["not", "and", "or"]
+    random_ = rng.random
+    kinds = [IN0] + [IN1 if random_() < 0.5 else IN0 for _ in range(n_inputs)]
+    left = [0] * len(kinds)
+    right = left[:]
+    codes = (NOT, AND, OR)
     if n_gates:
-        # Inline forms of rng.choices(ops, weights) and rng.randrange(prev)
+        # Inline forms of rng.choices(codes, weights) and rng.randrange(prev)
         # that draw the same numbers: bisect over the running weight sums,
         # and getrandbits(prev.bit_length()) until below prev. The k=0
         # call rejects bad weights as the first draw would, drawing nothing.
-        rng.choices(ops, weights, k=0)
+        rng.choices(codes, weights, k=0)
         cum = list(accumulate(weights))
         total = cum[-1] + 0.0
-        random_ = rng.random
         getrandbits = rng.getrandbits
-        append = nodes.append
+        add_kind, add_left, add_right = kinds.append, left.append, right.append
         for prev in range(n_inputs, n_inputs + n_gates):
-            op = ops[bisect(cum, random_() * total, 0, 2)]
+            code = codes[bisect(cum, random_() * total, 0, 2)]
             bits = prev.bit_length()
             a = getrandbits(bits)
             while a >= prev:
                 a = getrandbits(bits)
-            if op == "not":
-                append(("not", a + 1))
-                continue
-            b = getrandbits(bits)
-            while b >= prev:
+            if code == NOT:  # reads only its last argument
+                a, b = -1, a
+            else:
                 b = getrandbits(bits)
-            append((op, a + 1, b + 1))
-    nodes.append(("output", 1 + rng.randrange(len(nodes))))
-    return Circuit(tuple(nodes))
+                while b >= prev:
+                    b = getrandbits(bits)
+            add_kind(code)
+            add_left(a + 1)
+            add_right(b + 1)
+    out_ref = 1 + rng.randrange(len(kinds) - 1)
+    kinds.append(OUTPUT)
+    left.append(0)
+    right.append(out_ref)
+    return Circuit(kinds, array("q", left), array("q", right))
 
 
 def enumerate_circuits(max_gates: int = 3, max_inputs: int = 2):
@@ -434,26 +425,27 @@ def enumerate_circuits(max_gates: int = 3, max_inputs: int = 2):
     """
     def gate_choices(prev: int):
         for a in range(1, prev + 1):
-            yield ("not", a)
+            yield NOT, 0, a
         for a in range(1, prev + 1):
             for b in range(1, prev + 1):
-                yield ("and", a, b)
-                yield ("or", a, b)
+                yield AND, a, b
+                yield OR, a, b
 
-    def build(nodes: list[Node], gates_left: int):
-        prev = len(nodes)
-        for out_ref in range(1, prev + 1):
-            yield Circuit(tuple(nodes) + (("output", out_ref),))
+    def build(cols: tuple, gates_left: int):
+        kinds, left, right = cols
+        for out_ref in range(1, len(kinds)):
+            yield Circuit(kinds + [OUTPUT], left + _NODE_0, right + array("q", [out_ref]))
         if gates_left == 0:
             return
-        for gate in gate_choices(prev):
-            nodes.append(gate)
-            yield from build(nodes, gates_left - 1)
-            nodes.pop()
+        for gate in gate_choices(len(kinds) - 1):
+            for col, field in zip(cols, gate):
+                col.append(field)
+            yield from build(cols, gates_left - 1)
+            for col in cols:
+                col.pop()
 
     for n_inputs in range(1, max_inputs + 1):
         for assignment in range(1 << n_inputs):
-            inputs: list[Node] = [
-                ("input", bool(assignment >> i & 1)) for i in range(n_inputs)
-            ]
-            yield from build(inputs, max_gates)
+            inputs = [IN1 if assignment >> i & 1 else IN0 for i in range(n_inputs)]
+            yield from build(([IN0, *inputs], _NODE_0 * (n_inputs + 1),
+                              _NODE_0 * (n_inputs + 1)), max_gates)

@@ -20,7 +20,7 @@ from oracles import (
 
 
 def c(*nodes):
-    return cvp.Circuit(tuple(nodes))
+    return cvp.parse_circuit(circuit_text_oracle(nodes))
 
 
 def test_pinned_evaluations():
@@ -139,7 +139,8 @@ def mutated_circuits(draw):
 @settings(max_examples=400)
 @given(mutated_circuits())
 def test_structure_checks_match_oracle_on_mutated_circuits(nodes):
-    assert _outcome(cvp.validate_circuit, c(*nodes)) == _outcome(_validate_circuit, nodes)
+    assert _outcome(lambda: cvp.validate_circuit(c(*nodes))) == _outcome(
+        _validate_circuit, nodes)
     text = circuit_text_oracle(nodes)
     assert _outcome(lambda x: cvp.parse_circuit(x).nodes, text) == _outcome(
         parse_circuit_oracle, text)
@@ -150,6 +151,20 @@ def test_text_roundtrip():
     for _ in range(200):
         circ = cvp.random_circuit(rng.randrange(2, 12), rng)
         assert cvp.parse_circuit(cvp.circuit_to_bytes(circ)) == circ
+
+
+def test_circuits_compare_equal_whichever_route_built_them():
+    rng = random.Random(15)
+    built = [cvp.random_circuit(rng.randrange(2, 15), rng) for _ in range(100)]
+    built.append(cvp.random_circuit(6000, rng))
+    assert len(cvp.circuit_to_bytes(built[-1])) > cvp._CHUNK
+    for circ in built + list(map(cvp.negate_output, built)):
+        assert cvp.parse_circuit(cvp.circuit_to_bytes(circ)) == circ
+    # Text the chunk reader turns down goes through the line loop.
+    canonical = b"1 input 1\n2 not 1\n3 output 2\n"
+    spaced = b"1 input 1\n2  not 1\n3 output 2\n"
+    assert cvp._chunk_columns(spaced) is None
+    assert cvp.parse_circuit(spaced) == cvp.parse_circuit(canonical)
 
 
 def test_parse_rejects_malformed_text():
@@ -206,6 +221,25 @@ def test_negate_output_flips_value():
         cvp.validate_circuit(flipped)
         assert len(flipped.nodes) == len(circ.nodes) + 1
         assert cvp.cvp_eval(flipped) == (not cvp.cvp_eval(circ))
+
+
+def test_negations_run_no_structure_check(monkeypatch):
+    rng = random.Random(61)
+    circuits = [cvp.random_circuit(rng.randrange(2, 15), rng) for _ in range(50)]
+    circuits.append(c(("input", True), ("output", 1), ("not", 1)))
+
+    def refuse(*args):
+        raise AssertionError("structure check ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cvp, "_check_structure", refuse)
+        flipped = list(map(cvp.negate_output, circuits))
+        doubled = list(map(cvp.double_negate_output, circuits))
+    for circ, once, twice in zip(circuits, flipped, doubled):
+        cvp.validate_circuit(once)
+        cvp.validate_circuit(twice)
+        assert cvp.cvp_eval(once) is not cvp.cvp_eval(circ)
+        assert cvp.cvp_eval(twice) is cvp.cvp_eval(circ)
 
 
 def test_negate_output_with_output_mid_sequence():

@@ -430,7 +430,7 @@ def forward_circuit_texts(draw):
     new_id = {old + 1: new + 1 for new, old in enumerate(order)}
     renumbered = tuple(node if node[0] == "input" else (node[0], *map(new_id.get, node[1:]))
                        for node in (nodes[old] for old in order))
-    return draw(mutated(cvp.circuit_to_bytes(cvp.Circuit(renumbered))))
+    return draw(mutated(oracles.circuit_text_oracle(renumbered)))
 
 
 @settings(max_examples=400)
