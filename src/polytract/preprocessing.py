@@ -123,13 +123,17 @@ def log_fit(
 class LadderRung:
     input_size: int
     max_digest_size: int
+    # preprocessing time of the rung's instances, and the time gen took
+    # to hand them over
     wall_time_ns: int
+    draw_ns: int
 
     def to_dict(self) -> dict:
         return {
             "input_size": self.input_size,
             "max_digest_size": self.max_digest_size,
             "wall_time_ns": self.wall_time_ns,
+            "draw_ns": self.draw_ns,
         }
 
 
@@ -164,7 +168,9 @@ def digest_size_ladder(
     rungs = []
     bound_ok = True
     for size in sizes:
+        t0 = time.perf_counter_ns()
         instances = list(gen(size))
+        drawn = time.perf_counter_ns() - t0
         if not instances:
             raise GeneratorExhausted(f"no instances generated at size {size}")
         t0 = time.perf_counter_ns()
@@ -175,7 +181,7 @@ def digest_size_ladder(
         for x, d in zip(instances, digests):
             if len(d) > witness.output_bound(len(x)):
                 bound_ok = False
-        rungs.append(LadderRung(max_input, max_digest, elapsed))
+        rungs.append(LadderRung(max_input, max_digest, elapsed, drawn))
     slope, _, _ = log_fit(
         "poly-log-n",
         [r.input_size for r in rungs], [r.max_digest_size for r in rungs])

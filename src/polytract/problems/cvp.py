@@ -57,7 +57,7 @@ IN0, IN1, NOT, OUTPUT, AND, OR = range(-len(_KINDS), 0)
 _CODE = {"not": NOT, "output": OUTPUT, "and": AND, "or": OR}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circuit:
     """The kind-code list and the two int64 argument columns described
     above, node 0 included; nodes derives the node tuples of nodes

@@ -26,11 +26,8 @@ from .problems.bds import NumberedGraph, bds_order, graph_to_bytes
 ENUMERATION_CAP = 7      # 7! = 5040 numberings; beyond that it drags
 
 
-def realizable_orders(n: int, family: str = "edgeless") -> set:
-    """Distinct visit orders over a family of graphs on n nodes; the
-    edgeless graphs are the one family."""
-    if family != "edgeless":
-        raise ValueError(f"unknown graph family {family!r}")
+def realizable_orders(n: int) -> set:
+    """Distinct visit orders over the edgeless graphs on n nodes."""
     if n > ENUMERATION_CAP:
         raise CapExceeded(
             f"n={n} exceeds the edgeless enumeration cap {ENUMERATION_CAP}")
@@ -38,8 +35,8 @@ def realizable_orders(n: int, family: str = "edgeless") -> set:
             for numbering in permutations(range(1, n + 1))}
 
 
-def count_realizable_orders(n: int, family: str = "edgeless") -> int:
-    return len(realizable_orders(n, family))
+def count_realizable_orders(n: int) -> int:
+    return len(realizable_orders(n))
 
 
 def truncation_digest(data: bytes, bits: int) -> bytes:
@@ -148,7 +145,7 @@ def separation_report(
             from_4.append(beats_two_n)
         realizable = None
         if n <= enumerate_max:
-            realizable = count_realizable_orders(n, "edgeless")
+            realizable = count_realizable_orders(n)
         rows.append({
             "n": n,
             "factorial": fact,

@@ -225,13 +225,13 @@ def test_acceptance_07_witness_transfer_and_fault_injection():
 
 def test_acceptance_08_orders_outgrow_digests():
     counts_ok = all(
-        count_realizable_orders(n, "edgeless") == factorial_oracle(n)
+        count_realizable_orders(n) == factorial_oracle(n)
         for n in (1, 2, 3, 4, 5)
     )
     pinned_ok = (
-        count_realizable_orders(3, "edgeless") == 6
-        and count_realizable_orders(4, "edgeless") == 24
-        and count_realizable_orders(5, "edgeless") == 120
+        count_realizable_orders(3) == 6
+        and count_realizable_orders(4) == 24
+        and count_realizable_orders(5) == 120
     )
     rep = separation_report(range(1, 21), PolylogBound(1.0, 2, 0.0))
     exact_ok = all(

@@ -19,6 +19,8 @@ from polytract.harness import (
     run_suite,
     time_interleaved_ns,
 )
+from polytract.problems import bds
+from polytract.report import strip_timings
 
 
 def test_parse_config_full():
@@ -313,3 +315,58 @@ def test_run_check_rejects_unknown_names():
     for stage in ("no-such-check", "witness:no-such-witness", "frobnicate:bds"):
         with pytest.raises(UnknownProblem):
             run_check(cat, SMALL, stage)
+
+
+# Small budgets and a short 4-rung ladder for the bds rung hand-off.
+HANDOFF = replace(SMALL, ladder=(64, 128, 256, 512))
+
+
+def _count_sparse_draws(monkeypatch) -> list:
+    """Make bds.random_sparse_instance append to the returned list per call."""
+    calls = []
+    draw = bds.random_sparse_instance
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(bds, "random_sparse_instance", counted)
+    return calls
+
+
+def test_suite_draws_each_bds_rung_once(monkeypatch):
+    calls = _count_sparse_draws(monkeypatch)
+    run_suite(HANDOFF)
+    # two instances per rung, drawn for witness:bds-verdict-bit and
+    # handed to witness-transfer
+    assert sorted(calls) == sorted(2 * HANDOFF.ladder)
+
+
+def test_both_bds_ladder_stages_leave_no_rung_held(monkeypatch):
+    calls = _count_sparse_draws(monkeypatch)
+    cat = build_catalog(HANDOFF)
+    run_check(cat, HANDOFF, "witness:bds-verdict-bit")
+    assert sorted(cat.held_rungs) == [(size, HANDOFF.seed) for size in HANDOFF.ladder]
+    run_check(cat, HANDOFF, "witness-transfer")
+    assert cat.held_rungs == {}
+    assert len(calls) == 2 * len(HANDOFF.ladder)
+
+
+def test_lone_transfer_check_matches_its_suite_stage(monkeypatch):
+    suite = run_suite(HANDOFF)
+    calls = _count_sparse_draws(monkeypatch)
+    lone = run_check(build_catalog(HANDOFF), HANDOFF, "witness-transfer")
+    # the lone stage has no first reader to take rungs from
+    assert len(calls) == 2 * len(HANDOFF.ladder)
+    in_suite = next(r for r in suite.reports if r.name == "witness-transfer")
+    assert strip_timings(lone.to_dict()) == strip_timings(in_suite.to_dict())
+
+
+def test_handed_over_rung_is_the_drawn_rung():
+    ladder = build_catalog(HANDOFF).witnesses["bds-verdict-bit"].ladder_gen
+    first = ladder(64, 1)
+    drawn = list(first)
+    first.clear()
+    # the second call takes the held rung, untouched by the first caller
+    assert ladder(64, 1) == drawn
+    assert build_catalog(HANDOFF).witnesses["bds-verdict-bit"].ladder_gen(64, 1) == drawn

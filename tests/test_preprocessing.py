@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from polytract.encoding import LanguageOfPairs, Pair, PolylogBound, ZERO_BOUND
@@ -11,6 +13,7 @@ from polytract.preprocessing import (
     digest_size_ladder,
     verify_witness,
 )
+from polytract.report import strip_timings
 
 # Toy language: <D, Q> is in iff Q appears in D as a substring of length 1.
 TOY = LanguageOfPairs(
@@ -124,3 +127,16 @@ def test_ladder_rejects_thin_or_unsorted_sizes():
 def test_ladder_empty_generator():
     with pytest.raises(GeneratorExhausted):
         digest_size_ladder(GOOD_WITNESS, lambda size: [], (8, 16, 32, 64))
+
+
+def test_ladder_times_the_draw_apart_from_preprocessing():
+    def slow_gen(size):
+        time.sleep(0.01)
+        return _gen(size)
+
+    rep = digest_size_ladder(GOOD_WITNESS, slow_gen, (64, 256, 1024, 4096))
+    for rung in rep.rungs:
+        assert rung.draw_ns >= 10_000_000 > rung.wall_time_ns
+        # both times are volatile, so a stripped rung keeps only sizes
+        assert strip_timings(rung.to_dict()) == {
+            "input_size": rung.input_size, "max_digest_size": rung.max_digest_size}

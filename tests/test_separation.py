@@ -18,20 +18,20 @@ from oracles import bds_order_oracle, factorial_oracle
 
 def test_edgeless_family_realizes_every_order():
     for n in (1, 2, 3, 4, 5):
-        orders = realizable_orders(n, family="edgeless")
+        orders = realizable_orders(n)
         assert len(orders) == factorial_oracle(n)
-        assert count_realizable_orders(n, family="edgeless") == factorial_oracle(n)
+        assert count_realizable_orders(n) == factorial_oracle(n)
 
 
 def test_all_graphs_family_matches_edgeless_at_small_n():
     # edges never create visit orders beyond the n! the numberings give
     for n in (1, 2, 3, 4):
-        assert {bds.bds_order(g) for g in bds.enumerate_graphs(n)} == realizable_orders(n, "edgeless")
+        assert {bds.bds_order(g) for g in bds.enumerate_graphs(n)} == realizable_orders(n)
 
 
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
-        realizable_orders(9, family="edgeless")
+        realizable_orders(9)
 
 
 def test_truncation_digest_prefix():
