@@ -228,8 +228,9 @@ def main(argv=None) -> int:
                          "against this one in one process, under \"interleaved\"")
     args = ap.parse_args(argv)
 
-    parent = None if args.parent is None else import_checkout(args.parent)
     record = measure()
+    # Imported after the suite run, so its peak RSS is this checkout's.
+    parent = None if args.parent is None else import_checkout(args.parent)
     try:
         with open(args.json, encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -154,6 +154,11 @@ class Catalog:
     # witness:bds-verdict-bit and witness-transfer, drew and the other
     # has not taken yet (see bds_ladder in _build_witnesses)
     held_rungs: dict[tuple[int, int], list[Instance]] = field(default_factory=dict)
+    # (witness name, size, seed) -> the length of a ladder rung's first
+    # instance and the rung's digests, held by the witness's stage for
+    # runtime-fits when every digest is within the witness's bound
+    held_digests: dict[tuple[str, int, int], tuple[int, list[Instance]]] = field(
+        default_factory=dict)
 
     def problem(self, name: str) -> ProblemEntry:
         return _lookup(self.problems, name, "problem")

@@ -260,10 +260,11 @@ def _factorization_check(cat, config: SuiteConfig, name: str) -> Report:
 
 
 def _ladder_row(rep: Report, name: str, witness, gen, config: SuiteConfig,
-                detail: str = "") -> None:
+                detail: str = "", keep=None) -> None:
     """Run the digest-size ladder of `witness` over `gen` and add its
-    `ladder:<name>` row."""
-    ladder = digest_size_ladder(witness, gen, config.ladder, slope_slack=config.slope_slack)
+    `ladder:<name>` row; keep goes to digest_size_ladder."""
+    ladder = digest_size_ladder(witness, gen, config.ladder, slope_slack=config.slope_slack,
+                                keep=keep)
     rep.add(f"ladder:{name}", ladder.passed,
             measured=round(ladder.slope, 4), bound=ladder.exponent_cap, detail=detail,
             timings={"rungs": [r.to_dict() for r in ladder.rungs]})
@@ -288,8 +289,13 @@ def _witness_check(cat, config: SuiteConfig, name: str) -> Report:
     entry = catalog_mod._lookup(cat.witnesses, name, "witness")
     pos, neg = entry.sample_pairs(config.seed, config.witness_samples)
     rep = verify_witness(entry.language, entry.witness, pos, neg)
+
+    def hold(size: int, first_len: int, digests: list) -> None:
+        cat.held_digests[name, size, config.seed] = first_len, digests
+
     _ladder_row(rep, name, entry.witness, lambda size: entry.ladder_gen(size, config.seed),
-                config, "slope of log digest vs log log input; bound checked per rung")
+                config, "slope of log digest vs log log input; bound checked per rung",
+                hold if name in _FIT_WITNESSES else None)
     return rep
 
 
@@ -437,11 +443,17 @@ def _separation_check(cat, config: SuiteConfig) -> Report:
     return rep
 
 
+# The witnesses whose post-digest latency runtime-fits fits, wordstats
+# first; their witness stages hold their ladder digests for it.
+_FIT_WITNESSES = ("wordstats-count-digest", "cvp-verdict-bit")
+
+
 def _fit_checks(cat, config: SuiteConfig) -> Report:
     """Preprocessing stays polynomial; post-digest queries stay polylog."""
     rep = Report("runtime-fits")
-    wentry = cat.witnesses["wordstats-count-digest"]
-    centry = cat.witnesses["cvp-verdict-bit"]
+    wname, cname = _FIT_WITNESSES
+    wentry = cat.witnesses[wname]
+    centry = cat.witnesses[cname]
 
     # Each wordstats rung is drawn once: its first corpus times the
     # preprocessing, all of its corpora the post-digest queries.
@@ -458,25 +470,41 @@ def _fit_checks(cat, config: SuiteConfig) -> Report:
             timings={"fit": fit.to_dict()})
 
     wquery = catalog_mod.wordstats.query_bytes(config.lexicon[0], 1)
-    _query_latency_row(rep, "wordstats", wentry, wquery, wrungs, config)
-    # The corpora go before the cvp rungs are drawn, so they add nothing
+    drawn = dict(zip(config.ladder, wrungs))
+    _query_latency_row(rep, "wordstats", wentry, wquery,
+                       _rung_digests(cat, config, wname, drawn.__getitem__), config)
+    # The corpora go before any cvp rung is drawn, so they add nothing
     # to the stage's peak.
-    del wrungs, corpora
+    del wrungs, corpora, drawn
     _query_latency_row(rep, "cvp", centry, b"",
-                       (centry.ladder_gen(size, config.seed) for size in config.ladder),
+                       _rung_digests(cat, config, cname,
+                                     lambda size: centry.ladder_gen(size, config.seed)),
                        config)
     return rep
+
+
+def _rung_digests(cat, config: SuiteConfig, name: str, draw):
+    """(length of the first instance, digests) of each rung of witness
+    `name`'s ladder, in ladder order: the rung its witness stage held,
+    else draw(size) preprocessed. One rung at a time."""
+    preprocess = cat.witnesses[name].witness.preprocess
+    for size in config.ladder:
+        held = cat.held_digests.pop((name, size, config.seed), None)
+        if held is None:
+            instances = draw(size)
+            held = len(instances[0]), [preprocess(x) for x in instances]
+        yield held
 
 
 def _query_latency_row(rep: Report, name: str, entry, query: bytes, rungs,
                        config: SuiteConfig) -> None:
     """Fit post-digest latency over the ladder; rungs yields each rung's
-    instances in ladder order and is consumed one rung at a time."""
+    (size, digests) in ladder order and is consumed one rung at a time."""
     post = entry.witness.post_language.membership
     sizes, tasks = [], []
-    for instances in rungs:
-        calls = [(entry.witness.preprocess(x), query) for x in instances]
-        sizes.append(len(instances[0]))
+    for size, digests in rungs:
+        calls = [(d, query) for d in digests]
+        sizes.append(size)
         tasks.append((post, calls * max(1, config.query_reps // len(calls))))
     floors = time_interleaved_ns(tasks)
     cap_k = entry.witness.output_bound.k

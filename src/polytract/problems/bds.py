@@ -28,6 +28,15 @@ edge keys u * (n + 1) + v, u < v, in ascending order, which is the order
 of the edge lines graph_to_bytes writes. The edges view of a
 NumberedGraph derives the (u, v) pairs. Membership decides from the same
 column as parsed, without building a NumberedGraph.
+
+A block is read from its header's counts. The numbering line, and the
+edge lines 64 KiB at a time, are first read as text graph_to_bytes
+could write: one translate checks that each line is decimals with
+single spaces, and json's C scanner reads the numbers (see scan.py).
+Each chunk's edges are then checked and keyed at once, so of all the
+lines only their keys are held. Any other text, such as a leading zero,
+a tab or a CRLF line end, goes to a line loop that names its first bad
+line, and the checks of make_graph name the first bad edge.
 """
 from __future__ import annotations
 
@@ -40,6 +49,7 @@ from typing import Iterator
 
 from ..encoding import Instance
 from ..errors import MalformedGraph, SameNode, UnknownNode
+from .scan import read_ints
 
 
 @dataclass(frozen=True)
@@ -84,22 +94,25 @@ def _checked_keys(n: int, edges: list) -> array:
     """The key column of edges, after whole-set checks; edges that fail
     one are walked one by one so the error names the first bad edge in
     input order."""
-    keys = _valid_keys(n, [u for u, _ in edges], [v for _, v in edges])
+    keys = _valid_keys(n, [end for u, v in edges for end in (u, v)])
     column = None if keys is None else _ascending(keys)
     if column is None:
         _reject_edges(n, edges)
     return column
 
 
-def _valid_keys(n: int, us, vs) -> list[int] | None:
-    """The keys u * (n + 1) + v, u < v, of the edge columns us and vs in
-    input order, or None if an edge is a self-loop or leaves 1..n; each
-    checked in one pass over the columns."""
-    if any(map(eq, us, vs)) or min(us, default=1) < 1 or min(vs, default=1) < 1 \
-            or max(us, default=n) > n or max(vs, default=n) > n:
+def _valid_keys(n: int, ends: list[int]) -> list[int] | None:
+    """The keys u * (n + 1) + v, u < v, in input order, of the edges
+    whose endpoints ends lists flat (u, v, u, v, ...), or None if an
+    edge is a self-loop or leaves 1..n."""
+    if ends and (min(ends) < 1 or max(ends) > n):
         return None
     stride = n + 1
-    return [u * stride + v if u < v else v * stride + u for u, v in zip(us, vs)]
+    pairs = iter(ends)
+    # A self-loop gets key 0, which no edge in range has.
+    keys = [u * stride + v if u < v else v * stride + u if u > v else 0
+            for u, v in zip(pairs, pairs)]
+    return None if 0 in keys else keys
 
 
 def _ascending(keys: list[int]) -> array | None:
@@ -181,7 +194,7 @@ def _parse_block(data: bytes) -> tuple[int, tuple[int, ...], array, bytes]:
     the graph block at the front of data, with every check of make_graph
     made."""
     n, m, start, end = _block_bounds(data)
-    numbering = _int_fields(data[data.find(b"\n") + 1:start - 1], 2, n)
+    numbering = _numbering_fields(data[data.find(b"\n") + 1:start], n)
     keys = _edge_columns(n, data, start, end)
     # Anything else takes the line loop, which finds the first bad line
     # and lets the checks of make_graph name the first bad edge.
@@ -190,6 +203,18 @@ def _parse_block(data: bytes) -> tuple[int, tuple[int, ...], array, bytes]:
     if keys is None:
         keys = _checked_keys(n, edges)
     return n, numbering, keys, data[end:]
+
+
+def _numbering_fields(line: bytes, n: int) -> list[int]:
+    """The n integers of the numbering line, its newline included, or an
+    error from _int_fields naming what is wrong with it."""
+    # Only a line with n - 1 spaces can be n fields, which also bounds
+    # the skeleton by the line's own length.
+    if line.count(b" ") == n - 1:
+        ints = read_ints(line, b" " * (n - 1) + b"\n")
+        if ints is not None:
+            return ints
+    return _int_fields(line[:-1], 2, n)
 
 
 def _edge_lines(region: bytes, m: int) -> list[tuple[int, int]]:
@@ -210,8 +235,10 @@ def _edge_lines(region: bytes, m: int) -> list[tuple[int, int]]:
 
 
 # Bytes of edge lines _edge_columns converts at a time; it keeps the
-# transient split and int lists small next to the columns.
+# transient copies and int lists small next to the columns.
 _CHUNK = 1 << 16
+# An edge line with its digits deleted.
+_EDGE_LINE = b" \n"
 
 
 def _edge_columns(n: int, data: bytes, start: int, end: int) -> array | None:
@@ -223,16 +250,8 @@ def _edge_columns(n: int, data: bytes, start: int, end: int) -> array | None:
     while start < end:
         stop = data.find(b"\n", min(start + _CHUNK, end - 1), end) + 1 or end
         chunk = data[start:stop]
-        try:
-            ints = list(map(int, chunk.split()))
-        except ValueError:
-            return None
-        # Re-formatting gives the bytes back only if every line is two
-        # plain decimals, one space and a newline.
-        k = chunk.count(b"\n")
-        if len(ints) != 2 * k or b"%d %d\n" * k % tuple(ints) != chunk:
-            return None
-        chunk_keys = _valid_keys(n, ints[0::2], ints[1::2])
+        ints = read_ints(chunk, _EDGE_LINE * chunk.count(b"\n"))
+        chunk_keys = None if ints is None else _valid_keys(n, ints)
         if chunk_keys is None:
             return None
         keys += chunk_keys

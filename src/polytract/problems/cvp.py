@@ -28,7 +28,6 @@ Evaluation is one walk in that order up to the output node.
 """
 from __future__ import annotations
 
-import json
 import random
 from array import array
 from bisect import bisect
@@ -42,6 +41,7 @@ from ..errors import (
     DanglingRef,
     MalformedCircuit,
 )
+from .scan import read_ints
 
 # Node tuples: ("input", bit), ("not", a), ("and", a, b), ("or", a, b),
 # ("output", a). Refs are 1-based node ids.
@@ -127,10 +127,8 @@ _NODE_0 = array("q", [0])
 # Every byte canonical text can hold: separators, digits and the
 # letters of the kind words.
 _CANONICAL_BYTES = b" \n0123456789adinoprtu"
-_TO_COMMAS = bytes.maketrans(b" \n", b",,")
-# json's C scanner reads a list of plain decimals faster than int()
-# takes the split tokens one by one.
-_read_json = json.JSONDecoder().raw_decode
+# A coded line with its digits deleted: four fields, the code's sign.
+_CODED_LINE = b" -  \n"
 
 
 def _chunk_columns(data: bytes) -> tuple[list, array, array] | None:
@@ -151,16 +149,13 @@ def _chunk_columns(data: bytes) -> tuple[list, array, array] | None:
             return None
         for word, coded in _CODED_WORDS:
             chunk = chunk.replace(word, coded)
-        # Every line must now be four tokens with single spaces, each a
-        # plain decimal as json reads one, with a code, negative, in the
-        # field after the id and in no other: each line had one kind
-        # word, there, and was written as circuit_to_bytes writes it.
+        # Every line must now be four decimals with single spaces, with a
+        # code, negative, in the field after the id and in no other: each
+        # line had one kind word, there, and was written as
+        # circuit_to_bytes writes it.
         k = chunk.count(b"\n")
-        if chunk.translate(None, b"0123456789") != b" -  \n" * k:
-            return None
-        try:
-            ints = _read_json("[%s]" % chunk.translate(_TO_COMMAS)[:-1].decode())[0]
-        except ValueError:
+        ints = read_ints(chunk, _CODED_LINE * k)
+        if ints is None:
             return None
         if ints[0::4] != list(range(len(kinds), len(kinds) + k)):
             return None

@@ -72,11 +72,17 @@ def test_parent_checkout_is_timed_against_this_one_in_one_process():
 
 def test_parent_flag_adds_interleaved_rows(tmp_path, monkeypatch):
     path = tmp_path / "bench.json"
-    monkeypatch.setattr(bench, "measure", lambda: {"python": "3", "suite": {
-        "wall_s": 1.0, "peak_rss_mb": 3.0}})
+    steps = []
+    monkeypatch.setattr(bench, "measure", lambda: steps.append("measure") or {
+        "python": "3", "suite": {"wall_s": 1.0, "peak_rss_mb": 3.0}})
+    imported = bench.import_checkout
+    monkeypatch.setattr(bench, "import_checkout",
+                        lambda root: steps.append("import") or imported(root))
     monkeypatch.setattr(bench, "interleaved", lambda seed, parent: {"ns_per_call": {
         "layer": [[8, 2, 1, 0.5]]}})
     bench.main(["--json", str(path), "--parent", str(ROOT)])
+    # the parent package is not loaded while the record's suite runs
+    assert steps == ["measure", "import"]
     doc = json.loads(path.read_text())
     assert doc["columns"]["change"]["suite"]["wall_s"] == 1.0
     assert doc["interleaved"] == {"python": "3", "seed": bench.SEED,

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from polytract import catalog, harness
 from polytract.catalog import DEFAULT_BOUNDS, INJECTIONS, build_catalog
 from polytract.encoding import PolylogBound
 from polytract.errors import ConfigError, InsufficientData, UnknownProblem
@@ -19,7 +20,7 @@ from polytract.harness import (
     run_suite,
     time_interleaved_ns,
 )
-from polytract.problems import bds
+from polytract.problems import bds, cvp
 from polytract.report import strip_timings
 
 
@@ -370,3 +371,104 @@ def test_handed_over_rung_is_the_drawn_rung():
     # the second call takes the held rung, untouched by the first caller
     assert ladder(64, 1) == drawn
     assert build_catalog(HANDOFF).witnesses["bds-verdict-bit"].ladder_gen(64, 1) == drawn
+
+
+# The cvp and wordstats rung digests handed to runtime-fits.
+
+
+def _count_ladder_circuits(monkeypatch) -> list:
+    """Make cvp.random_circuit append the size of each HANDOFF ladder
+    circuit it draws to the returned list."""
+    calls = []
+    draw = cvp.random_circuit
+
+    def counted(size, *args, **kwargs):
+        if size in HANDOFF.ladder:
+            calls.append(size)
+        return draw(size, *args, **kwargs)
+
+    monkeypatch.setattr(cvp, "random_circuit", counted)
+    return calls
+
+
+def _record_fit_inputs(monkeypatch) -> list:
+    """Make runtime-fits append what it times and fits to the returned
+    list: each time_interleaved_ns call's arguments, each fit_runtime
+    call's sizes."""
+    seen = []
+    timed, fitted = harness.time_interleaved_ns, harness.fit_runtime
+
+    def time_recorded(tasks):
+        seen.append(("timed", [calls for _, calls in tasks]))
+        return timed(tasks)
+
+    def fit_recorded(measurements, model="poly-n"):
+        seen.append(("fitted", model, [size for size, _ in measurements]))
+        return fitted(measurements, model)
+
+    monkeypatch.setattr(harness, "time_interleaved_ns", time_recorded)
+    monkeypatch.setattr(harness, "fit_runtime", fit_recorded)
+    return seen
+
+
+def _suite_catalog(monkeypatch, config) -> catalog.Catalog:
+    """Run the suite and return its catalog."""
+    built = []
+
+    def kept(cfg):
+        built.append(build_catalog(cfg))
+        return built[-1]
+
+    monkeypatch.setattr(catalog, "build_catalog", kept)
+    run_suite(config)
+    return built[0]
+
+
+def test_suite_decides_each_cvp_rung_once(monkeypatch):
+    calls = _count_ladder_circuits(monkeypatch)
+    cat = _suite_catalog(monkeypatch, HANDOFF)
+    # one circuit per rung, drawn for witness:cvp-verdict-bit, whose
+    # digests runtime-fits reads
+    assert sorted(calls) == sorted(HANDOFF.ladder)
+    assert cat.held_digests == {} and cat.held_rungs == {}
+
+
+def test_witness_stages_hold_the_fit_rungs_digests():
+    cat = build_catalog(HANDOFF)
+    run_check(cat, HANDOFF, "witness:bds-verdict-bit")
+    run_check(cat, HANDOFF, "witness:cvp-verdict-bit")
+    run_check(cat, HANDOFF, "witness:wordstats-count-digest")
+    assert sorted(cat.held_digests) == sorted(
+        (name, size, HANDOFF.seed) for name in ("cvp-verdict-bit", "wordstats-count-digest")
+        for size in HANDOFF.ladder)
+    entry = cat.witnesses["cvp-verdict-bit"]
+    for size in HANDOFF.ladder:
+        rung = entry.ladder_gen(size, HANDOFF.seed)
+        assert cat.held_digests["cvp-verdict-bit", size, HANDOFF.seed] == (
+            len(rung[0]), [entry.witness.preprocess(x) for x in rung])
+    run_check(cat, HANDOFF, "runtime-fits")
+    assert cat.held_digests == {}
+
+
+def test_lone_fit_check_times_what_its_suite_stage_times(monkeypatch):
+    seen = _record_fit_inputs(monkeypatch)
+    run_suite(HANDOFF)
+    in_suite = list(seen)
+    seen.clear()
+    calls = _count_ladder_circuits(monkeypatch)
+    run_check(build_catalog(HANDOFF), HANDOFF, "runtime-fits")
+    # the lone stage draws and decides its own cvp rungs
+    assert sorted(calls) == sorted(HANDOFF.ladder)
+    assert [kind for kind, *_ in seen] == ["timed", "fitted"] * 3
+    assert seen == in_suite
+
+
+def test_oversized_digests_are_not_held(monkeypatch):
+    config = replace(HANDOFF, inject=("identity-preprocessing:cvp-verdict-bit",))
+    calls = _count_ladder_circuits(monkeypatch)
+    cat = build_catalog(config)
+    run_check(cat, config, "witness:cvp-verdict-bit")
+    assert cat.held_digests == {}
+    run_check(cat, config, "runtime-fits")
+    # runtime-fits draws its own rungs, since the witness stage held none
+    assert sorted(calls) == sorted(2 * HANDOFF.ladder)

@@ -27,6 +27,7 @@ from polytract.errors import (
 )
 from polytract.harness import SuiteConfig
 from polytract.problems import bds, cvp
+from polytract.problems.scan import read_ints
 
 
 def _outcome(fn, *args):
@@ -223,10 +224,72 @@ def test_bulk_edge_parse_matches_line_parser(x):
     b"3 1\n1 2 3\n+1 3\n",            # token int() accepts, not canonical
     b"3 1\n1 2 3\n1\t3\n",            # tab between the fields
     b"3 2\n1 2 3\n1 2 3\n2\n",        # right field count, wrong lines
+    # Text json's scanner and int() read differently, so the scan hands
+    # it to the line loop.
+    b"3 1\n1 2 3\n01 3\n",            # a leading zero
+    pytest.param(b"3 1\n1 2 3\n" + b"1" * 5000 + b" 3\n", id="edge past digit limit"),
+    b"3 1\r\n1 2 3\r\n1 3\r\n",       # CRLF line ends
+    b"3 2\n1 2 3\n1 3\r\n2 3\n",       # one CRLF edge line
+    # The same in the numbering line, and fields it may not hold.
+    b"3 1\n1  2 3\n1 3\n",            # a double space
+    b"3 1\n01 2 3\n1 3\n",            # a leading zero
+    pytest.param(b"3 1\n1 2 " + b"3" * 5000 + b"\n1 3\n", id="numbering past digit limit"),
+    b"3 1\n1 2 3\r\n1 3\n",           # a CRLF line end
+    b"3 1\n 1 2 3\n1 3\n",            # a leading space
+    b"3 1\n1 2 -3\n1 3\n",            # a minus sign
+    b"3 1\n1 2\n1 3\n",               # too few fields
+    b"3 1\n1 2 3 4\n1 3\n",           # too many fields
+    b"1 0\n\n",                      # no field at all
 ])
 def test_bulk_edge_parse_named_cases(x):
     new = _outcome(lambda d: _graph_view(bds.parse_graph_block(d)), x)
     assert new == _outcome(oracles.parse_graph_block_oracle, x)
+
+
+def _second_chunk_line(x: bytes) -> int:
+    """Index in x.split(b"\\n") of an edge line a few lines into the
+    second chunk that _edge_columns reads."""
+    start = x.find(b"\n", x.find(b"\n") + 1) + 1
+    return x.count(b"\n", 0, x.find(b"\n", start + bds._CHUNK) + 1) + 5
+
+
+@pytest.mark.parametrize("bad", [
+    b"1+1 3",              # a token int() rejects
+    b"0%d 3",              # a leading zero
+    b"%d 3\r",             # a CRLF line end
+    b"%d %d",              # a self-loop
+    b"%d 8001",            # an endpoint past n
+    b"1" * 5000 + b" 3",   # past int()'s digit limit
+    b"first",              # the block's first edge again
+], ids=["token", "leading zero", "crlf", "self-loop", "past n", "digit limit", "repeat"])
+def test_bad_edge_line_in_second_chunk_matches_oracle(bad):
+    x = bds.instance_bytes(bds.random_sparse_graph(8000, random.Random(18)), 1, 2)
+    lines = x.split(b"\n")
+    j = _second_chunk_line(x)
+    assert len(x) > 2 * bds._CHUNK and j < len(lines) - 1
+    u = int(lines[j].split()[0])
+    lines[j] = lines[2] if bad == b"first" else bad.replace(b"%d", b"%d" % u)
+    broken = b"\n".join(lines)
+    ref = _outcome(oracles.parse_graph_block_oracle, broken)
+    assert _outcome(lambda d: _graph_view(bds.parse_graph_block(d)), broken) == ref
+    n, m, region = _edge_region(broken)
+    assert bds._edge_columns(n, region, 0, len(region)) is None
+
+
+@pytest.mark.parametrize("text, skeleton, ints", [
+    (b"1 2\n30 4\n", b" \n \n", [1, 2, 30, 4]),
+    (b"1 -6 0 0\n", b" -  \n", [1, -6, 0, 0]),
+    (b"1 2\n", b" \n \n", None),                   # fewer lines than the skeleton
+    (b"01 2\n", b" \n", None),                      # a leading zero
+    pytest.param(b"1" * 5000 + b" 2\n", b" \n", None, id="past digit limit"),
+    (b"1 2\r\n", b" \n", None),                     # a CRLF line end
+    (b" 2\n", b" \n", None),                        # an empty field
+    (b"\n", b"\n", None),                           # a line with no field
+    (b"1 - 6 0\n", b" -  \n", None),                # a bare minus sign
+    (b"1 6- 0 0\n", b" -  \n", None),               # a trailing minus sign
+])
+def test_read_ints_takes_only_what_json_and_int_agree_on(text, skeleton, ints):
+    assert read_ints(text, skeleton) == ints
 
 
 # ------------------------------------------------------------ membership
