@@ -150,15 +150,10 @@ class Catalog:
     witnesses: dict[str, WitnessEntry] = field(default_factory=dict)
     fcr_reductions: dict[str, FcrEntry] = field(default_factory=dict)
     f_reductions: dict[str, FEntry] = field(default_factory=dict)
-    # (size, seed) -> a bds ladder rung that one of its two readers,
-    # witness:bds-verdict-bit and witness-transfer, drew and the other
-    # has not taken yet (see bds_ladder in _build_witnesses)
-    held_rungs: dict[tuple[int, int], list[Instance]] = field(default_factory=dict)
-    # (witness name, size, seed) -> the length of a ladder rung's first
-    # instance and the rung's digests, held by the witness's stage for
-    # runtime-fits when every digest is within the witness's bound
-    held_digests: dict[tuple[str, int, int], tuple[int, list[Instance]]] = field(
-        default_factory=dict)
+    # (witness name, size, seed) -> what the witness's stage held from
+    # that ladder rung, every digest within the bound, for the later stage
+    # that reads the rung; harness._HANDOFF names what is held
+    held: dict[tuple[str, int, int], object] = field(default_factory=dict)
 
     def problem(self, name: str) -> ProblemEntry:
         return _lookup(self.problems, name, "problem")
@@ -315,18 +310,8 @@ def _build_witnesses(cat: Catalog, config) -> None:
         cat.witnesses[name] = WitnessEntry(language, witness, sample_pairs, ladder_gen)
 
     def bds_ladder(size: int, seed: int) -> list[Instance]:
-        # The first call for a (size, seed) draws the rung and holds it;
-        # the next takes it instead of drawing it again, so after both
-        # readers have run the catalog holds no rung.
-        held = cat.held_rungs.pop((size, seed), None)
-        if held is not None:
-            return held
         rng = random.Random(f"{seed}:bds-ladder:{size}")
-        n = max(4, size)
-        rung = [bds.random_sparse_instance(n, rng) for _ in range(2)]
-        cat.held_rungs[size, seed] = rung
-        # a list of its own, so the caller cannot change the held one
-        return list(rung)
+        return [bds.random_sparse_instance(max(4, size), rng) for _ in range(2)]
 
     verdict_bit(
         "bds-verdict-bit", bds.bds_member,

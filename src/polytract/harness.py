@@ -285,17 +285,35 @@ def _fcr_check(cat, config: SuiteConfig, r, source_member, target_member,
     return verify_fcr_reduction(r, source_member, target_member, pairs)
 
 
+# What each witness stage holds from a ladder rung whose digests all obey
+# the bound, made from the rung's instances and digests, for the later
+# stage that reads the same rung: the bds rung itself for
+# witness-transfer; the length of a cvp or wordstats rung's first
+# instance and its digests for runtime-fits. A reader takes its entry
+# with _taken, or computes it itself when nothing is held.
+_HANDOFF = {
+    "bds-verdict-bit": lambda instances, digests: instances,
+    "cvp-verdict-bit": lambda instances, digests: (len(instances[0]), digests),
+    "wordstats-count-digest": lambda instances, digests: (len(instances[0]), digests),
+}
+
+
+def _taken(cat, config: SuiteConfig, name: str, size: int):
+    """Pop what witness `name`'s stage held from its ladder rung at
+    `size` (see _HANDOFF), or None if it held nothing."""
+    return cat.held.pop((name, size, config.seed), None)
+
+
 def _witness_check(cat, config: SuiteConfig, name: str) -> Report:
     entry = catalog_mod._lookup(cat.witnesses, name, "witness")
     pos, neg = entry.sample_pairs(config.seed, config.witness_samples)
     rep = verify_witness(entry.language, entry.witness, pos, neg)
 
-    def hold(size: int, first_len: int, digests: list) -> None:
-        cat.held_digests[name, size, config.seed] = first_len, digests
+    def keep(size: int, instances: list, digests: list) -> None:
+        cat.held[name, size, config.seed] = _HANDOFF[name](instances, digests)
 
     _ladder_row(rep, name, entry.witness, lambda size: entry.ladder_gen(size, config.seed),
-                config, "slope of log digest vs log log input; bound checked per rung",
-                hold if name in _FIT_WITNESSES else None)
+                config, "slope of log digest vs log log input; bound checked per rung", keep)
     return rep
 
 
@@ -366,8 +384,9 @@ def _transfer_check(cat, config: SuiteConfig) -> Report:
 
     def ladder_gen(size):
         """The bds witness's ladder, joined and packed as the new witness reads it."""
-        return [new_fact.data_part(catalog_mod.as_qbds(x))
-                for x in wentry.ladder_gen(size, config.seed)]
+        rung = (_taken(cat, config, "bds-verdict-bit", size)
+                or wentry.ladder_gen(size, config.seed))
+        return [new_fact.data_part(catalog_mod.as_qbds(x)) for x in rung]
 
     _ladder_row(rep, "transferred", new_witness, ladder_gen, config)
     return rep
@@ -443,17 +462,10 @@ def _separation_check(cat, config: SuiteConfig) -> Report:
     return rep
 
 
-# The witnesses whose post-digest latency runtime-fits fits, wordstats
-# first; their witness stages hold their ladder digests for it.
-_FIT_WITNESSES = ("wordstats-count-digest", "cvp-verdict-bit")
-
-
 def _fit_checks(cat, config: SuiteConfig) -> Report:
     """Preprocessing stays polynomial; post-digest queries stay polylog."""
     rep = Report("runtime-fits")
-    wname, cname = _FIT_WITNESSES
-    wentry = cat.witnesses[wname]
-    centry = cat.witnesses[cname]
+    wentry = cat.witnesses["wordstats-count-digest"]
 
     # Each wordstats rung is drawn once: its first corpus times the
     # preprocessing, all of its corpora the post-digest queries.
@@ -471,45 +483,40 @@ def _fit_checks(cat, config: SuiteConfig) -> Report:
 
     wquery = catalog_mod.wordstats.query_bytes(config.lexicon[0], 1)
     drawn = dict(zip(config.ladder, wrungs))
-    _query_latency_row(rep, "wordstats", wentry, wquery,
-                       _rung_digests(cat, config, wname, drawn.__getitem__), config)
+    _query_latency_row(rep, cat, config, "wordstats-count-digest", wquery, drawn.__getitem__)
     # The corpora go before any cvp rung is drawn, so they add nothing
     # to the stage's peak.
     del wrungs, corpora, drawn
-    _query_latency_row(rep, "cvp", centry, b"",
-                       _rung_digests(cat, config, cname,
-                                     lambda size: centry.ladder_gen(size, config.seed)),
-                       config)
+    centry = cat.witnesses["cvp-verdict-bit"]
+    _query_latency_row(rep, cat, config, "cvp-verdict-bit", b"",
+                       lambda size: centry.ladder_gen(size, config.seed))
     return rep
 
 
-def _rung_digests(cat, config: SuiteConfig, name: str, draw):
-    """(length of the first instance, digests) of each rung of witness
-    `name`'s ladder, in ladder order: the rung its witness stage held,
-    else draw(size) preprocessed. One rung at a time."""
-    preprocess = cat.witnesses[name].witness.preprocess
+def _query_latency_row(rep: Report, cat, config: SuiteConfig, name: str, query: bytes,
+                       draw) -> None:
+    """Fit witness `name`'s post-digest latency over the ladder, one rung
+    at a time. A rung's size is the length of its first instance; that
+    and the rung's digests are what the witness stage held, else come
+    from draw(size) preprocessed here. The row is named after the
+    witness's problem, the first word of its name."""
+    witness = cat.witnesses[name].witness
+    sizes, tasks = [], []
     for size in config.ladder:
-        held = cat.held_digests.pop((name, size, config.seed), None)
+        held = _taken(cat, config, name, size)
         if held is None:
             instances = draw(size)
-            held = len(instances[0]), [preprocess(x) for x in instances]
-        yield held
-
-
-def _query_latency_row(rep: Report, name: str, entry, query: bytes, rungs,
-                       config: SuiteConfig) -> None:
-    """Fit post-digest latency over the ladder; rungs yields each rung's
-    (size, digests) in ladder order and is consumed one rung at a time."""
-    post = entry.witness.post_language.membership
-    sizes, tasks = [], []
-    for size, digests in rungs:
+            held = _HANDOFF[name](instances, [witness.preprocess(x) for x in instances])
+            del instances  # gone before the next rung is drawn
+        first_len, digests = held
         calls = [(d, query) for d in digests]
-        sizes.append(size)
-        tasks.append((post, calls * max(1, config.query_reps // len(calls))))
+        sizes.append(first_len)
+        tasks.append((witness.post_language.membership,
+                      calls * max(1, config.query_reps // len(calls))))
     floors = time_interleaved_ns(tasks)
-    cap_k = entry.witness.output_bound.k
+    cap_k = witness.output_bound.k
     qfit = fit_runtime(list(zip(sizes, floors)), "poly-log-n")
-    rep.add(f"query-latency-polylog:{name}",
+    rep.add(f"query-latency-polylog:{name.partition('-')[0]}",
             qfit.exponent <= cap_k + config.slope_slack,
             bound=cap_k + config.slope_slack,
             detail="post-digest decision latency vs log input size",

@@ -154,15 +154,15 @@ def digest_size_ladder(
     gen: Callable[[int], Iterable[Instance]],
     sizes: Sequence[int],
     slope_slack: float = 0.5,
-    keep: Callable[[int, int, list[Instance]], None] | None = None,
+    keep: Callable[[int, list[Instance], list[Instance]], None] | None = None,
 ) -> LadderReport:
     """Measure digest sizes along a geometric ladder of input sizes.
 
     Passes iff every digest obeys the declared bound pointwise and the
     fitted slope of log(max digest) vs log(log(max input)) stays within
     output_bound.k + slope_slack. keep, if given, is called as
-    keep(size, length of the rung's first instance, digests) for each
-    rung whose digests all obey the bound.
+    keep(size, instances, digests) for each rung whose digests all obey
+    the bound, so a later reader of the rung can be handed what it needs.
     """
     if len(sizes) < 4 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InsufficientData(
@@ -184,7 +184,7 @@ def digest_size_ladder(
         if any(len(d) > witness.output_bound(len(x)) for x, d in zip(instances, digests)):
             bound_ok = False
         elif keep is not None:
-            keep(size, len(instances[0]), digests)
+            keep(size, instances, digests)
         rungs.append(LadderRung(max_input, max_digest, elapsed, drawn))
     slope, _, _ = log_fit(
         "poly-log-n",

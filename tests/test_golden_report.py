@@ -18,11 +18,33 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN))
-def test_stripped_report_hash_is_pinned(seed):
+# The same config at seed 42 under each fault injection. A sabotaged
+# witness stage hands no rung to its later reader, so these pin the
+# stages that draw and preprocess their own rungs.
+GOLDEN_INJECTED = {
+    "identity-preprocessing:bds-verdict-bit":
+        "89c472ac556d33aaf69860450d80a7c8c12f06a0e0d8ccf223936f2a20d5d4b8",
+    "identity-preprocessing:cvp-verdict-bit":
+        "20cf075059f6c42a1256dd00218288dfa72958579ca56ce0fef01d53df41f918",
+    "identity-preprocessing:wordstats-count-digest":
+        "822e3ddea1ee0e473e1d352bb113ba1c101c8c23d628d830a55ac064c433eac0",
+}
+
+
+def _stripped_hash(seed: int, inject: tuple[str, ...] = ()) -> str:
     cfg = SuiteConfig(seed=seed, random_budget=25, witness_samples=10,
-                      ladder=(64, 128, 256, 512))
+                      ladder=(64, 128, 256, 512), inject=inject)
     report = run_suite(cfg).to_dict()
     untimed = [g for g in report["checks"] if g["name"] != "runtime-fits"]
     stripped = dump_json(strip_timings(dict(report, checks=untimed, verdict=None)))
-    assert hashlib.sha256(stripped.encode("utf-8")).hexdigest() == GOLDEN[seed]
+    return hashlib.sha256(stripped.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_stripped_report_hash_is_pinned(seed):
+    assert _stripped_hash(seed) == GOLDEN[seed]
+
+
+@pytest.mark.parametrize("inject", sorted(GOLDEN_INJECTED))
+def test_injected_report_hash_is_pinned(inject):
+    assert _stripped_hash(42, (inject,)) == GOLDEN_INJECTED[inject]

@@ -347,9 +347,10 @@ def test_both_bds_ladder_stages_leave_no_rung_held(monkeypatch):
     calls = _count_sparse_draws(monkeypatch)
     cat = build_catalog(HANDOFF)
     run_check(cat, HANDOFF, "witness:bds-verdict-bit")
-    assert sorted(cat.held_rungs) == [(size, HANDOFF.seed) for size in HANDOFF.ladder]
+    assert sorted(cat.held) == [("bds-verdict-bit", size, HANDOFF.seed)
+                                for size in HANDOFF.ladder]
     run_check(cat, HANDOFF, "witness-transfer")
-    assert cat.held_rungs == {}
+    assert cat.held == {}
     assert len(calls) == 2 * len(HANDOFF.ladder)
 
 
@@ -357,20 +358,41 @@ def test_lone_transfer_check_matches_its_suite_stage(monkeypatch):
     suite = run_suite(HANDOFF)
     calls = _count_sparse_draws(monkeypatch)
     lone = run_check(build_catalog(HANDOFF), HANDOFF, "witness-transfer")
-    # the lone stage has no first reader to take rungs from
+    # the lone stage has no witness stage to take rungs from
     assert len(calls) == 2 * len(HANDOFF.ladder)
     in_suite = next(r for r in suite.reports if r.name == "witness-transfer")
     assert strip_timings(lone.to_dict()) == strip_timings(in_suite.to_dict())
 
 
-def test_handed_over_rung_is_the_drawn_rung():
-    ladder = build_catalog(HANDOFF).witnesses["bds-verdict-bit"].ladder_gen
-    first = ladder(64, 1)
-    drawn = list(first)
-    first.clear()
-    # the second call takes the held rung, untouched by the first caller
-    assert ladder(64, 1) == drawn
-    assert build_catalog(HANDOFF).witnesses["bds-verdict-bit"].ladder_gen(64, 1) == drawn
+def test_lone_transfer_check_holds_nothing():
+    cat = build_catalog(HANDOFF)
+    run_check(cat, HANDOFF, "witness-transfer")
+    assert cat.held == {}
+
+
+def test_ladder_generators_are_pure_draws():
+    cat = build_catalog(HANDOFF)
+    for name, entry in cat.witnesses.items():
+        first = entry.ladder_gen(64, 1)
+        second = entry.ladder_gen(64, 1)
+        assert first == second and first is not second, name
+        first.clear()
+        assert entry.ladder_gen(64, 1) == second, name
+    assert cat.held == {}
+
+
+def test_injected_bds_witness_hands_over_no_rung(monkeypatch):
+    config = replace(HANDOFF, inject=("identity-preprocessing:bds-verdict-bit",))
+    lone = run_check(build_catalog(config), config, "witness-transfer")
+    calls = _count_sparse_draws(monkeypatch)
+    cat = build_catalog(config)
+    run_check(cat, config, "witness:bds-verdict-bit")
+    # every identity digest is over the bound, so no rung is held
+    assert cat.held == {}
+    calls.clear()
+    after = run_check(cat, config, "witness-transfer")
+    assert len(calls) == 2 * len(HANDOFF.ladder)
+    assert strip_timings(after.to_dict()) == strip_timings(lone.to_dict())
 
 
 # The cvp and wordstats rung digests handed to runtime-fits.
@@ -430,24 +452,27 @@ def test_suite_decides_each_cvp_rung_once(monkeypatch):
     # one circuit per rung, drawn for witness:cvp-verdict-bit, whose
     # digests runtime-fits reads
     assert sorted(calls) == sorted(HANDOFF.ladder)
-    assert cat.held_digests == {} and cat.held_rungs == {}
+    assert cat.held == {}
 
 
 def test_witness_stages_hold_the_fit_rungs_digests():
     cat = build_catalog(HANDOFF)
-    run_check(cat, HANDOFF, "witness:bds-verdict-bit")
-    run_check(cat, HANDOFF, "witness:cvp-verdict-bit")
-    run_check(cat, HANDOFF, "witness:wordstats-count-digest")
-    assert sorted(cat.held_digests) == sorted(
-        (name, size, HANDOFF.seed) for name in ("cvp-verdict-bit", "wordstats-count-digest")
-        for size in HANDOFF.ladder)
+    for name in cat.witnesses:
+        run_check(cat, HANDOFF, f"witness:{name}")
+    assert sorted(cat.held) == sorted(
+        (name, size, HANDOFF.seed) for name in cat.witnesses for size in HANDOFF.ladder)
     entry = cat.witnesses["cvp-verdict-bit"]
     for size in HANDOFF.ladder:
         rung = entry.ladder_gen(size, HANDOFF.seed)
-        assert cat.held_digests["cvp-verdict-bit", size, HANDOFF.seed] == (
+        assert cat.held["cvp-verdict-bit", size, HANDOFF.seed] == (
             len(rung[0]), [entry.witness.preprocess(x) for x in rung])
+        assert cat.held["bds-verdict-bit", size, HANDOFF.seed] == (
+            cat.witnesses["bds-verdict-bit"].ladder_gen(size, HANDOFF.seed))
     run_check(cat, HANDOFF, "runtime-fits")
-    assert cat.held_digests == {}
+    assert sorted(cat.held) == [("bds-verdict-bit", size, HANDOFF.seed)
+                                for size in HANDOFF.ladder]
+    run_check(cat, HANDOFF, "witness-transfer")
+    assert cat.held == {}
 
 
 def test_lone_fit_check_times_what_its_suite_stage_times(monkeypatch):
@@ -468,7 +493,7 @@ def test_oversized_digests_are_not_held(monkeypatch):
     calls = _count_ladder_circuits(monkeypatch)
     cat = build_catalog(config)
     run_check(cat, config, "witness:cvp-verdict-bit")
-    assert cat.held_digests == {}
+    assert cat.held == {}
     run_check(cat, config, "runtime-fits")
     # runtime-fits draws its own rungs, since the witness stage held none
     assert sorted(calls) == sorted(2 * HANDOFF.ladder)

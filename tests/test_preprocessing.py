@@ -92,6 +92,32 @@ def test_verify_witness_flags_oversized_digest():
     assert any(c.name == "output-bound" and not c.passed for c in rep.checks)
 
 
+def test_oversized_digest_skips_the_iff_check():
+    # An identity digest over the bound whose post language answers every
+    # sample wrongly. The sample's size is reported and its post-language
+    # answer is not asked for, so only the output-bound rows fail.
+    wrong = PreprocessingWitness(
+        name="bloated-and-wrong",
+        preprocess=lambda d: d,
+        post_language=LanguageOfPairs(
+            "inverted", lambda d, q: not TOY.membership(d, q), ZERO_BOUND),
+        output_bound=PolylogBound(0.0, 0, 4.0),
+    )
+    pos = [Pair(b"abcde", b"a"), Pair(b"fghij", b"j")]
+    neg = [Pair(b"abcde", b"z")]
+    for pairs, expected in ((pos, True), (neg, False)):
+        assert all(wrong.post_language.membership(p.data, p.query) != expected
+                   for p in pairs)
+    rep = verify_witness(TOY, wrong, pos, neg)
+    assert {c.name for c in rep.checks if not c.passed} == {
+        "output-bound",
+        "sample[0].positive-output-bound",
+        "sample[1].positive-output-bound",
+        "sample[0].negative-output-bound",
+    }
+    assert {c.name for c in rep.checks if c.passed} == {"positive-iff", "negative-iff"}
+
+
 def _gen(size):
     # two inputs per rung, sizes exactly as requested
     return [bytes((i + j) % 7 + 97 for i in range(size)) for j in range(2)]
