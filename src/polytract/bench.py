@@ -70,8 +70,11 @@ def _layer_tasks(n: int, seed: int, package: str = __package__) -> dict:
     imported under the name package."""
     bds = importlib.import_module(f"{package}.problems.bds")
     cvp = importlib.import_module(f"{package}.problems.cvp")
+    wordstats = importlib.import_module(f"{package}.problems.wordstats")
     encoding = importlib.import_module(f"{package}.encoding")
-    as_qbds = importlib.import_module(f"{package}.catalog").as_qbds
+    catalog = importlib.import_module(f"{package}.catalog")
+    config = importlib.import_module(f"{package}.harness").SuiteConfig()
+    count_digest = catalog.build_catalog(config).witnesses["wordstats-count-digest"].witness
     g = bds.random_sparse_graph(n, random.Random(f"{seed}:bench-graph:{n}"))
     block = bds.graph_to_bytes(g)
     instance = block + b"1 2"
@@ -84,6 +87,12 @@ def _layer_tasks(n: int, seed: int, package: str = __package__) -> dict:
     raw = bytes(rng.choices(b"#@\\abcdefgh", k=len(block)))
     escaped = encoding.escape_payload(raw)
     dense_pair = encoding.encode_pair(encoding.Pair(raw[:len(raw) // 2], raw[len(raw) // 2:]))
+
+    def draw_corpus():
+        """n tokens, as the wordstats ladder rung of size n draws them."""
+        return wordstats.random_corpus_text(n, random.Random(f"{seed}:bench-corpus:{n}"),
+                                            config.lexicon, config.preposition_rate)
+
     return {
         "bds.random_sparse_graph": (
             lambda: bds.random_sparse_graph(n, random.Random(f"{seed}:bench-graph:{n}")), [()]),
@@ -93,7 +102,8 @@ def _layer_tasks(n: int, seed: int, package: str = __package__) -> dict:
         "bds.parse_instance": (bds.parse_instance, [(instance,)]),
         "bds.bds_order": (bds.bds_order, [(g,)]),
         "bds.bds_member": (bds.bds_member, [(instance,)]),
-        "encoding.decode_pair (qbds form)": (encoding.decode_pair, [(as_qbds(instance),)]),
+        "encoding.decode_pair (qbds form)": (encoding.decode_pair,
+                                             [(catalog.as_qbds(instance),)]),
         "encoding.decode_pair (escape-dense)": (encoding.decode_pair, [(dense_pair,)]),
         "encoding.unescape_payload (escape-dense)": (encoding.unescape_payload, [(escaped,)]),
         "cvp.random_circuit": (
@@ -103,6 +113,8 @@ def _layer_tasks(n: int, seed: int, package: str = __package__) -> dict:
         "cvp.negate_output": (cvp.negate_output, [(circuit,)]),
         "cvp.cvp_member": (cvp.cvp_member, [(text,)]),
         "cvp.cvp_member (forward-wired)": (cvp.cvp_member, [(forward_text,)]),
+        "wordstats.random_corpus_text": (draw_corpus, [()]),
+        "wordstats-count-digest preprocess": (count_digest.preprocess, [(draw_corpus(),)]),
     }
 
 

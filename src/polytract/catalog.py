@@ -113,7 +113,9 @@ class ProblemEntry:
     member: Callable[[Instance], bool]
     describe: str
     # (seed, cap, budget) -> instances for the suite's checks, members or
-    # not; None for problems no check samples directly
+    # not: an exhaustive part, then the first `budget` draws of the
+    # problem's substream, which the catalog keeps (Catalog.draws), in a
+    # new list on every call; None for problems no check samples directly
     sample: Callable[[int, int, int], list[Instance]] | None = None
 
 
@@ -154,6 +156,10 @@ class Catalog:
     # that ladder rung, every digest within the bound, for the later stage
     # that reads the rung; harness._HANDOFF names what is held
     held: dict[tuple[str, int, int], object] = field(default_factory=dict)
+    # substream name -> (seed, rng, draws): the random draws samplers made
+    # from it for the last seed asked for, extended when a larger budget
+    # is asked for; see draws()
+    drawn: dict[str, tuple[int, random.Random, list]] = field(default_factory=dict)
 
     def problem(self, name: str) -> ProblemEntry:
         return _lookup(self.problems, name, "problem")
@@ -163,6 +169,18 @@ class Catalog:
         language and reduction name starts with its source problem, so
         'qbds-absorb' samples qbds instances."""
         return self.problem(name.split("-", 1)[0]).sample
+
+    def draws(self, stream: str, seed: int, budget: int, draw) -> list:
+        """The first `budget` values of draw(rng) on the `stream` substream
+        of `seed`, as a new list. Only the last seed's draws are kept, and
+        they are extended only when a larger budget is asked for."""
+        kept = self.drawn.get(stream)
+        if kept is None or kept[0] != seed:
+            kept = self.drawn[stream] = (seed, random.Random(f"{seed}:{stream}"), [])
+        _, rng, values = kept
+        while len(values) < budget:
+            values.append(draw(rng))
+        return values[:budget]
 
 
 def _lookup(table: dict, name: str, what: str):
@@ -176,14 +194,14 @@ def _lookup(table: dict, name: str, what: str):
 # ---------------------------------------------------------------- builders
 
 
-def _bds_sampler(edge_prob: float):
+def _bds_sampler(cat: Catalog, edge_prob: float):
+    def draw(rng: random.Random) -> Instance:
+        return bds.random_instance(rng.randrange(5, 31), rng, edge_prob)
+
     def instances(seed: int, cap: int, budget: int) -> list[Instance]:
         """Exhaustive small instances plus random larger ones, members or not."""
         out = list(bds.enumerate_instances(cap))
-        rng = random.Random(f"{seed}:bds-random")
-        for _ in range(budget):
-            n = rng.randrange(5, 31)
-            out.append(bds.random_instance(n, rng, edge_prob))
+        out += cat.draws("bds-random", seed, budget, draw)
         # A few malformed strays keep the oracles honest about totality.
         out.extend([b"", b"not a graph", b"2 1\n1 2\n", b"1 0\n1\n0 0"])
         return out
@@ -196,13 +214,12 @@ def _small_circuit(rng: random.Random, gate_weights) -> Instance:
     return cvp.circuit_to_bytes(cvp.random_circuit(rng.randrange(2, 14), rng, gate_weights))
 
 
-def _cvp_sampler(gate_weights, stream: str):
+def _cvp_sampler(cat: Catalog, gate_weights, stream: str):
     def instances(seed: int, cap: int, budget: int) -> list[Instance]:
         """Every one-gate circuit plus random small ones; cap is unused,
         the exhaustive part is fixed."""
-        rng = random.Random(f"{seed}:{stream}")
         out = [cvp.circuit_to_bytes(c) for c in cvp.enumerate_circuits(1)]
-        out.extend(_small_circuit(rng, gate_weights) for _ in range(budget))
+        out += cat.draws(stream, seed, budget, lambda rng: _small_circuit(rng, gate_weights))
         return out
 
     return instances
@@ -232,7 +249,7 @@ def _labeled_pairs(stream: str, draw, member, flip=None):
 
 
 def _build_problems(cat: Catalog, config) -> None:
-    sample_bds = _bds_sampler(config.edge_prob)
+    sample_bds = _bds_sampler(cat, config.edge_prob)
 
     def sample_qbds(seed: int, cap: int, budget: int) -> list[Instance]:
         return [as_qbds(x) for x in sample_bds(seed, cap, budget)]
@@ -248,7 +265,7 @@ def _build_problems(cat: Catalog, config) -> None:
     cat.problems["cvp"] = ProblemEntry(
         "cvp", cvp.cvp_member,
         "boolean circuit accepted iff it evaluates to true",
-        _cvp_sampler(config.gate_weights, "cvp-instances"))
+        _cvp_sampler(cat, config.gate_weights, "cvp-instances"))
     cat.problems["wordstats"] = ProblemEntry(
         "wordstats", lambda x: False,
         "corpus text; meaningful only as the data part of count queries")
@@ -433,7 +450,7 @@ def _build_reductions(cat: Catalog, config) -> None:
         except MalformedInstance:
             return d
 
-    circuits = _cvp_sampler(config.gate_weights, "cvp-pairs")
+    circuits = _cvp_sampler(cat, config.gate_weights, "cvp-pairs")
 
     def cvp_pairs(seed: int, budget: int) -> list[Pair]:
         out = [Pair(x, b"") for x in circuits(seed, 0, budget)]

@@ -250,6 +250,22 @@ def _sample(cat, config: SuiteConfig, name: str, budget: int) -> list:
     return cat.sampler(name)(config.seed, config.exhaustive_caps["bds"], budget)
 
 
+def _composition_budget(config: SuiteConfig) -> int:
+    """Random samples per composed reduction in the compositions check."""
+    return max(40, config.random_budget // 4)
+
+
+def _draw_samples(cat, config: SuiteConfig) -> None:
+    """Draw the sample streams that several stages read, each up to the
+    largest budget a stage asks of it; the catalog keeps the draws, so
+    every stage takes a prefix of them. The bds stream feeds the bds and
+    qbds factorizations, the bds and qbds reductions, compositions,
+    witness-transfer and hardness-pack; the cvp-pairs stream both cvp
+    reductions."""
+    cat.sampler("bds")(config.seed, 0, max(config.random_budget, _composition_budget(config)))
+    cat.f_reductions["cvp-identity"].sample_pairs(config.seed, config.random_budget)
+
+
 def _factorization_check(cat, config: SuiteConfig, name: str) -> Report:
     fl = catalog_mod._lookup(cat.factored, name, "factored language")
     raw = _sample(cat, config, name, config.random_budget)
@@ -288,13 +304,14 @@ def _fcr_check(cat, config: SuiteConfig, r, source_member, target_member,
 # What each witness stage holds from a ladder rung whose digests all obey
 # the bound, made from the rung's instances and digests, for the later
 # stage that reads the same rung: the bds rung itself for
-# witness-transfer; the length of a cvp or wordstats rung's first
-# instance and its digests for runtime-fits. A reader takes its entry
+# witness-transfer; for runtime-fits, the length of a cvp rung's first
+# instance and its digests, and a wordstats rung's first corpus, which
+# times the preprocessing, and its digests. A reader takes its entry
 # with _taken, or computes it itself when nothing is held.
 _HANDOFF = {
     "bds-verdict-bit": lambda instances, digests: instances,
     "cvp-verdict-bit": lambda instances, digests: (len(instances[0]), digests),
-    "wordstats-count-digest": lambda instances, digests: (len(instances[0]), digests),
+    "wordstats-count-digest": lambda instances, digests: (instances[0], digests),
 }
 
 
@@ -338,7 +355,7 @@ COMPOSITIONS = (
 def _composition_checks(cat, config: SuiteConfig) -> Report:
     """Build the COMPOSITIONS and verify each, constants included."""
     rep = Report("compositions")
-    budget = max(40, config.random_budget // 4)
+    budget = _composition_budget(config)
     for first_name, second_name in COMPOSITIONS:
         first = cat.fcr_reductions[first_name]
         second = cat.fcr_reductions[second_name]
@@ -465,14 +482,14 @@ def _separation_check(cat, config: SuiteConfig) -> Report:
 def _fit_checks(cat, config: SuiteConfig) -> Report:
     """Preprocessing stays polynomial; post-digest queries stay polylog."""
     rep = Report("runtime-fits")
-    wentry = cat.witnesses["wordstats-count-digest"]
+    wname = "wordstats-count-digest"
 
-    # Each wordstats rung is drawn once: its first corpus times the
-    # preprocessing, all of its corpora the post-digest queries.
-    wrungs = [wentry.ladder_gen(size, config.seed) for size in config.ladder]
-    corpora = [instances[0] for instances in wrungs]
+    # Each wordstats rung's first corpus times the preprocessing, its
+    # digests the post-digest queries.
+    wrungs = _held_rungs(cat, config, wname)
+    corpora = [corpus for corpus, _ in wrungs]
     floors = time_interleaved_ns(
-        [(wentry.witness.preprocess, [(corpus,)]) for corpus in corpora])
+        [(cat.witnesses[wname].witness.preprocess, [(corpus,)]) for corpus in corpora])
     fit = fit_runtime([(len(c), t) for c, t in zip(corpora, floors)], "poly-n")
     rep.add("preprocess-poly-degree:wordstats",
             fit.exponent <= config.ptime_max_degree + config.slope_slack
@@ -482,33 +499,41 @@ def _fit_checks(cat, config: SuiteConfig) -> Report:
             timings={"fit": fit.to_dict()})
 
     wquery = catalog_mod.wordstats.query_bytes(config.lexicon[0], 1)
-    drawn = dict(zip(config.ladder, wrungs))
-    _query_latency_row(rep, cat, config, "wordstats-count-digest", wquery, drawn.__getitem__)
+    _query_latency_row(rep, cat, config, wname, wquery,
+                       [(len(corpus), digests) for corpus, digests in wrungs])
     # The corpora go before any cvp rung is drawn, so they add nothing
     # to the stage's peak.
-    del wrungs, corpora, drawn
-    centry = cat.witnesses["cvp-verdict-bit"]
+    del wrungs, corpora
     _query_latency_row(rep, cat, config, "cvp-verdict-bit", b"",
-                       lambda size: centry.ladder_gen(size, config.seed))
+                       _held_rungs(cat, config, "cvp-verdict-bit"))
     return rep
 
 
-def _query_latency_row(rep: Report, cat, config: SuiteConfig, name: str, query: bytes,
-                       draw) -> None:
-    """Fit witness `name`'s post-digest latency over the ladder, one rung
-    at a time. A rung's size is the length of its first instance; that
-    and the rung's digests are what the witness stage held, else come
-    from draw(size) preprocessed here. The row is named after the
-    witness's problem, the first word of its name."""
-    witness = cat.witnesses[name].witness
-    sizes, tasks = [], []
+def _held_rungs(cat, config: SuiteConfig, name: str) -> list:
+    """What witness `name`'s stage held from each ladder rung (see
+    _HANDOFF), in ladder order; a rung with nothing held is drawn and
+    preprocessed here, one rung at a time."""
+    entry = cat.witnesses[name]
+    out = []
     for size in config.ladder:
         held = _taken(cat, config, name, size)
         if held is None:
-            instances = draw(size)
-            held = _HANDOFF[name](instances, [witness.preprocess(x) for x in instances])
+            instances = entry.ladder_gen(size, config.seed)
+            held = _HANDOFF[name](instances, [entry.witness.preprocess(x) for x in instances])
             del instances  # gone before the next rung is drawn
-        first_len, digests = held
+        out.append(held)
+    return out
+
+
+def _query_latency_row(rep: Report, cat, config: SuiteConfig, name: str, query: bytes,
+                       rungs: list) -> None:
+    """Fit witness `name`'s post-digest latency over the ladder from one
+    (size, digests) pair per rung, a rung's size being the length of its
+    first instance. The row is named after the witness's problem, the
+    first word of its name."""
+    witness = cat.witnesses[name].witness
+    sizes, tasks = [], []
+    for first_len, digests in rungs:
         calls = [(d, query) for d in digests]
         sizes.append(first_len)
         tasks.append((witness.post_language.membership,
@@ -594,7 +619,9 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         raise InsufficientData("suite ladder needs at least 4 rungs")
     cat = catalog_mod.build_catalog(config)
     reports: list[Report] = []
-    timings: dict[str, int] = {}
+    t0 = time.perf_counter_ns()
+    _draw_samples(cat, config)
+    timings: dict[str, int] = {"draw-samples": time.perf_counter_ns() - t0}
     for stage in SUITE_STAGES:
         t0 = time.perf_counter_ns()
         reports.append(run_check(cat, config, stage))

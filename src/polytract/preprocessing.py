@@ -186,6 +186,7 @@ def digest_size_ladder(
         elif keep is not None:
             keep(size, instances, digests)
         rungs.append(LadderRung(max_input, max_digest, elapsed, drawn))
+        del instances, digests  # gone before the next rung is drawn
     slope, _, _ = log_fit(
         "poly-log-n",
         [r.input_size for r in rungs], [r.max_digest_size for r in rungs])

@@ -138,15 +138,15 @@ def _chunk_columns(data: bytes) -> tuple[list, array, array] | None:
     only the columns are held."""
     if data and not data.endswith(b"\n"):  # the last line has no newline
         return None
+    # Only bytes canonical text holds: so no minus sign, and every one
+    # below is a code's.
+    if data.translate(None, _CANONICAL_BYTES):
+        return None
     kinds, left, right = [IN0], _NODE_0[:], _NODE_0[:]
     start, end = 0, len(data)
     while start < end:
         stop = data.find(b"\n", start + _CHUNK) + 1 or end
         chunk = data[start:stop]
-        # Only bytes canonical text holds: so no minus sign, and every one
-        # below is a code's.
-        if chunk.translate(None, _CANONICAL_BYTES):
-            return None
         for word, coded in _CODED_WORDS:
             chunk = chunk.replace(word, coded)
         # Every line must now be four decimals with single spaces, with a

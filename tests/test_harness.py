@@ -20,7 +20,7 @@ from polytract.harness import (
     run_suite,
     time_interleaved_ns,
 )
-from polytract.problems import bds, cvp
+from polytract.problems import bds, cvp, wordstats
 from polytract.report import strip_timings
 
 
@@ -322,17 +322,24 @@ def test_run_check_rejects_unknown_names():
 HANDOFF = replace(SMALL, ladder=(64, 128, 256, 512))
 
 
+def _calls(monkeypatch, module, name: str, keep=lambda first: True) -> list:
+    """Make module.name append its first argument to the returned list on
+    every call whose first argument keep accepts."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(first, *args, **kwargs):
+        if keep(first):
+            calls.append(first)
+        return fn(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def _count_sparse_draws(monkeypatch) -> list:
     """Make bds.random_sparse_instance append to the returned list per call."""
-    calls = []
-    draw = bds.random_sparse_instance
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return draw(*args, **kwargs)
-
-    monkeypatch.setattr(bds, "random_sparse_instance", counted)
-    return calls
+    return _calls(monkeypatch, bds, "random_sparse_instance")
 
 
 def test_suite_draws_each_bds_rung_once(monkeypatch):
@@ -401,16 +408,13 @@ def test_injected_bds_witness_hands_over_no_rung(monkeypatch):
 def _count_ladder_circuits(monkeypatch) -> list:
     """Make cvp.random_circuit append the size of each HANDOFF ladder
     circuit it draws to the returned list."""
-    calls = []
-    draw = cvp.random_circuit
+    return _calls(monkeypatch, cvp, "random_circuit", HANDOFF.ladder.__contains__)
 
-    def counted(size, *args, **kwargs):
-        if size in HANDOFF.ladder:
-            calls.append(size)
-        return draw(size, *args, **kwargs)
 
-    monkeypatch.setattr(cvp, "random_circuit", counted)
-    return calls
+def _count_ladder_corpora(monkeypatch) -> list:
+    """Make wordstats.random_corpus_text append the size of each HANDOFF
+    ladder corpus it draws to the returned list."""
+    return _calls(monkeypatch, wordstats, "random_corpus_text", HANDOFF.ladder.__contains__)
 
 
 def _record_fit_inputs(monkeypatch) -> list:
@@ -461,11 +465,13 @@ def test_witness_stages_hold_the_fit_rungs_digests():
         run_check(cat, HANDOFF, f"witness:{name}")
     assert sorted(cat.held) == sorted(
         (name, size, HANDOFF.seed) for name in cat.witnesses for size in HANDOFF.ladder)
-    entry = cat.witnesses["cvp-verdict-bit"]
+    for name, first in (("cvp-verdict-bit", len), ("wordstats-count-digest", bytes)):
+        entry = cat.witnesses[name]
+        for size in HANDOFF.ladder:
+            rung = entry.ladder_gen(size, HANDOFF.seed)
+            assert cat.held[name, size, HANDOFF.seed] == (
+                first(rung[0]), [entry.witness.preprocess(x) for x in rung])
     for size in HANDOFF.ladder:
-        rung = entry.ladder_gen(size, HANDOFF.seed)
-        assert cat.held["cvp-verdict-bit", size, HANDOFF.seed] == (
-            len(rung[0]), [entry.witness.preprocess(x) for x in rung])
         assert cat.held["bds-verdict-bit", size, HANDOFF.seed] == (
             cat.witnesses["bds-verdict-bit"].ladder_gen(size, HANDOFF.seed))
     run_check(cat, HANDOFF, "runtime-fits")
@@ -481,9 +487,12 @@ def test_lone_fit_check_times_what_its_suite_stage_times(monkeypatch):
     in_suite = list(seen)
     seen.clear()
     calls = _count_ladder_circuits(monkeypatch)
+    corpora = _count_ladder_corpora(monkeypatch)
     run_check(build_catalog(HANDOFF), HANDOFF, "runtime-fits")
-    # the lone stage draws and decides its own cvp rungs
+    # the lone stage draws and decides its own cvp rungs and draws its
+    # own corpora
     assert sorted(calls) == sorted(HANDOFF.ladder)
+    assert sorted(corpora) == sorted(2 * HANDOFF.ladder)
     assert [kind for kind, *_ in seen] == ["timed", "fitted"] * 3
     assert seen == in_suite
 
@@ -497,3 +506,79 @@ def test_oversized_digests_are_not_held(monkeypatch):
     run_check(cat, config, "runtime-fits")
     # runtime-fits draws its own rungs, since the witness stage held none
     assert sorted(calls) == sorted(2 * HANDOFF.ladder)
+
+
+def test_injected_wordstats_witness_hands_over_no_corpus(monkeypatch):
+    config = replace(HANDOFF, inject=("identity-preprocessing:wordstats-count-digest",))
+    corpora = _count_ladder_corpora(monkeypatch)
+    cat = build_catalog(config)
+    run_check(cat, config, "witness:wordstats-count-digest")
+    assert cat.held == {}
+    seen = _record_fit_inputs(monkeypatch)
+    run_check(cat, config, "runtime-fits")
+    # runtime-fits draws its own corpora and times the first of each rung
+    assert sorted(corpora) == sorted(4 * HANDOFF.ladder)
+    entry = cat.witnesses["wordstats-count-digest"]
+    assert seen[0] == ("timed", [[(entry.ladder_gen(size, config.seed)[0],)]
+                                 for size in HANDOFF.ladder])
+
+
+# The sample streams several stages read, drawn once per suite run.
+
+
+def test_suite_draws_each_sample_stream_once(monkeypatch):
+    draws = {name: _calls(monkeypatch, module, name) for module, name in (
+        (bds, "random_instance"), (cvp, "random_circuit"), (wordstats, "random_corpus_text"))}
+    cat = _suite_catalog(monkeypatch, SuiteConfig())
+    # 200 bds-random draws read by eight stages, plus 160 from two
+    # streams one stage each reads; 200 cvp-pairs draws read by both cvp
+    # reductions; each wordstats ladder corpus drawn once
+    assert {name: len(calls) for name, calls in draws.items()} == {
+        "random_instance": 360, "random_circuit": 457, "random_corpus_text": 33}
+    assert cat.held == {}
+
+
+def test_suite_timings_cover_the_sample_draw_and_every_stage():
+    report = run_suite(HANDOFF)
+    assert list(report.timings) == ["draw-samples", *harness.SUITE_STAGES]
+
+
+# Each sampler as (catalog, seed, budget) -> samples, with the number of
+# fixed samples it puts after its random part.
+SAMPLERS = {
+    "bds": (lambda cat, seed, budget: cat.sampler("bds")(seed, 2, budget), 4),
+    "qbds": (lambda cat, seed, budget: cat.sampler("qbds")(seed, 2, budget), 4),
+    "cvp-pairs": (lambda cat, seed, budget:
+                  cat.f_reductions["cvp-identity"].sample_pairs(seed, budget), 2),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLERS)
+def test_sampler_keeps_one_seed_of_draws(name, monkeypatch):
+    sample, strays = SAMPLERS[name]
+    cat = build_catalog(SMALL)
+    fresh = sample(build_catalog(SMALL), 5, 30)
+    counters = [_calls(monkeypatch, bds, "random_instance"),
+                _calls(monkeypatch, cvp, "random_circuit")]
+
+    def drawn() -> int:
+        return sum(map(len, counters))
+
+    big, again = sample(cat, 5, 30), sample(cat, 5, 30)
+    assert big == again == fresh and big is not again
+    fixed = sample(cat, 5, 0)
+    head = len(fixed) - strays
+    assert len(big) == len(fixed) + 30
+    assert big[:head] == fixed[:head] and big[-strays:] == fixed[-strays:]
+    # a smaller budget's random part is a prefix of a larger one's
+    assert sample(cat, 5, 10)[head:-strays] == big[head:head + 10]
+    big.clear()
+    assert sample(cat, 5, 30) == fresh
+    assert drawn() == 30
+    assert sample(cat, 5, 40)[:head + 30] == fresh[:head + 30]
+    assert drawn() == 40
+    # another seed replaces the kept draws; the first seed is drawn again
+    assert sample(cat, 6, 10) != fresh[:head + 10] + fresh[-strays:]
+    assert [seed for seed, _, _ in cat.drawn.values()] == [6]
+    assert sample(cat, 5, 30) == fresh
+    assert drawn() == 80

@@ -1,4 +1,5 @@
 import time
+import weakref
 
 import pytest
 
@@ -166,3 +167,28 @@ def test_ladder_times_the_draw_apart_from_preprocessing():
         # both times are volatile, so a stripped rung keeps only sizes
         assert strip_timings(rung.to_dict()) == {
             "input_size": rung.input_size, "max_digest_size": rung.max_digest_size}
+
+
+def test_ladder_drops_each_rung_before_drawing_the_next():
+    class Blob:
+        """An input of a given length that a weak reference can watch."""
+
+        def __init__(self, size):
+            self.size = size
+
+        def __len__(self):
+            return self.size
+
+    refs, alive_at_draw = [], []
+
+    def gen(size):
+        alive_at_draw.append(sum(ref() is not None for ref in refs))
+        rung = [Blob(size), Blob(size)]
+        refs.extend(map(weakref.ref, rung))
+        return rung
+
+    one_byte = PreprocessingWitness(
+        name="one-byte", preprocess=lambda x: b"1",
+        post_language=GOOD_WITNESS.post_language, output_bound=PolylogBound(0.0, 0, 1.0))
+    assert digest_size_ladder(one_byte, gen, (64, 256, 1024, 4096)).passed
+    assert alive_at_draw == [0, 0, 0, 0]
