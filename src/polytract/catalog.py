@@ -154,7 +154,8 @@ class Catalog:
     f_reductions: dict[str, FEntry] = field(default_factory=dict)
     # (witness name, size, seed) -> what the witness's stage held from
     # that ladder rung, every digest within the bound, for the later stage
-    # that reads the rung; harness._HANDOFF names what is held
+    # that reads the rung; harness._HANDOFF names what is held, and
+    # harness._held is its only reader
     held: dict[tuple[str, int, int], object] = field(default_factory=dict)
     # substream name -> (seed, rng, draws): the random draws samplers made
     # from it for the last seed asked for, extended when a larger budget

@@ -12,7 +12,6 @@ from . import catalog as catalog_mod
 from . import harness
 from .errors import ConfigError, InsufficientData, UnknownProblem, VerifierError
 from .report import Report, dump_json
-from .encoding import parse_bound
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -20,17 +19,29 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
+# Each flag that sets a value is another name for a config key: flag ->
+# (key, help). It sets the key as a config file line would, after the file.
+_KEY_FLAGS = {
+    "--seed": ("seed", "master seed"),
+    "--random": ("random_budget", "number of random samples per check"),
+    "--max-exhaustive": ("exhaustive_cap.bds", "node-count cap for exhaustive graph sweeps"),
+    "--max-n": ("separation_max_n", "largest n in the table"),
+    "--bound": ("bound.separation", "digest bit bound a*log2(n)^k + b, as A,K,B"),
+}
+
+
+def _add_key_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        key, help = _KEY_FLAGS[flag]
+        parser.add_argument(flag, dest=key, metavar="VALUE", help=f"{help} (config key {key})")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master seed (default 42)")
     parser.add_argument("--config", default=None,
                         help="path to a key = value config file")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write the report as JSON ('-' for stdout)")
-    parser.add_argument("--max-exhaustive", type=int, default=None,
-                        help="node-count cap for exhaustive graph sweeps")
-    parser.add_argument("--random", type=int, default=None, dest="random_budget",
-                        help="number of random samples per check")
+    _add_key_flags(parser, "--seed", "--max-exhaustive", "--random")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,9 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("separate",
                        help="tabulate visit orders against digest capacity")
-    p.add_argument("--max-n", type=int, default=20)
-    p.add_argument("--bound", type=parse_bound, default=None, metavar="A,K,B",
-                   help="digest bit bound a*log2(n)^k + b (default 1,2,0)")
+    _add_key_flags(p, "--max-n", "--bound")
     p.add_argument("--csv", action="store_true", help="emit the table as CSV")
     _add_common(p)
 
@@ -81,35 +90,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> harness.SuiteConfig:
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "random_budget": getattr(args, "random_budget", None),
-    }
-    cfg = harness.load_config(getattr(args, "config", None), overrides)
-    if getattr(args, "max_exhaustive", None) is not None:
-        harness.apply_key(cfg, "exhaustive_cap.bds", str(args.max_exhaustive))
+    """The config file's settings, then each key a flag sets."""
+    cfg = harness.load_config(args.config)
+    for flag, (key, _) in _KEY_FLAGS.items():
+        value = getattr(args, key, None)
+        if value is not None:
+            try:
+                harness.apply_key(cfg, key, value)
+            except ValueError as exc:
+                raise ConfigError(f"{flag}: {exc}") from None
     return cfg
 
 
-def _emit(report: Report | harness.SuiteReport, args) -> int:
-    if isinstance(report, harness.SuiteReport):
-        lines = []
-        for sub_report in report.reports:
-            lines.extend(sub_report.summary_lines())
-        verdict = report.verdict
-        payload = report.to_dict()
-    else:
-        lines = report.summary_lines()
-        verdict = report.passed
-        payload = report.to_dict()
-    for line in lines:
-        print(line)
-    print(f"overall: {'PASS' if verdict else 'FAIL'}")
+def _write_json(payload: dict, args) -> None:
+    """Write payload where --json says: '-' for stdout, else a path."""
     if args.json == "-":
         print(dump_json(payload))
     elif args.json:
         dump_json(payload, args.json)
-    return EXIT_PASS if verdict else EXIT_FAIL
+
+
+def _emit(report: Report | harness.SuiteReport, args) -> int:
+    for line in report.summary_lines():
+        print(line)
+    print(f"overall: {'PASS' if report.passed else 'FAIL'}")
+    _write_json(report.to_dict(), args)
+    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _cmd_check(args) -> int:
@@ -121,7 +127,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_separate(args) -> int:
-    sep = harness.separation_table(_config_from_args(args), args.max_n, args.bound)
+    sep = harness.separation_table(_config_from_args(args))
     if args.csv:
         for line in sep.csv_lines():
             print(line)
@@ -136,10 +142,7 @@ def _cmd_separate(args) -> int:
             col = sep.collision
             print(f"collision: two numberings share the first {col.bits} "
                   f"digest bits at n={len(col.first.numbering)}")
-    if args.json == "-":
-        print(dump_json(sep.to_dict()))
-    elif args.json:
-        dump_json(sep.to_dict(), args.json)
+    _write_json(sep.to_dict(), args)
     ok = sep.factorial_beats_power_from_4
     print(f"overall: {'PASS' if ok else 'FAIL'}")
     return EXIT_PASS if ok else EXIT_FAIL

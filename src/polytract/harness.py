@@ -154,16 +154,12 @@ def _known(name: str, known, what: str) -> str:
     return name
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> SuiteConfig:
-    cfg = SuiteConfig()
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read(), cfg)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(cfg, key, value)
-    check_config(cfg)
-    return cfg
+def load_config(path: str | None) -> SuiteConfig:
+    """The default config, with the keys of the file at `path` if given."""
+    if path is None:
+        return SuiteConfig()
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_config(fh.read())
 
 
 def _echo(name: str, value):
@@ -307,18 +303,25 @@ def _fcr_check(cat, config: SuiteConfig, r, source_member, target_member,
 # witness-transfer; for runtime-fits, the length of a cvp rung's first
 # instance and its digests, and a wordstats rung's first corpus, which
 # times the preprocessing, and its digests. A reader takes its entry
-# with _taken, or computes it itself when nothing is held.
+# with _held.
 _HANDOFF = {
     "bds-verdict-bit": lambda instances, digests: instances,
-    "cvp-verdict-bit": lambda instances, digests: (len(instances[0]), digests),
-    "wordstats-count-digest": lambda instances, digests: (instances[0], digests),
+    "cvp-verdict-bit": lambda instances, digests: (len(instances[0]), list(digests)),
+    "wordstats-count-digest": lambda instances, digests: (instances[0], list(digests)),
 }
 
 
-def _taken(cat, config: SuiteConfig, name: str, size: int):
-    """Pop what witness `name`'s stage held from its ladder rung at
-    `size` (see _HANDOFF), or None if it held nothing."""
-    return cat.held.pop((name, size, config.seed), None)
+def _held(cat, config: SuiteConfig, name: str, size: int):
+    """Pop what witness `name`'s stage held from its ladder rung at `size`
+    (see _HANDOFF). With nothing held, as for a stage run alone, draw the
+    rung and make the entry here; its digests come from a lazy map, so an
+    entry that leaves them out preprocesses nothing."""
+    held = cat.held.pop((name, size, config.seed), None)
+    if held is None:
+        entry = cat.witnesses[name]
+        instances = entry.ladder_gen(size, config.seed)
+        held = _HANDOFF[name](instances, map(entry.witness.preprocess, instances))
+    return held
 
 
 def _witness_check(cat, config: SuiteConfig, name: str) -> Report:
@@ -401,9 +404,8 @@ def _transfer_check(cat, config: SuiteConfig) -> Report:
 
     def ladder_gen(size):
         """The bds witness's ladder, joined and packed as the new witness reads it."""
-        rung = (_taken(cat, config, "bds-verdict-bit", size)
-                or wentry.ladder_gen(size, config.seed))
-        return [new_fact.data_part(catalog_mod.as_qbds(x)) for x in rung]
+        return [new_fact.data_part(catalog_mod.as_qbds(x))
+                for x in _held(cat, config, "bds-verdict-bit", size)]
 
     _ladder_row(rep, "transferred", new_witness, ladder_gen, config)
     return rep
@@ -451,21 +453,19 @@ def _short_query_checks(cat, config: SuiteConfig) -> Report:
     return rep
 
 
-def separation_table(
-    config: SuiteConfig, max_n: int, bound: PolylogBound | None = None
-) -> SeparationReport:
-    """The separation table for n = 1..max_n, enumerating up to the
-    configured separation cap. The digest bit budget is `bound`, else the
-    configured `bound.separation`, else log2(n)^2."""
+def separation_table(config: SuiteConfig) -> SeparationReport:
+    """The separation table for n = 1..separation_max_n, enumerating up to
+    the configured separation cap, within the digest bit budget
+    `bound.separation` (default log2(n)^2)."""
     return separation_report(
-        range(1, max_n + 1),
-        bound or config.bounds.get("separation", PolylogBound(1.0, 2, 0.0)),
+        range(1, config.separation_max_n + 1),
+        config.bounds.get("separation", PolylogBound(1.0, 2, 0.0)),
         enumerate_max=config.exhaustive_caps["separation"])
 
 
 def _separation_check(cat, config: SuiteConfig) -> Report:
     rep = Report("separation")
-    sep = separation_table(config, config.separation_max_n)
+    sep = separation_table(config)
     rep.add("factorial-beats-2^n-from-4", sep.factorial_beats_power_from_4,
             detail=f"checked n up to {config.separation_max_n} exactly")
     for row in sep.rows:
@@ -486,7 +486,7 @@ def _fit_checks(cat, config: SuiteConfig) -> Report:
 
     # Each wordstats rung's first corpus times the preprocessing, its
     # digests the post-digest queries.
-    wrungs = _held_rungs(cat, config, wname)
+    wrungs = [_held(cat, config, wname, size) for size in config.ladder]
     corpora = [corpus for corpus, _ in wrungs]
     floors = time_interleaved_ns(
         [(cat.witnesses[wname].witness.preprocess, [(corpus,)]) for corpus in corpora])
@@ -505,24 +505,8 @@ def _fit_checks(cat, config: SuiteConfig) -> Report:
     # to the stage's peak.
     del wrungs, corpora
     _query_latency_row(rep, cat, config, "cvp-verdict-bit", b"",
-                       _held_rungs(cat, config, "cvp-verdict-bit"))
+                       [_held(cat, config, "cvp-verdict-bit", size) for size in config.ladder])
     return rep
-
-
-def _held_rungs(cat, config: SuiteConfig, name: str) -> list:
-    """What witness `name`'s stage held from each ladder rung (see
-    _HANDOFF), in ladder order; a rung with nothing held is drawn and
-    preprocessed here, one rung at a time."""
-    entry = cat.witnesses[name]
-    out = []
-    for size in config.ladder:
-        held = _taken(cat, config, name, size)
-        if held is None:
-            instances = entry.ladder_gen(size, config.seed)
-            held = _HANDOFF[name](instances, [entry.witness.preprocess(x) for x in instances])
-            del instances  # gone before the next rung is drawn
-        out.append(held)
-    return out
 
 
 def _query_latency_row(rep: Report, cat, config: SuiteConfig, name: str, query: bytes,
@@ -598,6 +582,13 @@ class SuiteReport:
     environment: dict
     reports: list[Report]
     timings: dict
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict
+
+    def summary_lines(self) -> list[str]:
+        return [line for r in self.reports for line in r.summary_lines()]
 
     def to_dict(self) -> dict:
         return {

@@ -26,13 +26,20 @@ from .problems.bds import NumberedGraph, bds_order, graph_to_bytes
 ENUMERATION_CAP = 7      # 7! = 5040 numberings; beyond that it drags
 
 
-def realizable_orders(n: int) -> set:
-    """Distinct visit orders over the edgeless graphs on n nodes."""
+def edgeless_orders(n: int):
+    """Yield (graph, visit order) for each of the n! numberings of the
+    edgeless graph on n nodes."""
     if n > ENUMERATION_CAP:
         raise CapExceeded(
             f"n={n} exceeds the edgeless enumeration cap {ENUMERATION_CAP}")
-    return {bds_order(NumberedGraph(n, numbering, array("q")))
-            for numbering in permutations(range(1, n + 1))}
+    for numbering in permutations(range(1, n + 1)):
+        g = NumberedGraph(n, numbering, array("q"))
+        yield g, bds_order(g)
+
+
+def realizable_orders(n: int) -> set:
+    """Distinct visit orders over the edgeless graphs on n nodes."""
+    return {order for _, order in edgeless_orders(n)}
 
 
 def count_realizable_orders(n: int) -> int:
@@ -65,12 +72,8 @@ def find_truncation_collision(n: int, bits: int) -> CollisionWitness | None:
     Guaranteed to exist whenever 2^bits < n!; returns None otherwise only
     if the enumeration really found no clash.
     """
-    if n > ENUMERATION_CAP:
-        raise CapExceeded(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     seen: dict[bytes, tuple[NumberedGraph, tuple]] = {}
-    for numbering in permutations(range(1, n + 1)):
-        g = NumberedGraph(n, numbering, array("q"))
-        order = bds_order(g)
+    for g, order in edgeless_orders(n):
         digest = truncation_digest(graph_to_bytes(g), bits)
         if digest in seen:
             other, other_order = seen[digest]

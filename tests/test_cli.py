@@ -1,6 +1,7 @@
 import json
+import re
 
-from polytract.cli import main
+from polytract.cli import _config_from_args, build_parser, main
 from polytract.report import strip_timings
 
 
@@ -129,6 +130,51 @@ def test_separate_fails_without_an_n_from_4(capsys):
     for max_n in ("0", "3"):
         assert main(["separate", "--max-n", max_n]) == 1
         assert "overall: FAIL" in capsys.readouterr().out
+
+
+def _table_ns(out: str) -> list[int]:
+    """The n of each row of a printed separation table."""
+    return [int(n) for n in re.findall(r"^n=\s*(\d+) ", out, re.M)]
+
+
+def test_separate_reads_its_keys_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "sep.cfg"
+    cfg.write_text("separation_max_n = 6\nbound.separation = 3,1,0\n")
+    assert main(["separate", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert _table_ns(out) == [1, 2, 3, 4, 5, 6]
+    assert "digest_values<=2^6.0 " in out  # 3*log2(4), where log2(n)^2 gives 4
+    # a flag beats the file's key
+    assert main(["separate", "--config", str(cfg), "--max-n", "4"]) == 0
+    assert _table_ns(capsys.readouterr().out) == [1, 2, 3, 4]
+
+
+def test_separate_rejects_a_malformed_bound(capsys):
+    for bound in ("1,2", "a,2,0", "1,2.5,0"):
+        assert main(["separate", "--bound", bound]) == 2
+        assert "error: --bound: " in capsys.readouterr().err
+
+
+def test_flags_beat_the_config_file_and_leave_the_rest(tmp_path):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("seed = 5\nrandom_budget = 99\nexhaustive_cap.bds = 2\n")
+    args = build_parser().parse_args(["list", "--config", str(cfg), "--seed", "123"])
+    config = _config_from_args(args)
+    assert config.seed == 123                    # the flag wins
+    assert config.random_budget == 99            # flags left out keep the file's
+    assert config.exhaustive_caps["bds"] == 2
+    args = build_parser().parse_args(["list", "--config", str(cfg), "--random", "7",
+                                      "--max-exhaustive", "4"])
+    config = _config_from_args(args)
+    assert (config.seed, config.random_budget, config.exhaustive_caps["bds"]) == (5, 7, 4)
+
+
+def test_malformed_flag_values_are_usage_errors(capsys):
+    for flag, value in (("--seed", "x"), ("--random", "1.5"), ("--max-exhaustive", "")):
+        assert main(["list", flag, value]) == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
+    assert main(["separate", "--max-n", "many"]) == 2
+    assert "error: --max-n: " in capsys.readouterr().err
 
 
 def test_separate_json_stdout(capsys):

@@ -14,7 +14,6 @@ from polytract.harness import (
     check_config,
     config_echo,
     fit_runtime,
-    load_config,
     parse_config,
     run_check,
     run_suite,
@@ -83,8 +82,8 @@ def test_exhaustive_caps_stay_in_range():
 
 
 # One out-of-range setting each, with the start of its ConfigError. The
-# config file, load_config overrides and a SuiteConfig built in code must
-# all be refused with it.
+# config file and a SuiteConfig built in code must both be refused with
+# it; a command-line flag sets its key as a file line does.
 OUT_OF_RANGE = [
     ("witness_samples = 0", {"witness_samples": 0}, "witness_samples 0 is below 1"),
     ("witness_samples = -2", {"witness_samples": -2}, "witness_samples -2 is below 1"),
@@ -120,12 +119,6 @@ def test_every_way_of_making_a_config_is_range_checked(line, fields, message):
         run_suite(cfg)
 
 
-@pytest.mark.parametrize("key", ["witness_samples", "random_budget"])
-def test_load_config_overrides_are_range_checked(key):
-    with pytest.raises(ConfigError, match=f"^{key} -3 "):
-        load_config(None, {key: -3})
-
-
 def test_exhaustive_caps_built_in_code_must_name_both():
     for caps in ({"bds": 3}, {"bds": 3, "separation": 5, "qbds": 1}):
         with pytest.raises(ConfigError, match="^exhaustive caps must be bds, separation"):
@@ -154,14 +147,6 @@ def test_parse_config_does_not_mutate_base():
     parse_config("exhaustive_cap.bds = 1\nbound.qbds-query = 1,1,1\n", base)
     assert base.exhaustive_caps["bds"] != 1 or "qbds-query" not in base.bounds or \
         base.bounds["qbds-query"] != PolylogBound(1.0, 1, 1.0)
-
-
-def test_load_config_overrides(tmp_path):
-    p = tmp_path / "suite.cfg"
-    p.write_text("seed = 5\nrandom_budget = 99\n")
-    cfg = load_config(str(p), {"seed": 123, "random_budget": None})
-    assert cfg.seed == 123          # explicit override wins
-    assert cfg.random_budget == 99  # None override leaves the file value
 
 
 def _as_config_text(echo: dict) -> str:
@@ -369,6 +354,22 @@ def test_lone_transfer_check_matches_its_suite_stage(monkeypatch):
     assert len(calls) == 2 * len(HANDOFF.ladder)
     in_suite = next(r for r in suite.reports if r.name == "witness-transfer")
     assert strip_timings(lone.to_dict()) == strip_timings(in_suite.to_dict())
+
+
+def test_held_on_an_empty_catalog_draws_its_own_rung(monkeypatch):
+    decided = _calls(monkeypatch, bds, "bds_member")
+    cat = build_catalog(HANDOFF)
+    size = HANDOFF.ladder[0]
+    # the bds entry is the rung itself, so nothing is decided
+    rung = harness._held(cat, HANDOFF, "bds-verdict-bit", size)
+    assert rung == cat.witnesses["bds-verdict-bit"].ladder_gen(size, HANDOFF.seed)
+    assert decided == []
+    # the cvp entry is the one the witness stage holds
+    lone = harness._held(cat, HANDOFF, "cvp-verdict-bit", size)
+    run_check(cat, HANDOFF, "witness:cvp-verdict-bit")
+    assert lone == cat.held["cvp-verdict-bit", size, HANDOFF.seed]
+    assert harness._held(cat, HANDOFF, "cvp-verdict-bit", size) == lone
+    assert ("cvp-verdict-bit", size, HANDOFF.seed) not in cat.held
 
 
 def test_lone_transfer_check_holds_nothing():
