@@ -32,8 +32,8 @@ _KEY_FLAGS = {
 
 def _add_key_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
     for flag in flags:
-        key, help = _KEY_FLAGS[flag]
-        parser.add_argument(flag, dest=key, metavar="VALUE", help=f"{help} (config key {key})")
+        key, what = _KEY_FLAGS[flag]
+        parser.add_argument(flag, dest=key, metavar="VALUE", help=f"{what} (config key {key})")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
