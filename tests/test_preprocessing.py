@@ -192,3 +192,79 @@ def test_ladder_drops_each_rung_before_drawing_the_next():
         post_language=GOOD_WITNESS.post_language, output_bound=PolylogBound(0.0, 0, 1.0))
     assert digest_size_ladder(one_byte, gen, (64, 256, 1024, 4096)).passed
     assert alive_at_draw == [0, 0, 0, 0]
+
+
+def test_failing_witness_report_is_pinned():
+    # Identity digests under a bound of 0.5*log2(n)+2, read by a post
+    # language that inverts its answer on data holding b"~".
+    flipping = PreprocessingWitness(
+        name="flips-on-tilde",
+        preprocess=lambda d: d,
+        post_language=LanguageOfPairs(
+            "flipped", lambda d, q: len(q) == 1 and (q in d) != (b"~" in d), ZERO_BOUND),
+        output_bound=PolylogBound(0.5, 1, 2.0),
+    )
+    pos = [Pair(b"ab", b"a"), Pair(b"a~", b"a"), Pair(b"abcdef", b"a")]
+    neg = [Pair(b"ab", b"z"), Pair(b"b~", b"z"), Pair(b"bcdefgh", b"z")]
+    assert verify_witness(TOY, flipping, pos, neg).to_dict() == {
+        "name": "witness:flips-on-tilde",
+        "verdict": "fail",
+        "checks": [
+            {"name": "positive-iff", "passed": False, "measured": 3, "bound": None,
+             "detail": "members carried over"},
+            {"name": "negative-iff", "passed": False, "measured": 3, "bound": None,
+             "detail": "non-members stay out"},
+            {"name": "output-bound", "passed": False, "measured": 3.596,
+             "bound": "0.5*log2(n)^1+2.0",
+             "detail": "max |digest| - bound(|data|) over both sides"},
+            {"name": "sample[1].positive-iff", "passed": False, "measured": None,
+             "bound": None, "detail": "mapped membership False, want True"},
+            {"name": "sample[2].positive-output-bound", "passed": False,
+             "measured": None, "bound": None,
+             "detail": "|digest|=6 exceeds bound by 2.71"},
+            {"name": "sample[1].negative-iff", "passed": False, "measured": None,
+             "bound": None, "detail": "mapped membership True, want False"},
+            {"name": "sample[2].negative-output-bound", "passed": False,
+             "measured": None, "bound": None,
+             "detail": "|digest|=7 exceeds bound by 3.60"},
+        ],
+    }
+    assert verify_witness(TOY, flipping, [], []).to_dict() == {
+        "name": "witness:flips-on-tilde",
+        "verdict": "pass",
+        "checks": [
+            {"name": "positive-iff", "passed": True, "measured": 0, "bound": None,
+             "detail": "members carried over"},
+            {"name": "negative-iff", "passed": True, "measured": 0, "bound": None,
+             "detail": "non-members stay out"},
+            {"name": "output-bound", "passed": True, "measured": None,
+             "bound": "0.5*log2(n)^1+2.0",
+             "detail": "max |digest| - bound(|data|) over both sides"},
+        ],
+    }
+    # 30 flipped samples a side: all 30 positive rows and the first 20
+    # negative ones are itemized, then one overflow row.
+    rep = verify_witness(TOY, flipping, [Pair(b"a~", b"a")] * 30,
+                         [Pair(b"b~", b"z")] * 30).to_dict()
+    assert rep["checks"][:3] == [
+        {"name": "positive-iff", "passed": False, "measured": 30, "bound": None,
+         "detail": "members carried over"},
+        {"name": "negative-iff", "passed": False, "measured": 30, "bound": None,
+         "detail": "non-members stay out"},
+        {"name": "output-bound", "passed": True, "measured": -0.5,
+         "bound": "0.5*log2(n)^1+2.0",
+         "detail": "max |digest| - bound(|data|) over both sides"},
+    ]
+    assert rep["checks"][3:] == [
+        *({"name": f"sample[{i}].positive-iff", "passed": False, "measured": None,
+           "bound": None, "detail": "mapped membership False, want True"}
+          for i in range(30)),
+        *({"name": f"sample[{i}].negative-iff", "passed": False, "measured": None,
+           "bound": None, "detail": "mapped membership True, want False"}
+          for i in range(20)),
+        {"name": "sample.overflow", "passed": False, "measured": 60,
+         "bound": None, "detail": "10 further failing samples not itemized"},
+    ]
+    with pytest.raises(MislabeledSample,
+                       match=r"^negative sample 1 mislabeled for byte-present$"):
+        verify_witness(TOY, flipping, pos, [Pair(b"ab", b"z"), Pair(b"ab", b"a")])

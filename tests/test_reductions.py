@@ -195,3 +195,49 @@ def test_pullback_witness_f():
     pos = [Pair(b"abc", b"b")]
     neg = [Pair(b"abc", b"z"), Pair(b"", b"a")]
     assert verify_witness(SRC_LANG, pulled, pos, neg).passed
+
+
+def test_failing_reduction_report_is_pinned():
+    # Uppercasing that drops data holding b"!" and reads a "?" query as
+    # "A": one pair fails each way.
+    sabotaged = FReduction(
+        name="sabotaged-uppercase",
+        map_data=lambda d: b"" if b"!" in d else d.upper(),
+        map_query=lambda q: b"A" if q == b"?" else q,
+    )
+    pairs = [Pair(b"abc", b"b"), Pair(b"ab!", b"a"), Pair(b"AB", b"?"), Pair(b"q", b"")]
+    assert verify_f_reduction(sabotaged, SRC_LANG, DST_LANG, pairs).to_dict() == {
+        "name": "reduction:sabotaged-uppercase",
+        "verdict": "fail",
+        "checks": [
+            {"name": "iff-equivalence", "passed": False, "measured": 2, "bound": 0,
+             "detail": "4 pairs probed"},
+            {"name": "pair[1].iff", "passed": False, "measured": None, "bound": None,
+             "detail": "source True but target False"},
+            {"name": "pair[2].iff", "passed": False, "measured": None, "bound": None,
+             "detail": "source False but target True"},
+        ],
+    }
+    assert verify_f_reduction(sabotaged, SRC_LANG, DST_LANG, []).to_dict() == {
+        "name": "reduction:sabotaged-uppercase",
+        "verdict": "pass",
+        "checks": [
+            {"name": "iff-equivalence", "passed": True, "measured": 0, "bound": 0,
+             "detail": "0 pairs probed"},
+        ],
+    }
+    assert verify_f_reduction(
+        sabotaged, SRC_LANG, DST_LANG, [Pair(b"ab!", b"a")] * 52 + [Pair(b"abc", b"b")]
+    ).to_dict() == {
+        "name": "reduction:sabotaged-uppercase",
+        "verdict": "fail",
+        "checks": [
+            {"name": "iff-equivalence", "passed": False, "measured": 52, "bound": 0,
+             "detail": "53 pairs probed"},
+            *({"name": f"pair[{i}].iff", "passed": False, "measured": None,
+               "bound": None, "detail": "source True but target False"}
+              for i in range(50)),
+            {"name": "pair.overflow", "passed": False, "measured": 52, "bound": None,
+             "detail": "2 further failing samples not itemized"},
+        ],
+    }
