@@ -59,7 +59,7 @@ def _suite(seed: int) -> dict:
         "stages_s": {k: round(v / 1e9, 3) for k, v in report.timings.items()},
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "report_sha256": hashlib.sha256(stripped.encode("utf-8")).hexdigest(),
-        "verdict": "pass" if report.verdict else "fail",
+        "verdict": "pass" if report.passed else "fail",
         "failed_rows": [f"{r.name}/{c.name}" for r in report.reports
                         for c in r.checks if not c.passed],
     }

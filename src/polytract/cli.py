@@ -143,9 +143,8 @@ def _cmd_separate(args) -> int:
             print(f"collision: two numberings share the first {col.bits} "
                   f"digest bits at n={len(col.first.numbering)}")
     _write_json(sep.to_dict(), args)
-    ok = sep.factorial_beats_power_from_4
-    print(f"overall: {'PASS' if ok else 'FAIL'}")
-    return EXIT_PASS if ok else EXIT_FAIL
+    print(f"overall: {'PASS' if sep.passed else 'FAIL'}")
+    return EXIT_PASS if sep.passed else EXIT_FAIL
 
 
 def _cmd_run_suite(args) -> int:
@@ -157,15 +156,19 @@ def _cmd_run_suite(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    cfg = _config_from_args(args)
-    cat = catalog_mod.build_catalog(cfg)
+    cat = catalog_mod.build_catalog(_config_from_args(args))
+    listing = {
+        "problems": {name: cat.problems[name].describe for name in sorted(cat.problems)},
+        "factored_languages": sorted(cat.factored),
+        "witnesses": sorted(cat.witnesses),
+        "reductions": sorted([*cat.fcr_reductions, *cat.f_reductions]),
+    }
     print("problems:")
-    for name in sorted(cat.problems):
-        print(f"  {name}: {cat.problems[name].describe}")
-    print("factored languages:", ", ".join(sorted(cat.factored)))
-    print("witnesses:", ", ".join(sorted(cat.witnesses)))
-    print("reductions:", ", ".join(
-        sorted(list(cat.fcr_reductions) + list(cat.f_reductions))))
+    for name, describe in listing["problems"].items():
+        print(f"  {name}: {describe}")
+    for key in ("factored_languages", "witnesses", "reductions"):
+        print(f"{key.replace('_', ' ')}:", ", ".join(listing[key]))
+    _write_json(listing, args)
     return EXIT_PASS
 
 

@@ -26,7 +26,7 @@ from .encoding import (
     split_packed,
 )
 from .errors import MalformedInstance, NonMemberSample
-from .report import Report
+from .report import Report, probe
 
 
 @dataclass(frozen=True)
@@ -114,46 +114,38 @@ def verify_factorization(fl: FactoredLanguage, samples: Sequence[Instance]) -> R
     condition.
     """
     fact = fl.fact
-    rep = Report(f"factorization:{fl.name}")
-    failures: list[tuple[int, str, str]] = []
-    bad_restore = bad_redundancy = bad_query = 0
-    slack_min = slack_max = None
-    query_worst = None
-    total = 0
-    for idx, x in enumerate(samples):
+    slacks: list[int] = []
+    queries: list[int] = []
+
+    def test(idx, x):
         if not fl.base(x):
             raise NonMemberSample(f"sample {idx} is not a member of {fl.name}")
-        total += 1
         d = fact.data_part(x)
         q = fact.query_part(x)
         if fact.restore(d, q) != x:
-            bad_restore += 1
-            failures.append((idx, "restore", "restore(parts) != x"))
-            continue
+            return "restore", "restore(parts) != x"
         slack = len(d) + len(q) - len(x)
-        slack_min = slack if slack_min is None else min(slack_min, slack)
-        slack_max = slack if slack_max is None else max(slack_max, slack)
+        slacks.append(slack)
         if slack > fact.redundancy:
-            bad_redundancy += 1
-            failures.append(
-                (idx, "redundancy", f"slack {slack} > {fact.redundancy}")
-            )
-            continue
+            return "redundancy", f"slack {slack} > {fact.redundancy}"
         limit = fact.query_bound(len(d))
-        if query_worst is None or len(q) > query_worst:
-            query_worst = len(q)
+        queries.append(len(q))
         if len(q) > limit:
-            bad_query += 1
-            failures.append((idx, "query-bound", f"|q|={len(q)} > {limit:.2f}"))
-    rep.add("restore-roundtrip", bad_restore == 0, measured=bad_restore, bound=0,
+            return "query-bound", f"|q|={len(q)} > {limit:.2f}"
+        return None
+
+    total, failures = probe(samples, test)
+    failed = [condition for _, condition, _ in failures]
+    bad_restores = failed.count("restore")
+    lo, hi = (min(slacks), max(slacks)) if slacks else (None, None)
+    rep = Report(f"factorization:{fl.name}")
+    rep.add("restore-roundtrip", not bad_restores, measured=bad_restores, bound=0,
             detail=f"{total} member samples")
-    rep.add("redundancy", bad_redundancy == 0, measured=slack_max,
-            bound=fact.redundancy,
-            detail=f"observed slack in [{slack_min}, {slack_max}]")
-    rep.add("query-bound", bad_query == 0, measured=query_worst,
-            bound=fact.query_bound.describe())
-    rep.itemize("sample", failures)
-    return rep
+    rep.add("redundancy", "redundancy" not in failed, measured=hi, bound=fact.redundancy,
+            detail=f"observed slack in [{lo}, {hi}]")
+    rep.add("query-bound", "query-bound" not in failed,
+            measured=max(queries) if queries else None, bound=fact.query_bound.describe())
+    return rep.itemize("sample", failures)
 
 
 def check_prop1(fl: FactoredLanguage, samples: Sequence[Instance]) -> Report:
@@ -164,25 +156,25 @@ def check_prop1(fl: FactoredLanguage, samples: Sequence[Instance]) -> Report:
     because the bound template is monotone.
     """
     fact = fl.fact
-    rep = Report(f"prop1:{fl.name}")
-    failures = []
-    worst = None
-    total = 0
-    for idx, x in enumerate(samples):
+    queries: list[int] = []
+
+    def test(idx, x):
         if not fl.base(x):
             raise NonMemberSample(f"sample {idx} is not a member of {fl.name}")
-        total += 1
         q = fact.query_part(x)
+        queries.append(len(q))
         limit = fact.query_bound(max(len(x) + fact.redundancy, 2))
-        if worst is None or len(q) > worst:
-            worst = len(q)
         if len(q) > limit:
-            failures.append((idx, "whole-size-bound", f"|q|={len(q)} > {limit:.2f}"))
-    rep.add("query-short-in-whole-size", not failures, measured=worst,
+            return "whole-size-bound", f"|q|={len(q)} > {limit:.2f}"
+        return None
+
+    total, failures = probe(samples, test)
+    rep = Report(f"prop1:{fl.name}")
+    rep.add("query-short-in-whole-size", not failures,
+            measured=max(queries) if queries else None,
             bound=f"{fact.query_bound.describe()} at n+{fact.redundancy}",
             detail=f"{total} member samples")
-    rep.itemize("sample", failures)
-    return rep
+    return rep.itemize("sample", failures)
 
 
 def check_short_query(language: LanguageOfPairs, samples: Iterable[Pair]) -> Report:
@@ -191,30 +183,22 @@ def check_short_query(language: LanguageOfPairs, samples: Iterable[Pair]) -> Rep
     Raises NonMemberSample if any sample fails the membership oracle; an
     empty sample set passes vacuously.
     """
-    rep = Report(f"short-query:{language.name}")
     bound = language.short_query_bound
-    failures = []
-    worst = None
-    total = 0
-    for idx, pair in enumerate(samples):
+    queries: list[int] = []
+
+    def test(idx, pair):
         if not language.member(pair):
             raise NonMemberSample(
                 f"sample {idx} is not a member of {language.name}"
             )
-        total += 1
+        queries.append(len(pair.query))
         limit = bound(len(pair.data))
-        if worst is None or len(pair.query) > worst[0]:
-            worst = (len(pair.query), limit)
         if len(pair.query) > limit:
-            failures.append(
-                (idx, "short-query", f"|Q|={len(pair.query)} > {limit:.2f}")
-            )
-    rep.add(
-        "short-query",
-        not failures,
-        measured=None if worst is None else worst[0],
-        bound=bound.describe(),
-        detail=f"{total} member samples",
-    )
-    rep.itemize("sample", failures)
-    return rep
+            return "short-query", f"|Q|={len(pair.query)} > {limit:.2f}"
+        return None
+
+    total, failures = probe(samples, test)
+    rep = Report(f"short-query:{language.name}")
+    rep.add("short-query", not failures, measured=max(queries) if queries else None,
+            bound=bound.describe(), detail=f"{total} member samples")
+    return rep.itemize("sample", failures)

@@ -578,14 +578,13 @@ def run_check(cat, config: SuiteConfig, stage: str) -> Report:
 
 @dataclass
 class SuiteReport:
-    verdict: bool
     environment: dict
     reports: list[Report]
     timings: dict
 
     @property
     def passed(self) -> bool:
-        return self.verdict
+        return all(r.passed for r in self.reports)
 
     def summary_lines(self) -> list[str]:
         return [line for r in self.reports for line in r.summary_lines()]
@@ -593,7 +592,7 @@ class SuiteReport:
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "verdict": "pass" if self.verdict else "fail",
+            "verdict": "pass" if self.passed else "fail",
             "environment": self.environment,
             "checks": [r.to_dict() for r in self.reports],
             "timings": self.timings,
@@ -618,9 +617,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         reports.append(run_check(cat, config, stage))
         timings[stage] = time.perf_counter_ns() - t0
 
-    verdict = all(r.passed for r in reports)
     return SuiteReport(
-        verdict=verdict,
         environment={"seed": config.seed, "config": config_echo(config)},
         reports=reports,
         timings=timings,

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from .encoding import Instance, LanguageOfPairs, Pair, PolylogBound
 from .errors import GeneratorExhausted, InsufficientData, MislabeledSample
-from .report import Report
+from .report import Report, probe
 
 
 @dataclass(frozen=True)
@@ -43,52 +43,41 @@ def verify_witness(
     Raises MislabeledSample when the reference oracle disagrees with a
     label; that is a broken test harness, not a failed verification.
     """
-    rep = Report(f"witness:{witness.name}")
-    failures: list[tuple[int, str, str]] = []
-    counts = {"positive": 0, "negative": 0}
-    # failures per check row: positive-iff, negative-iff, output-bound
-    failed = dict.fromkeys(("positive-iff", "negative-iff", "output-bound"), 0)
-    size_excess = None
+    excesses: list[float] = []
 
-    def run_side(pairs, expected, label):
-        nonlocal size_excess
-        for idx, pair in enumerate(pairs):
+    def side(expected, label):
+        def test(idx, pair):
             if language.member(pair) != expected:
                 raise MislabeledSample(
                     f"{label} sample {idx} mislabeled for {language.name}"
                 )
-            counts[label] += 1
             digest = witness.preprocess(pair.data)
             excess = len(digest) - witness.output_bound(len(pair.data))
-            if size_excess is None or excess > size_excess:
-                size_excess = excess
+            excesses.append(excess)
             if excess > 0:
-                failed["output-bound"] += 1
-                failures.append(
-                    (idx, f"{label}-output-bound",
-                     f"|digest|={len(digest)} exceeds bound by {excess:.2f}")
-                )
-                continue
+                return (f"{label}-output-bound",
+                        f"|digest|={len(digest)} exceeds bound by {excess:.2f}")
             got = witness.post_language.membership(digest, pair.query)
             if got != expected:
-                failed[f"{label}-iff"] += 1
-                failures.append(
-                    (idx, f"{label}-iff",
-                     f"mapped membership {got}, want {expected}")
-                )
+                return f"{label}-iff", f"mapped membership {got}, want {expected}"
+            return None
+        return test
 
-    run_side(positives, True, "positive")
-    run_side(negatives, False, "negative")
-    rep.add("positive-iff", not failed["positive-iff"],
-            measured=counts["positive"], detail="members carried over")
-    rep.add("negative-iff", not failed["negative-iff"],
-            measured=counts["negative"], detail="non-members stay out")
-    rep.add("output-bound", not failed["output-bound"],
+    n_positive, positive_failures = probe(positives, side(True, "positive"))
+    n_negative, negative_failures = probe(negatives, side(False, "negative"))
+    failures = positive_failures + negative_failures
+    failed = [condition for _, condition, _ in failures]
+    size_excess = max(excesses) if excesses else None
+    rep = Report(f"witness:{witness.name}")
+    rep.add("positive-iff", "positive-iff" not in failed,
+            measured=n_positive, detail="members carried over")
+    rep.add("negative-iff", "negative-iff" not in failed,
+            measured=n_negative, detail="non-members stay out")
+    rep.add("output-bound", size_excess is None or size_excess <= 0,
             measured=None if size_excess is None else round(size_excess, 3),
             bound=witness.output_bound.describe(),
             detail="max |digest| - bound(|data|) over both sides")
-    rep.itemize("sample", failures)
-    return rep
+    return rep.itemize("sample", failures)
 
 
 def log_fit(

@@ -235,7 +235,11 @@ def _edge_lines(region: bytes, m: int) -> list[tuple[int, int]]:
 
 
 # Bytes of edge lines _edge_columns converts at a time; it keeps the
-# transient copies and int lists small next to the columns.
+# transient copies and int lists small next to the columns. 16 KiB, the
+# cvp reader's size, parses no faster, and switching sizes moved
+# in-process run_suite peak RSS at seed 42 by a 2 MB heap-layout step
+# whose sign turned with unrelated code, so measure peak-RSS pairs at
+# equal path lengths before changing it.
 _CHUNK = 1 << 16
 # An edge line with its digits deleted.
 _EDGE_LINE = b" \n"

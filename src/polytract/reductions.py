@@ -42,7 +42,7 @@ from .factorization import (
     packed_factorization,
 )
 from .preprocessing import PreprocessingWitness
-from .report import Report
+from .report import Report, probe
 
 
 @dataclass(frozen=True)
@@ -215,19 +215,19 @@ def verify_f_reduction(
     pairs: Iterable[Pair],
 ) -> Report:
     """Check direct pair-to-pair membership equivalence on samples."""
-    rep = Report(f"reduction:{r.name}")
-    failures = []
-    total = 0
-    for idx, pair in enumerate(pairs):
-        total += 1
+
+    def test(idx, pair):
         lhs = source.membership(pair.data, pair.query)
         rhs = target.membership(r.map_data(pair.data), r.map_query(pair.query))
         if lhs != rhs:
-            failures.append((idx, "iff", f"source {lhs} but target {rhs}"))
+            return "iff", f"source {lhs} but target {rhs}"
+        return None
+
+    total, failures = probe(pairs, test)
+    rep = Report(f"reduction:{r.name}")
     rep.add("iff-equivalence", not failures, measured=len(failures), bound=0,
             detail=f"{total} pairs probed")
-    rep.itemize("pair", failures)
-    return rep
+    return rep.itemize("pair", failures)
 
 
 def pullback_witness_f(

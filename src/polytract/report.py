@@ -1,14 +1,17 @@
 """Pass/fail reporting shared by every verifier, plus JSON helpers.
 
-A Report is a named list of CheckResult rows. Volatile measurements (wall
-times and anything else that changes between runs of the same seed) live
-under keys named "timings" or ending in "_ns"; strip_timings removes them
-so two runs of the same configuration can be compared byte for byte.
+A Report is a named list of CheckResult rows. probe is the one loop every
+sample verifier runs its per-sample conditions through; itemize turns the
+failures it returns into rows. Volatile measurements (wall times and
+anything else that changes between runs of the same seed) live under keys
+named "timings" or ending in "_ns"; strip_timings removes them so two runs
+of the same configuration can be compared byte for byte.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 SCHEMA_VERSION = 1
 
@@ -57,7 +60,8 @@ class Report:
         return self
 
     def itemize(self, base: str, failures: list[tuple[int, str, str]]) -> "Report":
-        """Add one row per failing sample: (index, which condition, detail)."""
+        """Add one row per failing sample: (index, which condition, detail),
+        as probe returns them."""
         for idx, condition, detail in failures[:MAX_ITEMIZED_FAILURES]:
             self.add(f"{base}[{idx}].{condition}", False, detail=detail)
         if len(failures) > MAX_ITEMIZED_FAILURES:
@@ -85,6 +89,22 @@ class Report:
             extra = f"  ({', '.join(fields)})" if fields else ""
             lines.append(f"{word} {c.name}{extra}")
         return lines
+
+
+def probe(
+    samples: Iterable, test: Callable[[int, object], tuple[str, str] | None]
+) -> tuple[int, list[tuple[int, str, str]]]:
+    """Call test(index, sample) on each sample in turn. test returns None
+    for a sample that passes, else (condition, detail) for the first
+    condition it fails, and raises for a sample it must not be given.
+    Returns the number of samples and the failures in itemize's form."""
+    failures = []
+    idx = -1
+    for idx, sample in enumerate(samples):
+        failed = test(idx, sample)
+        if failed:
+            failures.append((idx, *failed))
+    return idx + 1, failures
 
 
 def strip_timings(obj):

@@ -37,7 +37,7 @@ def test_suite_record_names_failing_rows(monkeypatch):
     reports = [Report("compositions").add("ok", True),
                Report("runtime-fits").add("ok", True).add("slope", False)]
     monkeypatch.setattr(bench, "run_suite", lambda config: harness.SuiteReport(
-        verdict=False, environment={}, reports=reports, timings={}))
+        environment={}, reports=reports, timings={}))
     record = bench._suite(0)
     assert record["verdict"] == "fail"
     assert record["failed_rows"] == ["runtime-fits/slope"]

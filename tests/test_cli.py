@@ -12,6 +12,28 @@ def test_list_exits_zero(capsys):
     assert "qbds-to-bds" in out
 
 
+def test_list_writes_what_it_prints_to_a_json_path(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    assert main(["list", "--json", str(path)]) == 0
+    printed = capsys.readouterr().out
+    listing = json.loads(path.read_text())
+    assert sorted(listing) == ["factored_languages", "problems", "reductions", "witnesses"]
+    for name, describe in listing["problems"].items():
+        assert f"  {name}: {describe}\n" in printed
+    for key in ("factored_languages", "witnesses", "reductions"):
+        assert f"{key.replace('_', ' ')}: {', '.join(listing[key])}\n" in printed
+    assert listing["witnesses"] == [
+        "bds-verdict-bit", "cvp-verdict-bit", "wordstats-count-digest"]
+
+
+def test_list_json_stdout(capsys):
+    assert main(["list", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    listing = json.loads(out[out.index("{"): out.rindex("}") + 1])
+    assert "qbds-to-bds" in listing["reductions"]
+    assert listing["problems"]["bds"] in out.splitlines()[1]
+
+
 def test_unknown_catalog_name_is_usage_error(capsys):
     assert main(["verify-witness", "no-such-thing"]) == 2
     assert "unknown witness" in capsys.readouterr().err
