@@ -11,7 +11,8 @@ each keeps its fastest sweep. Last it records the tracemalloc peak of
 one call of each PEAK_LAYERS kernel at every rung, in MB (2**20 bytes)
 to six places, so a few bytes at a small rung do not read 0: what the
 call allocates beyond its input. Inputs come from fixed string
-seeds.
+seeds. Finally it counts the bds decides of a second suite run
+(suite_decides).
 
 The record is stored under LABEL in the JSON file and other labels
 already there are kept, so running this file against two checkouts puts
@@ -22,7 +23,8 @@ polytract package of the checkout at DIR under a second name and times
 both packages' kernels in one process: each layer's parent and change
 tasks at every rung go to one time_interleaved_ns call, recorded as
 [rung, parent ns, change ns, change/parent] under "interleaved", next to
-[rung, parent MB, change MB] rows of the PEAK_LAYERS traced peaks.
+[rung, parent MB, change MB] rows of the PEAK_LAYERS traced peaks and
+both checkouts' suite_decides.
 `polytract bench` is a different thing: the suite's growth-fit check.
 """
 from __future__ import annotations
@@ -63,6 +65,45 @@ def _suite(seed: int) -> dict:
         "failed_rows": [f"{r.name}/{c.name}" for r in report.reports
                         for c in r.checks if not c.passed],
     }
+
+
+def suite_decides(package: str = __package__, **settings) -> dict:
+    """bds.block_member calls in one run_suite of the polytract package
+    imported under the name package, with SuiteConfig(**settings); the
+    distinct (graph block, query) pairs they asked about, an instance's
+    pair being its block and query tail; and the entries of the run's
+    catalog verdict table, None for a catalog without one."""
+    bds = importlib.import_module(f"{package}.problems.bds")
+    catalog = importlib.import_module(f"{package}.catalog")
+    harness = importlib.import_module(f"{package}.harness")
+    malformed = importlib.import_module(f"{package}.errors").MalformedInstance
+    decide, build = bds.block_member, catalog.build_catalog
+    calls, pairs, built = 0, set(), []
+
+    def counted(block, query):
+        nonlocal calls
+        calls += 1
+        try:
+            data, tail = bds.split_block_tail(block) if query is None else (block, query)
+        except malformed:
+            pass
+        else:
+            pairs.add(hashlib.blake2b(len(data).to_bytes(8, "big") + data + tail,
+                                      digest_size=16).digest())
+        return decide(block, query)
+
+    def kept(config):
+        built.append(build(config))
+        return built[-1]
+
+    bds.block_member, catalog.build_catalog = counted, kept
+    try:
+        harness.run_suite(harness.SuiteConfig(**settings))
+    finally:
+        bds.block_member, catalog.build_catalog = decide, build
+    table = getattr(built[0], "verdicts", None)
+    return {"block_member_calls": calls, "distinct_pairs": len(pairs),
+            "table_entries": None if table is None else len(table)}
 
 
 def _layer_tasks(n: int, seed: int, package: str = __package__) -> dict:
@@ -223,6 +264,7 @@ def measure() -> dict:
         "suite": _suite(SEED),
         "ns_per_call": layer_ns(SEED),
         "traced_peak_mb": layer_peak_mb(SEED),
+        "suite_decides": suite_decides(seed=SEED),
     }
 
 
@@ -251,7 +293,9 @@ def main(argv=None) -> int:
     doc["columns"][args.label] = record
     if parent is not None:
         doc["interleaved"] = {"python": record["python"], "seed": SEED,
-                              **interleaved(SEED, parent)}
+                              **interleaved(SEED, parent),
+                              "suite_decides": {"parent": suite_decides(parent, seed=SEED),
+                                                "change": record["suite_decides"]}}
     dump_json(doc, args.json)
     print(f"{args.label}: run_suite {record['suite']['wall_s']} s, "
           f"peak RSS {record['suite']['peak_rss_mb']} MB -> {args.json}")

@@ -14,9 +14,15 @@ and reductions. Names describe what each entry does:
 empty query. "qbds-absorb" drops the single joining '#' of a data#query
 instance instead, which is why its redundancy constant is -1: the two
 parts together are one byte shorter than the instance.
+
+Every bds and qbds membership the catalog hands out, and so every check
+built on one, decides through the catalog's verdict table
+(Catalog.block_verdict): each (graph block, query) pair is decided once
+per catalog, whichever form of the instance asks.
 """
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -69,6 +75,8 @@ def as_qbds(x: Instance) -> Instance:
 
 
 def qbds_member(y: Instance) -> bool:
+    """Membership of a '#'-joined instance, decided afresh on every call;
+    Catalog.qbds_verdict answers the same through a catalog's table."""
     try:
         pair = decode_pair(y)
     except MalformedInstance:
@@ -125,7 +133,8 @@ class WitnessEntry:
     witness: PreprocessingWitness
     # (seed, count) -> (positives, negatives); labels already oracle-true
     sample_pairs: Callable[[int, int], tuple[list[Pair], list[Pair]]]
-    # size -> instances for the digest ladder (data parts)
+    # (size, seed) -> instances for the digest ladder (data parts), in a
+    # new list on every call; the bds rungs are catalog draws
     ladder_gen: Callable[[int, int], list[Instance]]  # (size, seed)
 
 
@@ -152,15 +161,18 @@ class Catalog:
     witnesses: dict[str, WitnessEntry] = field(default_factory=dict)
     fcr_reductions: dict[str, FcrEntry] = field(default_factory=dict)
     f_reductions: dict[str, FEntry] = field(default_factory=dict)
-    # (witness name, size, seed) -> what the witness's stage held from
-    # that ladder rung, every digest within the bound, for the later stage
-    # that reads the rung; harness._HANDOFF names what is held, and
+    # (witness name, size, seed) -> what the cvp or wordstats witness's
+    # stage held from that ladder rung, every digest within the bound,
+    # for runtime-fits; harness._HANDOFF names what is held, and
     # harness._held is its only reader
     held: dict[tuple[str, int, int], object] = field(default_factory=dict)
-    # substream name -> (seed, rng, draws): the random draws samplers made
-    # from it for the last seed asked for, extended when a larger budget
-    # is asked for; see draws()
+    # substream name -> (seed, rng, draws): the random draws samplers and
+    # the bds ladder made from it for the last seed asked for, extended
+    # when a larger budget is asked for; see draws()
     drawn: dict[str, tuple[int, random.Random, list]] = field(default_factory=dict)
+    # 16-byte digest of a (graph block, query) pair -> its
+    # bds.block_member verdict; see block_verdict()
+    verdicts: dict[bytes, bool] = field(default_factory=dict)
 
     def problem(self, name: str) -> ProblemEntry:
         return _lookup(self.problems, name, "problem")
@@ -182,6 +194,38 @@ class Catalog:
         while len(values) < budget:
             values.append(draw(rng))
         return values[:budget]
+
+    def block_verdict(self, block: bytes, query: bytes) -> bool:
+        """bds.block_member(block, query), decided once per catalog. A
+        pair's key is the blake2b digest of the block's length, the block
+        and the query, so the table holds no instance bytes and no entry
+        grows with the graph."""
+        h = hashlib.blake2b(len(block).to_bytes(8, "big"), digest_size=16)
+        h.update(block)
+        h.update(query)
+        key = h.digest()
+        verdict = self.verdicts.get(key)
+        if verdict is None:
+            verdict = self.verdicts[key] = bds.block_member(block, query)
+        return verdict
+
+    def bds_verdict(self, x: Instance) -> bool:
+        """bds.bds_member(x) through the table. The pair is x's graph block
+        and query tail, so x shares its entry with as_qbds(x); bytes that
+        do not split are out, with no entry."""
+        try:
+            block, tail = bds.split_block_tail(x)
+        except MalformedInstance:
+            return False
+        return self.block_verdict(block, tail)
+
+    def qbds_verdict(self, y: Instance) -> bool:
+        """qbds_member(y) through the table."""
+        try:
+            pair = decode_pair(y)
+        except MalformedInstance:
+            return False
+        return self.block_verdict(pair.data, pair.query)
 
 
 def _lookup(table: dict, name: str, what: str):
@@ -256,11 +300,11 @@ def _build_problems(cat: Catalog, config) -> None:
         return [as_qbds(x) for x in sample_bds(seed, cap, budget)]
 
     cat.problems["bds"] = ProblemEntry(
-        "bds", bds.bds_member,
+        "bds", cat.bds_verdict,
         "numbered graph with a visit-order query riding behind the block",
         sample_bds)
     cat.problems["qbds"] = ProblemEntry(
-        "qbds", qbds_member,
+        "qbds", cat.qbds_verdict,
         "the same instances with the query joined by '#'",
         sample_qbds)
     cat.problems["cvp"] = ProblemEntry(
@@ -275,18 +319,18 @@ def _build_problems(cat: Catalog, config) -> None:
 def _build_factored(cat: Catalog, config) -> None:
     bounds = config.bounds
     cat.factored["bds-all-data"] = FactoredLanguage(
-        "bds-all-data", bds.bds_member, identity_factorization("bds-all-data"))
+        "bds-all-data", cat.bds_verdict, identity_factorization("bds-all-data"))
     cat.factored["qbds-all-data"] = FactoredLanguage(
-        "qbds-all-data", qbds_member, identity_factorization("qbds-all-data"))
+        "qbds-all-data", cat.qbds_verdict, identity_factorization("qbds-all-data"))
     cat.factored["qbds-absorb"] = FactoredLanguage(
-        "qbds-absorb", qbds_member, absorb_factorization())
+        "qbds-absorb", cat.qbds_verdict, absorb_factorization())
     cat.factored["cvp-all-data"] = FactoredLanguage(
         "cvp-all-data", cvp.cvp_member, identity_factorization("cvp-all-data"))
 
     lexicon = config.lexicon
     cat.pair_languages["qbds-pairs"] = LanguageOfPairs(
         name="qbds-pairs",
-        membership=bds.block_member,
+        membership=cat.block_verdict,
         short_query_bound=bounds["qbds-query"],
     )
     cat.pair_languages["cvp-pairs"] = LanguageOfPairs(
@@ -328,16 +372,19 @@ def _build_witnesses(cat: Catalog, config) -> None:
         cat.witnesses[name] = WitnessEntry(language, witness, sample_pairs, ladder_gen)
 
     def bds_ladder(size: int, seed: int) -> list[Instance]:
-        rng = random.Random(f"{seed}:bds-ladder:{size}")
-        return [bds.random_sparse_instance(max(4, size), rng) for _ in range(2)]
+        """The rung's two instances, drawn from the {seed}:bds-ladder:{size}
+        stream and kept by the catalog, so both stages that read the rung
+        take the same bytes without drawing them again."""
+        return cat.draws(f"bds-ladder:{size}", seed, 2,
+                         lambda rng: bds.random_sparse_instance(max(4, size), rng))
 
     verdict_bit(
-        "bds-verdict-bit", bds.bds_member,
+        "bds-verdict-bit", cat.bds_verdict,
         cat.factored["bds-all-data"].induced_pairs_language(),
         _labeled_pairs(
             "bds-witness",
             lambda rng: bds.random_instance(rng.randrange(2, 16), rng, config.edge_prob),
-            bds.bds_member, flip=bds.swap_query),
+            cat.bds_verdict, flip=bds.swap_query),
         bds_ladder)
 
     def cvp_ladder(size: int, seed: int) -> list[Instance]:

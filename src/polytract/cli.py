@@ -110,10 +110,17 @@ def _write_json(payload: dict, args) -> None:
         dump_json(payload, args.json)
 
 
+def _text_stream(args):
+    """Where the human-readable lines go: stderr when --json - takes
+    stdout, so stdout holds the JSON document alone."""
+    return sys.stderr if args.json == "-" else sys.stdout
+
+
 def _emit(report: Report | harness.SuiteReport, args) -> int:
+    out = _text_stream(args)
     for line in report.summary_lines():
-        print(line)
-    print(f"overall: {'PASS' if report.passed else 'FAIL'}")
+        print(line, file=out)
+    print(f"overall: {'PASS' if report.passed else 'FAIL'}", file=out)
     _write_json(report.to_dict(), args)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -128,22 +135,23 @@ def _cmd_check(args) -> int:
 
 def _cmd_separate(args) -> int:
     sep = harness.separation_table(_config_from_args(args))
+    out = _text_stream(args)
     if args.csv:
         for line in sep.csv_lines():
-            print(line)
+            print(line, file=out)
     else:
         for row in sep.rows:
             realizable = row["realizable"]
             shown = "-" if realizable is None else str(realizable)
             print(f"n={row['n']:>3}  orders={row['factorial']:>20}  "
                   f"2^n={row['two_pow_n']:>8}  digest_values<=2^{row['bound_bits']}"
-                  f"  realizable={shown}")
+                  f"  realizable={shown}", file=out)
         if sep.collision:
             col = sep.collision
             print(f"collision: two numberings share the first {col.bits} "
-                  f"digest bits at n={len(col.first.numbering)}")
+                  f"digest bits at n={len(col.first.numbering)}", file=out)
     _write_json(sep.to_dict(), args)
-    print(f"overall: {'PASS' if sep.passed else 'FAIL'}")
+    print(f"overall: {'PASS' if sep.passed else 'FAIL'}", file=out)
     return EXIT_PASS if sep.passed else EXIT_FAIL
 
 
@@ -163,11 +171,12 @@ def _cmd_list(args) -> int:
         "witnesses": sorted(cat.witnesses),
         "reductions": sorted([*cat.fcr_reductions, *cat.f_reductions]),
     }
-    print("problems:")
+    out = _text_stream(args)
+    print("problems:", file=out)
     for name, describe in listing["problems"].items():
-        print(f"  {name}: {describe}")
+        print(f"  {name}: {describe}", file=out)
     for key in ("factored_languages", "witnesses", "reductions"):
-        print(f"{key.replace('_', ' ')}:", ", ".join(listing[key]))
+        print(f"{key.replace('_', ' ')}:", ", ".join(listing[key]), file=out)
     _write_json(listing, args)
     return EXIT_PASS
 

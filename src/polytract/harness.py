@@ -253,13 +253,16 @@ def _composition_budget(config: SuiteConfig) -> int:
 
 def _draw_samples(cat, config: SuiteConfig) -> None:
     """Draw the sample streams that several stages read, each up to the
-    largest budget a stage asks of it; the catalog keeps the draws, so
-    every stage takes a prefix of them. The bds stream feeds the bds and
-    qbds factorizations, the bds and qbds reductions, compositions,
-    witness-transfer and hardness-pack; the cvp-pairs stream both cvp
-    reductions."""
+    largest budget a stage asks of it, and the bds ladder's rungs; the
+    catalog keeps the draws, so every stage takes a prefix of them. The
+    bds stream feeds the bds and qbds factorizations, the bds and qbds
+    reductions, compositions, witness-transfer and hardness-pack; the
+    cvp-pairs stream both cvp reductions; the bds rungs
+    witness:bds-verdict-bit and witness-transfer."""
     cat.sampler("bds")(config.seed, 0, max(config.random_budget, _composition_budget(config)))
     cat.f_reductions["cvp-identity"].sample_pairs(config.seed, config.random_budget)
+    for size in config.ladder:
+        cat.witnesses["bds-verdict-bit"].ladder_gen(size, config.seed)
 
 
 def _factorization_check(cat, config: SuiteConfig, name: str) -> Report:
@@ -297,15 +300,13 @@ def _fcr_check(cat, config: SuiteConfig, r, source_member, target_member,
     return verify_fcr_reduction(r, source_member, target_member, pairs)
 
 
-# What each witness stage holds from a ladder rung whose digests all obey
-# the bound, made from the rung's instances and digests, for the later
-# stage that reads the same rung: the bds rung itself for
-# witness-transfer; for runtime-fits, the length of a cvp rung's first
-# instance and its digests, and a wordstats rung's first corpus, which
-# times the preprocessing, and its digests. A reader takes its entry
-# with _held.
+# What a cvp or wordstats witness stage holds from a ladder rung whose
+# digests all obey the bound, made from the rung's instances and digests,
+# for runtime-fits, which reads the same rung: the length of a cvp rung's
+# first instance and its digests, and a wordstats rung's first corpus,
+# which times the preprocessing, and its digests. runtime-fits takes its
+# entry with _held. The bds rungs need no entry: the catalog keeps them.
 _HANDOFF = {
-    "bds-verdict-bit": lambda instances, digests: instances,
     "cvp-verdict-bit": lambda instances, digests: (len(instances[0]), list(digests)),
     "wordstats-count-digest": lambda instances, digests: (instances[0], list(digests)),
 }
@@ -313,9 +314,8 @@ _HANDOFF = {
 
 def _held(cat, config: SuiteConfig, name: str, size: int):
     """Pop what witness `name`'s stage held from its ladder rung at `size`
-    (see _HANDOFF). With nothing held, as for a stage run alone, draw the
-    rung and make the entry here; its digests come from a lazy map, so an
-    entry that leaves them out preprocesses nothing."""
+    (see _HANDOFF). With nothing held, as for a stage run alone, draw and
+    preprocess the rung and make the entry here."""
     held = cat.held.pop((name, size, config.seed), None)
     if held is None:
         entry = cat.witnesses[name]
@@ -328,12 +328,14 @@ def _witness_check(cat, config: SuiteConfig, name: str) -> Report:
     entry = catalog_mod._lookup(cat.witnesses, name, "witness")
     pos, neg = entry.sample_pairs(config.seed, config.witness_samples)
     rep = verify_witness(entry.language, entry.witness, pos, neg)
+    handoff = _HANDOFF.get(name)
 
     def keep(size: int, instances: list, digests: list) -> None:
-        cat.held[name, size, config.seed] = _HANDOFF[name](instances, digests)
+        cat.held[name, size, config.seed] = handoff(instances, digests)
 
     _ladder_row(rep, name, entry.witness, lambda size: entry.ladder_gen(size, config.seed),
-                config, "slope of log digest vs log log input; bound checked per rung", keep)
+                config, "slope of log digest vs log log input; bound checked per rung",
+                keep if handoff else None)
     return rep
 
 
@@ -405,7 +407,7 @@ def _transfer_check(cat, config: SuiteConfig) -> Report:
     def ladder_gen(size):
         """The bds witness's ladder, joined and packed as the new witness reads it."""
         return [new_fact.data_part(catalog_mod.as_qbds(x))
-                for x in _held(cat, config, "bds-verdict-bit", size)]
+                for x in wentry.ladder_gen(size, config.seed)]
 
     _ladder_row(rep, "transferred", new_witness, ladder_gen, config)
     return rep
@@ -445,7 +447,7 @@ def _short_query_checks(cat, config: SuiteConfig) -> Report:
     pairs = []
     for _ in range(40):
         x = bds.random_instance(rng.randrange(2, 24), rng, config.edge_prob)
-        if not bds.bds_member(x):
+        if not cat.bds_verdict(x):
             x = bds.swap_query(x)
         block, tail = bds.split_block_tail(x)
         pairs.append(Pair(block, tail))

@@ -138,7 +138,7 @@ def pair_member(data: Instance, query: Instance, lexicon=DEFAULT_LEXICON) -> boo
         return False
     if word not in lexicon:
         return False
-    return sum(1 for w in corpus.words if w == word) >= k
+    return corpus.words.count(word) >= k
 
 
 def random_corpus_text(

@@ -75,19 +75,36 @@ def test_parent_flag_adds_interleaved_rows(tmp_path, monkeypatch):
     path = tmp_path / "bench.json"
     steps = []
     monkeypatch.setattr(bench, "measure", lambda: steps.append("measure") or {
-        "python": "3", "suite": {"wall_s": 1.0, "peak_rss_mb": 3.0}})
+        "python": "3", "suite": {"wall_s": 1.0, "peak_rss_mb": 3.0},
+        "suite_decides": {"block_member_calls": 1}})
     imported = bench.import_checkout
     monkeypatch.setattr(bench, "import_checkout",
                         lambda root: steps.append("import") or imported(root))
     monkeypatch.setattr(bench, "interleaved", lambda seed, parent: {"ns_per_call": {
         "layer": [[8, 2, 1, 0.5]]}})
+    monkeypatch.setattr(bench, "suite_decides", lambda package, seed: {
+        "block_member_calls": 2, "package": package, "seed": seed})
     bench.main(["--json", str(path), "--parent", str(ROOT)])
     # the parent package is not loaded while the record's suite runs
     assert steps == ["measure", "import"]
     doc = json.loads(path.read_text())
     assert doc["columns"]["change"]["suite"]["wall_s"] == 1.0
-    assert doc["interleaved"] == {"python": "3", "seed": bench.SEED,
-                                  "ns_per_call": {"layer": [[8, 2, 1, 0.5]]}}
+    assert doc["interleaved"] == {
+        "python": "3", "seed": bench.SEED, "ns_per_call": {"layer": [[8, 2, 1, 0.5]]},
+        "suite_decides": {"parent": {"block_member_calls": 2, "package": bench.PARENT_PACKAGE,
+                                     "seed": bench.SEED},
+                          "change": {"block_member_calls": 1}}}
+
+
+def test_suite_decides_counts_each_decide_and_each_pair():
+    small = dict(seed=0, ladder=(64, 128, 256, 512), random_budget=10, witness_samples=5)
+    for package in (bench.import_checkout(ROOT), "polytract"):
+        bds = importlib.import_module(f"{package}.problems.bds")
+        decide = bds.block_member
+        out = bench.suite_decides(package, **small)
+        # one decide per table entry, one entry per pair asked about
+        assert out["block_member_calls"] == out["distinct_pairs"] == out["table_entries"] > 0
+        assert bds.block_member is decide
 
 
 def test_perfbench_trace_targets_resolve():

@@ -28,10 +28,17 @@ def test_list_writes_what_it_prints_to_a_json_path(tmp_path, capsys):
 
 def test_list_json_stdout(capsys):
     assert main(["list", "--json", "-"]) == 0
-    out = capsys.readouterr().out
-    listing = json.loads(out[out.index("{"): out.rindex("}") + 1])
+    captured = capsys.readouterr()
+    listing = json.loads(captured.out)
     assert "qbds-to-bds" in listing["reductions"]
-    assert listing["problems"]["bds"] in out.splitlines()[1]
+    assert listing["problems"]["bds"] in captured.err.splitlines()[1]
+
+
+def test_check_json_stdout(capsys):
+    assert main(["verify-factorization", "qbds-absorb", "--random", "5", "--json", "-"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "pass"
+    assert captured.err.splitlines()[-1] == "overall: PASS"
 
 
 def test_unknown_catalog_name_is_usage_error(capsys):
@@ -201,10 +208,10 @@ def test_malformed_flag_values_are_usage_errors(capsys):
 
 def test_separate_json_stdout(capsys):
     assert main(["separate", "--max-n", "5", "--json", "-"]) == 0
-    out = capsys.readouterr().out
-    start = out.index("{")
-    payload = json.loads(out[start: out.rindex("}") + 1])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
     assert payload["verdict"] == "pass"
+    assert captured.err.splitlines()[-1] == "overall: PASS"
 
 
 def test_stripped_check_reports_are_deterministic(tmp_path):

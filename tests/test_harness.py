@@ -330,17 +330,26 @@ def _count_sparse_draws(monkeypatch) -> list:
 def test_suite_draws_each_bds_rung_once(monkeypatch):
     calls = _count_sparse_draws(monkeypatch)
     run_suite(HANDOFF)
-    # two instances per rung, drawn for witness:bds-verdict-bit and
-    # handed to witness-transfer
+    # two instances per rung, drawn in draw-samples and taken from the
+    # catalog by witness:bds-verdict-bit and witness-transfer
     assert sorted(calls) == sorted(2 * HANDOFF.ladder)
+
+
+def test_suite_decides_each_bds_pair_once(monkeypatch):
+    decided = _calls(monkeypatch, bds, "block_member")
+    members = _calls(monkeypatch, bds, "bds_member")
+    cat = _suite_catalog(monkeypatch, HANDOFF)
+    # every bds decide of the run goes through the catalog's table
+    assert members == []
+    assert len(decided) == len(cat.verdicts) > 0
 
 
 def test_both_bds_ladder_stages_leave_no_rung_held(monkeypatch):
     calls = _count_sparse_draws(monkeypatch)
     cat = build_catalog(HANDOFF)
     run_check(cat, HANDOFF, "witness:bds-verdict-bit")
-    assert sorted(cat.held) == [("bds-verdict-bit", size, HANDOFF.seed)
-                                for size in HANDOFF.ladder]
+    # the catalog keeps the rungs it drew, so the stage holds none
+    assert cat.held == {}
     run_check(cat, HANDOFF, "witness-transfer")
     assert cat.held == {}
     assert len(calls) == 2 * len(HANDOFF.ladder)
@@ -357,12 +366,14 @@ def test_lone_transfer_check_matches_its_suite_stage(monkeypatch):
 
 
 def test_held_on_an_empty_catalog_draws_its_own_rung(monkeypatch):
-    decided = _calls(monkeypatch, bds, "bds_member")
+    decided = _calls(monkeypatch, bds, "block_member")
     cat = build_catalog(HANDOFF)
     size = HANDOFF.ladder[0]
-    # the bds entry is the rung itself, so nothing is decided
-    rung = harness._held(cat, HANDOFF, "bds-verdict-bit", size)
-    assert rung == cat.witnesses["bds-verdict-bit"].ladder_gen(size, HANDOFF.seed)
+    # a bds rung has no entry: an empty catalog draws it, deciding nothing
+    assert "bds-verdict-bit" not in harness._HANDOFF
+    rung = cat.witnesses["bds-verdict-bit"].ladder_gen(size, HANDOFF.seed)
+    assert rung == build_catalog(HANDOFF).witnesses["bds-verdict-bit"].ladder_gen(
+        size, HANDOFF.seed)
     assert decided == []
     # the cvp entry is the one the witness stage holds
     lone = harness._held(cat, HANDOFF, "cvp-verdict-bit", size)
@@ -395,11 +406,12 @@ def test_injected_bds_witness_hands_over_no_rung(monkeypatch):
     calls = _count_sparse_draws(monkeypatch)
     cat = build_catalog(config)
     run_check(cat, config, "witness:bds-verdict-bit")
-    # every identity digest is over the bound, so no rung is held
     assert cat.held == {}
     calls.clear()
     after = run_check(cat, config, "witness-transfer")
-    assert len(calls) == 2 * len(HANDOFF.ladder)
+    # every identity digest is over the bound, but the catalog kept the
+    # rungs, so witness-transfer draws none
+    assert calls == []
     assert strip_timings(after.to_dict()) == strip_timings(lone.to_dict())
 
 
@@ -464,21 +476,16 @@ def test_witness_stages_hold_the_fit_rungs_digests():
     cat = build_catalog(HANDOFF)
     for name in cat.witnesses:
         run_check(cat, HANDOFF, f"witness:{name}")
+    fitted = ("cvp-verdict-bit", "wordstats-count-digest")
     assert sorted(cat.held) == sorted(
-        (name, size, HANDOFF.seed) for name in cat.witnesses for size in HANDOFF.ladder)
-    for name, first in (("cvp-verdict-bit", len), ("wordstats-count-digest", bytes)):
+        (name, size, HANDOFF.seed) for name in fitted for size in HANDOFF.ladder)
+    for name, first in zip(fitted, (len, bytes)):
         entry = cat.witnesses[name]
         for size in HANDOFF.ladder:
             rung = entry.ladder_gen(size, HANDOFF.seed)
             assert cat.held[name, size, HANDOFF.seed] == (
                 first(rung[0]), [entry.witness.preprocess(x) for x in rung])
-    for size in HANDOFF.ladder:
-        assert cat.held["bds-verdict-bit", size, HANDOFF.seed] == (
-            cat.witnesses["bds-verdict-bit"].ladder_gen(size, HANDOFF.seed))
     run_check(cat, HANDOFF, "runtime-fits")
-    assert sorted(cat.held) == [("bds-verdict-bit", size, HANDOFF.seed)
-                                for size in HANDOFF.ladder]
-    run_check(cat, HANDOFF, "witness-transfer")
     assert cat.held == {}
 
 
