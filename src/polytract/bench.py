@@ -3,10 +3,11 @@
     python -m polytract.bench --json BENCH.json [--label change]
 
 Runs run_suite(SuiteConfig()) at seed 42 once and records its wall time,
-each stage's time, the process's peak RSS right after it, the stripped
-report's sha256 and the report/check names of its failing rows. Then it
-times each large-instance kernel at every DEFAULT_LADDER rung with
-time_interleaved_ns: the rungs of one kernel are swept together and
+each stage's time, the process's peak RSS right after it, the peak RSS
+and CPU time of the worker process that drew the bds ladder, the
+stripped report's sha256 and the report/check names of its failing
+rows. Then it times each large-instance kernel at every DEFAULT_LADDER
+rung with time_interleaved_ns: the rungs of one kernel are swept together and
 each keeps its fastest sweep. Last it records the tracemalloc peak of
 one call of each PEAK_LAYERS kernel at every rung, in MB (2**20 bytes)
 to six places, so a few bytes at a small rung do not read 0: what the
@@ -51,15 +52,25 @@ SEED = 42
 PARENT_PACKAGE = "polytract_parent"
 
 
+def _cpu_s(usage) -> float:
+    return usage.ru_utime + usage.ru_stime
+
+
 def _suite(seed: int) -> dict:
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter_ns()
     report = run_suite(SuiteConfig(seed=seed))
     wall = time.perf_counter_ns() - t0
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
     stripped = dump_json(strip_timings(report.to_dict()))
     return {
         "wall_s": round(wall / 1e9, 3),
         "stages_s": {k: round(v / 1e9, 3) for k, v in report.timings.items()},
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        # The ladder worker's, reaped by run_suite: it does nothing but
+        # draw the bds ladder, so its CPU time is the draw's time.
+        "worker_peak_rss_mb": round(children.ru_maxrss / 1024, 1),
+        "worker_cpu_s": round(_cpu_s(children) - _cpu_s(before), 3),
         "report_sha256": hashlib.sha256(stripped.encode("utf-8")).hexdigest(),
         "verdict": "pass" if report.passed else "fail",
         "failed_rows": [f"{r.name}/{c.name}" for r in report.reports
@@ -80,7 +91,7 @@ def suite_decides(package: str = __package__, **settings) -> dict:
     decide, build = bds.block_member, catalog.build_catalog
     calls, pairs, built = 0, set(), []
 
-    def counted(block, query):
+    def counted(block, query, *bounds):
         nonlocal calls
         calls += 1
         try:
@@ -90,7 +101,7 @@ def suite_decides(package: str = __package__, **settings) -> dict:
         else:
             pairs.add(hashlib.blake2b(len(data).to_bytes(8, "big") + data + tail,
                                       digest_size=16).digest())
-        return decide(block, query)
+        return decide(block, query, *bounds)
 
     def kept(config):
         built.append(build(config))

@@ -251,18 +251,25 @@ def _composition_budget(config: SuiteConfig) -> int:
     return max(40, config.random_budget // 4)
 
 
-def _draw_samples(cat, config: SuiteConfig) -> None:
-    """Draw the sample streams that several stages read, each up to the
-    largest budget a stage asks of it, and the bds ladder's rungs; the
-    catalog keeps the draws, so every stage takes a prefix of them. The
-    bds stream feeds the bds and qbds factorizations, the bds and qbds
-    reductions, compositions, witness-transfer and hardness-pack; the
-    cvp-pairs stream both cvp reductions; the bds rungs
-    witness:bds-verdict-bit and witness-transfer."""
-    cat.sampler("bds")(config.seed, 0, max(config.random_budget, _composition_budget(config)))
-    cat.f_reductions["cvp-identity"].sample_pairs(config.seed, config.random_budget)
-    for size in config.ladder:
-        cat.witnesses["bds-verdict-bit"].ladder_gen(size, config.seed)
+def _draw_samples(cat, config: SuiteConfig):
+    """Start a worker process on the bds ladder's rung streams
+    (Catalog.prefetch), then draw the sample streams that several stages
+    read, each up to the largest budget a stage asks of it. The catalog
+    keeps the draws, so every stage takes a prefix of them, and the first
+    read of a rung waits for the worker. The bds stream feeds the bds and
+    qbds factorizations, the bds and qbds reductions, compositions,
+    witness-transfer and hardness-pack; the cvp-pairs stream both cvp
+    reductions; the bds rungs witness:bds-verdict-bit and
+    witness-transfer. Returns the worker, which the caller closes."""
+    worker = cat.prefetch(config.seed, map(catalog_mod.bds_rung, config.ladder))
+    try:
+        cat.sampler("bds")(config.seed, 0,
+                           max(config.random_budget, _composition_budget(config)))
+        cat.f_reductions["cvp-identity"].sample_pairs(config.seed, config.random_budget)
+    except BaseException:
+        worker.close()
+        raise
+    return worker
 
 
 def _factorization_check(cat, config: SuiteConfig, name: str) -> Report:
@@ -563,6 +570,13 @@ SUITE_STAGES = (
     "separation", "runtime-fits",
 )
 
+# The stages that read the bds ladder, which run_suite draws in a worker
+# process while every other stage runs. runtime-fits runs after them,
+# once the worker is gone, so its timing fits never overlap the worker.
+_LADDER_READERS = ("witness:bds-verdict-bit", "witness-transfer")
+_LAST = "runtime-fits"
+_MAIN_LANE = tuple(s for s in SUITE_STAGES if s not in (*_LADDER_READERS, _LAST))
+
 
 def run_check(cat, config: SuiteConfig, stage: str) -> Report:
     """Run the check a stage names, e.g. 'witness:bds-verdict-bit' or
@@ -605,22 +619,37 @@ class SuiteReport:
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Run every stage of SUITE_STAGES with the configured budgets."""
+    """Run every stage of SUITE_STAGES with the configured budgets.
+
+    A worker process draws the bds ladder while the stages that do not
+    read it run here: _MAIN_LANE, then _LADDER_READERS, whose first read
+    of a rung waits for the worker, then runtime-fits once the worker is
+    reaped. The reports and timings stay in SUITE_STAGES order. The
+    worker is reaped however the run ends, and its exception reaches the
+    caller."""
     check_config(config)
     if len(config.ladder) < 4:
         raise InsufficientData("suite ladder needs at least 4 rungs")
     cat = catalog_mod.build_catalog(config)
-    reports: list[Report] = []
-    t0 = time.perf_counter_ns()
-    _draw_samples(cat, config)
-    timings: dict[str, int] = {"draw-samples": time.perf_counter_ns() - t0}
-    for stage in SUITE_STAGES:
+    done: dict[str, tuple[Report, int]] = {}
+
+    def run(stage: str) -> None:
         t0 = time.perf_counter_ns()
-        reports.append(run_check(cat, config, stage))
-        timings[stage] = time.perf_counter_ns() - t0
+        report = run_check(cat, config, stage)
+        done[stage] = report, time.perf_counter_ns() - t0
+
+    t0 = time.perf_counter_ns()
+    worker = _draw_samples(cat, config)
+    draw_ns = time.perf_counter_ns() - t0
+    try:
+        for stage in (*_MAIN_LANE, *_LADDER_READERS):
+            run(stage)
+    finally:
+        worker.close()
+    run(_LAST)
 
     return SuiteReport(
         environment={"seed": config.seed, "config": config_echo(config)},
-        reports=reports,
-        timings=timings,
+        reports=[done[stage][0] for stage in SUITE_STAGES],
+        timings={"draw-samples": draw_ns, **{stage: done[stage][1] for stage in SUITE_STAGES}},
     )

@@ -163,13 +163,14 @@ def split_block_tail(data: bytes) -> tuple[bytes, bytes]:
     the split point is determined without reserializing anything and the
     tail comes back raw.
     """
-    _, _, _, end = _block_bounds(data)
+    _, _, _, end = block_bounds(data)
     return data[:end], data[end:]
 
 
-def _block_bounds(data: bytes) -> tuple[int, int, int, int]:
+def block_bounds(data: bytes) -> tuple[int, int, int, int]:
     """Header counts n, m, the offset of the first edge line and the end
-    of the block's m + 2 lines."""
+    of the block's m + 2 lines at the front of data; MalformedGraph if
+    data holds no such block."""
     first_nl = data.find(b"\n")
     if first_nl < 0:
         raise MalformedGraph("line 1: missing newline after header")
@@ -189,11 +190,11 @@ def _block_bounds(data: bytes) -> tuple[int, int, int, int]:
     return n, m, start, len(data) - len(data.split(b"\n", m + 2)[-1])
 
 
-def _parse_block(data: bytes) -> tuple[int, tuple[int, ...], array, bytes]:
+def _parse_block(data: bytes, bounds=None) -> tuple[int, tuple[int, ...], array, bytes]:
     """n, numbering, the key column of the edge lines and the raw tail of
     the graph block at the front of data, with every check of make_graph
-    made."""
-    n, m, start, end = _block_bounds(data)
+    made. bounds, if given, is block_bounds(data), already read."""
+    n, m, start, end = bounds or block_bounds(data)
     numbering = _numbering_fields(data[data.find(b"\n") + 1:start], n)
     keys = _edge_columns(n, data, start, end)
     # Anything else takes the line loop, which finds the first bad line
@@ -368,13 +369,15 @@ def bds_member(x: Instance) -> bool:
     return block_member(x, None)
 
 
-def block_member(block: bytes, query: bytes | None) -> bool:
+def block_member(block: bytes, query: bytes | None, bounds=None) -> bool:
     """Whether the graph block at the front of block records the query's
     first node before its second, decided from the key column without a
     NumberedGraph. The query is the block's own tail when None, else
-    block must hold the graph block alone. False on malformed input."""
+    block must hold the graph block alone. False on malformed input.
+    bounds, if given, is block_bounds(block), so a caller that split
+    block at its end does not read the header again."""
     try:
-        n, numbering, keys, tail = _parse_block(block)
+        n, numbering, keys, tail = _parse_block(block, bounds)
         if query is None:
             query = tail
         elif tail:

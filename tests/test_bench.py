@@ -3,6 +3,7 @@ import importlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,17 @@ def test_suite_record_names_failing_rows(monkeypatch):
     record = bench._suite(0)
     assert record["verdict"] == "fail"
     assert record["failed_rows"] == ["runtime-fits/slope"]
+
+
+def test_suite_record_has_the_ladder_worker_beside_this_process(monkeypatch):
+    small = harness.SuiteConfig(ladder=(64, 128, 256, 512), random_budget=10,
+                                witness_samples=5)
+    monkeypatch.setattr(bench, "run_suite", lambda config: harness.run_suite(
+        replace(small, seed=config.seed)))
+    record = bench._suite(0)
+    assert record["verdict"] == "pass"
+    assert record["peak_rss_mb"] > 0 and record["worker_peak_rss_mb"] > 0
+    assert record["worker_cpu_s"] >= 0
 
 
 def test_records_are_kept_side_by_side(tmp_path, monkeypatch):

@@ -1,6 +1,9 @@
 import math
+import multiprocessing
+import os
 import random
 import re
+import time
 from dataclasses import fields, replace
 
 import pytest
@@ -327,12 +330,89 @@ def _count_sparse_draws(monkeypatch) -> list:
     return _calls(monkeypatch, bds, "random_sparse_instance")
 
 
-def test_suite_draws_each_bds_rung_once(monkeypatch):
+def test_suite_draws_each_bds_rung_once(monkeypatch, tmp_path):
+    # The rungs are drawn in a forked worker process, whose calls no list
+    # of this process sees, so every draw appends its process id and size
+    # to a file as well.
+    log = tmp_path / "draws"
     calls = _count_sparse_draws(monkeypatch)
+    counted = bds.random_sparse_instance
+
+    def logged(n, rng):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {n}\n")
+        return counted(n, rng)
+
+    monkeypatch.setattr(bds, "random_sparse_instance", logged)
     run_suite(HANDOFF)
-    # two instances per rung, drawn in draw-samples and taken from the
+    draws = [line.split() for line in log.read_text().splitlines()]
+    # two instances per rung, drawn once by the worker and taken from the
     # catalog by witness:bds-verdict-bit and witness-transfer
-    assert sorted(calls) == sorted(2 * HANDOFF.ladder)
+    assert sorted(int(n) for _, n in draws) == sorted(2 * HANDOFF.ladder)
+    assert len({pid for pid, _ in draws}) == 1
+    # this process draws no rung
+    assert calls == []
+    assert str(os.getpid()) not in {pid for pid, _ in draws}
+
+
+def test_worker_draws_are_the_catalog_draws(monkeypatch):
+    cat = _suite_catalog(monkeypatch, HANDOFF)
+    for size in HANDOFF.ladder:
+        stream, budget, draw = catalog.bds_rung(size)
+        inline = build_catalog(HANDOFF)
+        inline.draws(stream, HANDOFF.seed, budget, draw)
+        seed, rng, values = cat.drawn[stream]
+        kept_seed, kept_rng, kept = inline.drawn[stream]
+        # the worker's entry: the same bytes and the same rng state
+        assert (seed, values) == (kept_seed, kept)
+        assert rng.getstate() == kept_rng.getstate()
+        # so the stream goes on alike
+        longer = cat.draws(stream, HANDOFF.seed, budget + 1, draw)
+        assert longer == inline.draws(stream, HANDOFF.seed, budget + 1, draw)
+        assert len(longer) == budget + 1
+
+
+class DrawFailed(Exception):
+    """Raised by a sabotaged ladder draw in the worker process."""
+
+
+def _no_process_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_passing_suite_leaves_no_process():
+    assert run_suite(HANDOFF).passed
+    _no_process_left()
+
+
+def test_a_failing_stage_leaves_no_process(monkeypatch):
+    def stuck(n, rng):
+        time.sleep(60)
+
+    def failed(cat, config):
+        raise ConfigError("stage failed")
+
+    # The worker is still drawing when a main-lane stage raises: it is
+    # killed, not waited for.
+    monkeypatch.setattr(bds, "random_sparse_instance", stuck)
+    monkeypatch.setitem(harness._CHECKS, "separation", failed)
+    t0 = time.monotonic()
+    with pytest.raises(ConfigError, match="stage failed"):
+        run_suite(HANDOFF)
+    assert time.monotonic() - t0 < 30
+    _no_process_left()
+
+
+def test_a_failing_worker_draw_reaches_the_caller(monkeypatch):
+    def failed(n, rng):
+        raise DrawFailed(f"no rung of {n} nodes")
+
+    monkeypatch.setattr(bds, "random_sparse_instance", failed)
+    with pytest.raises(DrawFailed, match="no rung of 64 nodes"):
+        run_suite(HANDOFF)
+    _no_process_left()
 
 
 def test_suite_decides_each_bds_pair_once(monkeypatch):
