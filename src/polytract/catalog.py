@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 from .encoding import (
@@ -73,19 +72,6 @@ def as_qbds(x: Instance) -> Instance:
     except MalformedInstance:
         return x
     return block + b"#" + tail
-
-
-def bds_rung(size: int) -> tuple[str, int, Callable]:
-    """(stream, budget, draw) of the bds ladder rung at `size`: two sparse
-    instances of max(4, size) nodes from the bds-ladder:{size} substream."""
-    return f"bds-ladder:{size}", 2, lambda rng: bds.random_sparse_instance(max(4, size), rng)
-
-
-def _first_draws(stream: str, seed: int, budget: int, draw) -> tuple:
-    """The (seed, rng, draws) entry Catalog.draws keeps for the first
-    `budget` values of draw(rng) on the `stream` substream of `seed`."""
-    rng = random.Random(f"{seed}:{stream}")
-    return seed, rng, [draw(rng) for _ in range(budget)]
 
 
 def qbds_member(y: Instance) -> bool:
@@ -182,11 +168,9 @@ class Catalog:
     held: dict[tuple[str, int, int], object] = field(default_factory=dict)
     # substream name -> (seed, rng, draws): the random draws samplers and
     # the bds ladder made from it for the last seed asked for, extended
-    # when a larger budget is asked for; or, from prefetch(), a pending
-    # entry: a function that waits for a worker's (seed, rng, draws);
-    # see draws()
-    drawn: dict[str, tuple[int, random.Random, list] | Callable[[], tuple]] = field(
-        default_factory=dict)
+    # when a larger budget is asked for; see draws(). run_suite adds the
+    # bds ladder's entries its worker process drew.
+    drawn: dict[str, tuple[int, random.Random, list]] = field(default_factory=dict)
     # 16-byte digest of a (graph block, query) pair -> its
     # bds.block_member verdict; see block_verdict()
     verdicts: dict[bytes, bool] = field(default_factory=dict)
@@ -203,36 +187,16 @@ class Catalog:
     def draws(self, stream: str, seed: int, budget: int, draw) -> list:
         """The first `budget` values of draw(rng) on the `stream` substream
         of `seed`, as a new list. Only the last seed's draws are kept, and
-        they are extended only when a larger budget is asked for. A stream
-        prefetched into a worker process is waited for on its first read,
-        which keeps the worker's entry: its draws and its rng state are
-        what drawing here would have made, so every reader gets the same
-        bytes in any order, and a worker's exception is raised here."""
+        they are extended only when a larger budget is asked for, so every
+        reader gets the same bytes in any order, and an entry drawn in a
+        forked copy of this catalog goes on as one drawn here."""
         kept = self.drawn.get(stream)
-        if callable(kept):
-            kept = self.drawn[stream] = kept()
         if kept is None or kept[0] != seed:
-            kept = self.drawn[stream] = _first_draws(stream, seed, budget, draw)
+            kept = self.drawn[stream] = seed, random.Random(f"{seed}:{stream}"), []
         _, rng, values = kept
         while len(values) < budget:
             values.append(draw(rng))
         return values[:budget]
-
-    def prefetch(self, seed: int, streams):
-        """Start a worker process (worker.Worker) that makes, for each
-        (stream, budget, draw) of streams, the entry draws(stream, seed,
-        budget, draw) would make here, and leave a pending entry for each
-        stream, which draws() waits for. Returns the worker, which the
-        caller closes."""
-        # Imported here, so importing polytract does not load pickle.
-        from .worker import Worker
-
-        streams = list(streams)
-        worker = Worker((_first_draws, (stream, seed, budget, draw))
-                        for stream, budget, draw in streams)
-        for i, (stream, _, _) in enumerate(streams):
-            self.drawn[stream] = partial(worker.result, i)
-        return worker
 
     def block_verdict(self, block: bytes, query: bytes) -> bool:
         """bds.block_member(block, query), decided once per catalog."""
@@ -421,11 +385,12 @@ def _build_witnesses(cat: Catalog, config) -> None:
         cat.witnesses[name] = WitnessEntry(language, witness, sample_pairs, ladder_gen)
 
     def bds_ladder(size: int, seed: int) -> list[Instance]:
-        """The rung's two instances (bds_rung), kept by the catalog, so
-        both stages that read the rung take the same bytes without
-        drawing them again."""
-        stream, budget, draw = bds_rung(size)
-        return cat.draws(stream, seed, budget, draw)
+        """Two sparse instances of max(4, size) nodes from the
+        bds-ladder:{size} substream, kept by the catalog, so both stages
+        that read the rung take the same bytes without drawing them
+        again."""
+        return cat.draws(f"bds-ladder:{size}", seed, 2,
+                         lambda rng: bds.random_sparse_instance(max(4, size), rng))
 
     verdict_bit(
         "bds-verdict-bit", cat.bds_verdict,

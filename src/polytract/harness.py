@@ -126,13 +126,20 @@ def apply_key(cfg: SuiteConfig, key: str, value: str) -> None:
 
 
 def check_config(cfg: SuiteConfig) -> None:
-    """Raise ConfigError for the first budget, cap, lexicon or gate weight
-    out of range. Setting a key, loading a config and running a check all
-    call this, so a config built in code meets what a config file must."""
+    """Raise ConfigError for the first budget, ladder, cap, lexicon or
+    gate weight out of range. Setting a key, loading a config and running
+    a check all call this, so a config built in code meets what a config
+    file must."""
     if cfg.random_budget < 0:
         raise ConfigError(f"random_budget {cfg.random_budget} is negative")
     if cfg.witness_samples < 1:
         raise ConfigError(f"witness_samples {cfg.witness_samples} is below 1")
+    # Every fit needs four rungs, and a bds or cvp rung has at least 4
+    # nodes, so a smaller size would repeat the rung above it.
+    ladder = cfg.ladder
+    if len(ladder) < 4 or ladder[0] < 4 or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError("ladder needs at least 4 strictly increasing sizes, "
+                          "the smallest at least 4")
     if not cfg.lexicon:
         raise ConfigError("lexicon needs at least one word")
     if len(cfg.gate_weights) != 3:
@@ -251,25 +258,26 @@ def _composition_budget(config: SuiteConfig) -> int:
     return max(40, config.random_budget // 4)
 
 
-def _draw_samples(cat, config: SuiteConfig):
-    """Start a worker process on the bds ladder's rung streams
-    (Catalog.prefetch), then draw the sample streams that several stages
-    read, each up to the largest budget a stage asks of it. The catalog
-    keeps the draws, so every stage takes a prefix of them, and the first
-    read of a rung waits for the worker. The bds stream feeds the bds and
+def _draw_samples(cat, config: SuiteConfig) -> None:
+    """Draw the sample streams that several stages read, each up to the
+    largest budget a stage asks of it. The catalog keeps the draws, so
+    every stage takes a prefix of them. The bds stream feeds the bds and
     qbds factorizations, the bds and qbds reductions, compositions,
     witness-transfer and hardness-pack; the cvp-pairs stream both cvp
-    reductions; the bds rungs witness:bds-verdict-bit and
-    witness-transfer. Returns the worker, which the caller closes."""
-    worker = cat.prefetch(config.seed, map(catalog_mod.bds_rung, config.ladder))
-    try:
-        cat.sampler("bds")(config.seed, 0,
-                           max(config.random_budget, _composition_budget(config)))
-        cat.f_reductions["cvp-identity"].sample_pairs(config.seed, config.random_budget)
-    except BaseException:
-        worker.close()
-        raise
-    return worker
+    reductions. run_suite's worker draws the bds ladder (_draw_ladder)."""
+    cat.sampler("bds")(config.seed, 0, max(config.random_budget, _composition_budget(config)))
+    cat.f_reductions["cvp-identity"].sample_pairs(config.seed, config.random_budget)
+
+
+def _draw_ladder(cat, config: SuiteConfig) -> dict:
+    """Draw every bds ladder rung through witness:bds-verdict-bit's own
+    ladder_gen and return the catalog's draws. run_suite makes this call
+    in a worker forked before any draw, so the draws it returns are the
+    rungs' entries alone."""
+    ladder_gen = cat.witnesses["bds-verdict-bit"].ladder_gen
+    for size in config.ladder:
+        ladder_gen(size, config.seed)
+    return cat.drawn
 
 
 def _factorization_check(cat, config: SuiteConfig, name: str) -> Report:
@@ -570,12 +578,12 @@ SUITE_STAGES = (
     "separation", "runtime-fits",
 )
 
-# The stages that read the bds ladder, which run_suite draws in a worker
-# process while every other stage runs. runtime-fits runs after them,
-# once the worker is gone, so its timing fits never overlap the worker.
-_LADDER_READERS = ("witness:bds-verdict-bit", "witness-transfer")
-_LAST = "runtime-fits"
-_MAIN_LANE = tuple(s for s in SUITE_STAGES if s not in (*_LADDER_READERS, _LAST))
+# The stages run_suite runs after its one join with the ladder worker, in
+# SUITE_STAGES order: the two that read the bds ladder, and runtime-fits,
+# so its timing fits never overlap the worker. _MAIN_LANE, every other
+# stage, runs while the worker draws.
+_AFTER_JOIN = ("witness:bds-verdict-bit", "witness-transfer", "runtime-fits")
+_MAIN_LANE = tuple(s for s in SUITE_STAGES if s not in _AFTER_JOIN)
 
 
 def run_check(cat, config: SuiteConfig, stage: str) -> Report:
@@ -621,15 +629,14 @@ class SuiteReport:
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Run every stage of SUITE_STAGES with the configured budgets.
 
-    A worker process draws the bds ladder while the stages that do not
-    read it run here: _MAIN_LANE, then _LADDER_READERS, whose first read
-    of a rung waits for the worker, then runtime-fits once the worker is
-    reaped. The reports and timings stay in SUITE_STAGES order. The
-    worker is reaped however the run ends, and its exception reaches the
-    caller."""
+    A worker process forked before any draw draws the bds ladder
+    (_draw_ladder) while this process draws the sample streams and runs
+    _MAIN_LANE. One join then adds the worker's draws to the catalog, and
+    _AFTER_JOIN runs. The fork, the sample draws and the wait at the join
+    are timed as draw-samples. The reports and timings stay in
+    SUITE_STAGES order. The worker is reaped however the run ends, and
+    its exception reaches the caller."""
     check_config(config)
-    if len(config.ladder) < 4:
-        raise InsufficientData("suite ladder needs at least 4 rungs")
     cat = catalog_mod.build_catalog(config)
     done: dict[str, tuple[Report, int]] = {}
 
@@ -638,15 +645,23 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
         report = run_check(cat, config, stage)
         done[stage] = report, time.perf_counter_ns() - t0
 
+    # Imported here, so importing polytract does not load pickle.
+    from .worker import Worker
+
     t0 = time.perf_counter_ns()
-    worker = _draw_samples(cat, config)
-    draw_ns = time.perf_counter_ns() - t0
+    worker = Worker(_draw_ladder, cat, config)
     try:
-        for stage in (*_MAIN_LANE, *_LADDER_READERS):
+        _draw_samples(cat, config)
+        draw_ns = time.perf_counter_ns() - t0
+        for stage in _MAIN_LANE:
             run(stage)
+        t0 = time.perf_counter_ns()
+        cat.drawn.update(worker.result())
+        draw_ns += time.perf_counter_ns() - t0
     finally:
         worker.close()
-    run(_LAST)
+    for stage in _AFTER_JOIN:
+        run(stage)
 
     return SuiteReport(
         environment={"seed": config.seed, "config": config_echo(config)},

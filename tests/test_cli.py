@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from polytract.cli import _config_from_args, build_parser, main
 from polytract.report import strip_timings
 
@@ -115,6 +117,17 @@ def test_short_ladder_is_usage_error(tmp_path, capsys):
     cfg.write_text("ladder = 512, 1024\n")
     assert main(["run-suite", "--config", str(cfg)]) == 2
     assert "ladder" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ladder", ["4096, 1024, 16384, 65536", "0, 1, 2, 3"])
+def test_ladder_out_of_order_or_below_4_is_usage_error(ladder, tmp_path, capsys):
+    # The first used to fail inside witness:cvp-verdict-bit, the second
+    # in runtime-fits after the whole suite ran.
+    cfg = tmp_path / "ladder.cfg"
+    cfg.write_text(f"ladder = {ladder}\n")
+    assert main(["run-suite", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1:" in err and "ladder" in err
 
 
 def test_verify_factorization_pass(capsys):

@@ -91,6 +91,10 @@ OUT_OF_RANGE = [
     ("witness_samples = 0", {"witness_samples": 0}, "witness_samples 0 is below 1"),
     ("witness_samples = -2", {"witness_samples": -2}, "witness_samples -2 is below 1"),
     ("random_budget = -3", {"random_budget": -3}, "random_budget -3 is negative"),
+    ("ladder = 512, 1024, 2048", {"ladder": (512, 1024, 2048)}, "ladder needs at least 4"),
+    ("ladder = 4096, 1024, 16384, 65536", {"ladder": (4096, 1024, 16384, 65536)},
+     "ladder needs at least 4"),
+    ("ladder = 0, 1, 2, 3", {"ladder": (0, 1, 2, 3)}, "ladder needs at least 4"),
     ("lexicon = ,", {"lexicon": ()}, "lexicon needs at least one word"),
     ("gate_weights = 1, 2", {"gate_weights": (1, 2)}, "gate_weights needs three integers"),
     ("gate_weights = 0, 0, 0", {"gate_weights": (0, 0, 0)},
@@ -131,7 +135,8 @@ def test_exhaustive_caps_built_in_code_must_name_both():
 def test_smallest_budgets_and_shipped_configs_are_legal():
     for cfg in (SuiteConfig(random_budget=0, witness_samples=1), SuiteConfig(),
                 SuiteConfig(random_budget=25, witness_samples=10),
-                SuiteConfig(random_budget=120), SuiteConfig(random_budget=60, witness_samples=30)):
+                SuiteConfig(random_budget=120), SuiteConfig(random_budget=60, witness_samples=30),
+                SuiteConfig(ladder=(4, 5, 6, 7))):
         check_config(cfg)
     assert parse_config("random_budget = 0\nwitness_samples = 1\n").witness_samples == 1
 
@@ -357,19 +362,48 @@ def test_suite_draws_each_bds_rung_once(monkeypatch, tmp_path):
 
 def test_worker_draws_are_the_catalog_draws(monkeypatch):
     cat = _suite_catalog(monkeypatch, HANDOFF)
+    assert {f"bds-ladder:{size}" for size in HANDOFF.ladder} <= set(cat.drawn)
     for size in HANDOFF.ladder:
-        stream, budget, draw = catalog.bds_rung(size)
+        stream = f"bds-ladder:{size}"
         inline = build_catalog(HANDOFF)
-        inline.draws(stream, HANDOFF.seed, budget, draw)
+        inline.witnesses["bds-verdict-bit"].ladder_gen(size, HANDOFF.seed)
         seed, rng, values = cat.drawn[stream]
         kept_seed, kept_rng, kept = inline.drawn[stream]
         # the worker's entry: the same bytes and the same rng state
         assert (seed, values) == (kept_seed, kept)
         assert rng.getstate() == kept_rng.getstate()
         # so the stream goes on alike
-        longer = cat.draws(stream, HANDOFF.seed, budget + 1, draw)
-        assert longer == inline.draws(stream, HANDOFF.seed, budget + 1, draw)
-        assert len(longer) == budget + 1
+        assert bds.random_sparse_instance(size, rng) == bds.random_sparse_instance(
+            size, kept_rng)
+
+
+def test_the_wait_for_the_worker_is_charged_to_draw_samples(monkeypatch, tmp_path):
+    from polytract.worker import Worker
+
+    # The join's read of the result makes a file; the worker's first
+    # ladder draw waits for it, then sleeps 0.5 s, so the join waits at
+    # least that long.
+    joined = tmp_path / "joined"
+    result, draw = Worker.result, bds.random_sparse_instance
+    slept = []
+
+    def join(worker):
+        joined.touch()
+        return result(worker)
+
+    def slow(n, rng):
+        if not slept:
+            while not joined.exists():
+                time.sleep(0.005)
+            time.sleep(0.5)
+            slept.append(n)
+        return draw(n, rng)
+
+    monkeypatch.setattr(Worker, "result", join)
+    monkeypatch.setattr(bds, "random_sparse_instance", slow)
+    timings = run_suite(HANDOFF).timings
+    assert timings["draw-samples"] >= 0.5e9
+    assert timings["witness:bds-verdict-bit"] < 0.5e9
 
 
 class DrawFailed(Exception):

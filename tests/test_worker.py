@@ -20,12 +20,10 @@ def _reaped(worker: Worker) -> bool:
     return False
 
 
-def test_results_come_back_in_any_order():
-    worker = Worker([(pow, (2, 10)), (bytes, (3,)), (sorted, ("cba",))])
+def test_the_value_comes_back():
+    worker = Worker(pow, 2, 10)
     try:
-        assert worker.result(2) == ["a", "b", "c"]
-        assert worker.result(0) == 1024
-        assert worker.result(1) == b"\0\0\0"
+        assert worker.result() == 1024
     finally:
         worker.close()
     assert _reaped(worker)
@@ -33,42 +31,46 @@ def test_results_come_back_in_any_order():
 
 
 def test_calls_see_this_process_at_the_fork():
-    seen = []
-    worker = Worker([(lambda: seen.append(os.getpid()) or len(seen), ())])
+    seen = [os.getpid()]
+    worker = Worker(lambda: seen.append(os.getpid()) or seen)
     try:
         # the closure ran in the worker's copy of the list
-        assert worker.result(0) == 1
-        assert seen == []
+        parent, child = worker.result()
+        assert parent == os.getpid() != child == worker.pid
+        assert seen == [os.getpid()]
     finally:
         worker.close()
 
 
-def test_a_raising_call_raises_in_this_process_and_ends_the_calls():
-    worker = Worker([(int, ("7",)), (int, ("seven",)), (int, ("8",))])
+def test_a_raising_call_raises_in_this_process():
+    worker = Worker(int, "seven")
     try:
-        assert worker.result(0) == 7
-        with pytest.raises(ValueError, match="seven"):
-            worker.result(1)
-        with pytest.raises(ChildProcessError, match="before call 2"):
-            worker.result(2)
+        with pytest.raises(ValueError) as raised:
+            worker.result()
+        # the same type and message as the call raises here
+        assert type(raised.value) is ValueError
+        assert raised.value.args == ("invalid literal for int() with base 10: 'seven'",)
     finally:
         worker.close()
     assert _reaped(worker)
 
 
 def test_a_value_that_does_not_pickle_is_an_error_here():
-    worker = Worker([(threading.Lock, ())])
+    worker = Worker(threading.Lock)
     try:
-        with pytest.raises(ChildProcessError, match="before call 0"):
-            worker.result(0)
+        with pytest.raises(ChildProcessError, match="exited before its call returned"):
+            worker.result()
     finally:
         worker.close()
+    assert _reaped(worker)
 
 
 def test_close_kills_a_worker_still_making_calls():
-    worker = Worker([(threading.Event().wait, ())])
+    worker = Worker(threading.Event().wait)
     worker.close()
     assert _reaped(worker)
+    # a second close does nothing
+    worker.close()
 
 
 def test_importing_polytract_loads_no_worker_and_no_pickle():
