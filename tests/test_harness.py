@@ -91,10 +91,6 @@ OUT_OF_RANGE = [
     ("witness_samples = 0", {"witness_samples": 0}, "witness_samples 0 is below 1"),
     ("witness_samples = -2", {"witness_samples": -2}, "witness_samples -2 is below 1"),
     ("random_budget = -3", {"random_budget": -3}, "random_budget -3 is negative"),
-    ("ladder = 512, 1024, 2048", {"ladder": (512, 1024, 2048)}, "ladder needs at least 4"),
-    ("ladder = 4096, 1024, 16384, 65536", {"ladder": (4096, 1024, 16384, 65536)},
-     "ladder needs at least 4"),
-    ("ladder = 0, 1, 2, 3", {"ladder": (0, 1, 2, 3)}, "ladder needs at least 4"),
     ("lexicon = ,", {"lexicon": ()}, "lexicon needs at least one word"),
     ("gate_weights = 1, 2", {"gate_weights": (1, 2)}, "gate_weights needs three integers"),
     ("gate_weights = 0, 0, 0", {"gate_weights": (0, 0, 0)},
@@ -109,6 +105,10 @@ OUT_OF_RANGE = [
      "exhaustive_cap.separation -1 exceeds"),
     ("exhaustive_cap.separation = 8", {"exhaustive_caps": {"bds": 3, "separation": 8}},
      "exhaustive_cap.separation 8 exceeds"),
+    ("ladder = 512, 1024, 2048", {"ladder": (512, 1024, 2048)}, "ladder needs at least 4"),
+    ("ladder = 4096, 1024, 16384, 65536", {"ladder": (4096, 1024, 16384, 65536)},
+     "ladder needs at least 4"),
+    ("ladder = 0, 1, 2, 3", {"ladder": (0, 1, 2, 3)}, "ladder needs at least 4"),
 ]
 
 
