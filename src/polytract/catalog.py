@@ -447,6 +447,11 @@ def _build_witnesses(cat: Catalog, config) -> None:
         output_bound=bounds["wordstats-count-digest"],
     )
 
+    # A query word outside the lexicon, which no corpus counts.
+    probe = "zzz"
+    while probe in lexicon:
+        probe += "z"
+
     def ws_samples(seed: int, count: int):
         rng = random.Random(f"{seed}:wordstats-witness")
         pos, neg = [], []
@@ -463,7 +468,7 @@ def _build_witnesses(cat: Catalog, config) -> None:
                     pos.append(Pair(text, wordstats.query_bytes(word, rng.randint(0, have))))
                 elif len(neg) < count:
                     if rng.random() < 0.2:
-                        neg.append(Pair(text, wordstats.query_bytes("zzz", 1)))
+                        neg.append(Pair(text, wordstats.query_bytes(probe, 1)))
                     else:
                         neg.append(Pair(
                             text,

@@ -142,6 +142,10 @@ def check_config(cfg: SuiteConfig) -> None:
                           "the smallest at least 4")
     if not cfg.lexicon:
         raise ConfigError("lexicon needs at least one word")
+    # Corpora and queries split on whitespace: a word that is not one token never occurs.
+    for word in cfg.lexicon:
+        if word.split() != [word]:
+            raise ConfigError(f"lexicon word {word!r} is not a single token")
     if len(cfg.gate_weights) != 3:
         raise ConfigError("gate_weights needs three integers")
     if min(cfg.gate_weights) < 0 or sum(cfg.gate_weights) == 0:
@@ -253,22 +257,6 @@ def _sample(cat, config: SuiteConfig, name: str, budget: int) -> list:
     return cat.sampler(name)(config.seed, config.exhaustive_caps["bds"], budget)
 
 
-def _composition_budget(config: SuiteConfig) -> int:
-    """Random samples per composed reduction in the compositions check."""
-    return max(40, config.random_budget // 4)
-
-
-def _draw_samples(cat, config: SuiteConfig) -> None:
-    """Draw the sample streams that several stages read, each up to the
-    largest budget a stage asks of it. The catalog keeps the draws, so
-    every stage takes a prefix of them. The bds stream feeds the bds and
-    qbds factorizations, the bds and qbds reductions, compositions,
-    witness-transfer and hardness-pack; the cvp-pairs stream both cvp
-    reductions. run_suite's worker draws the bds ladder (_draw_ladder)."""
-    cat.sampler("bds")(config.seed, 0, max(config.random_budget, _composition_budget(config)))
-    cat.f_reductions["cvp-identity"].sample_pairs(config.seed, config.random_budget)
-
-
 def _draw_ladder(cat, config: SuiteConfig) -> dict:
     """Draw every bds ladder rung through witness:bds-verdict-bit's own
     ladder_gen and return the catalog's draws. run_suite makes this call
@@ -375,7 +363,7 @@ COMPOSITIONS = (
 def _composition_checks(cat, config: SuiteConfig) -> Report:
     """Build the COMPOSITIONS and verify each, constants included."""
     rep = Report("compositions")
-    budget = _composition_budget(config)
+    budget = max(40, config.random_budget // 4)
     for first_name, second_name in COMPOSITIONS:
         first = cat.fcr_reductions[first_name]
         second = cat.fcr_reductions[second_name]
@@ -504,23 +492,18 @@ def _fit_checks(cat, config: SuiteConfig) -> Report:
     # Each wordstats rung's first corpus times the preprocessing, its
     # digests the post-digest queries.
     wrungs = [_held(cat, config, wname, size) for size in config.ladder]
-    corpora = [corpus for corpus, _ in wrungs]
-    floors = time_interleaved_ns(
-        [(cat.witnesses[wname].witness.preprocess, [(corpus,)]) for corpus in corpora])
-    fit = fit_runtime([(len(c), t) for c, t in zip(corpora, floors)], "poly-n")
-    rep.add("preprocess-poly-degree:wordstats",
-            fit.exponent <= config.ptime_max_degree + config.slope_slack
-            and fit.residual <= config.fit_residual_max,
-            bound=config.ptime_max_degree + config.slope_slack,
-            detail="degree and residual of the log-log fit",
-            timings={"fit": fit.to_dict()})
+    preprocess = cat.witnesses[wname].witness.preprocess
+    _fit_row(rep, "preprocess-poly-degree:wordstats",
+             [(len(corpus), (preprocess, [(corpus,)])) for corpus, _ in wrungs],
+             "poly-n", config.ptime_max_degree + config.slope_slack,
+             "degree and residual of the log-log fit", config.fit_residual_max)
 
     wquery = catalog_mod.wordstats.query_bytes(config.lexicon[0], 1)
     _query_latency_row(rep, cat, config, wname, wquery,
                        [(len(corpus), digests) for corpus, digests in wrungs])
     # The corpora go before any cvp rung is drawn, so they add nothing
     # to the stage's peak.
-    del wrungs, corpora
+    del wrungs
     _query_latency_row(rep, cat, config, "cvp-verdict-bit", b"",
                        [_held(cat, config, "cvp-verdict-bit", size) for size in config.ladder])
     return rep
@@ -533,20 +516,32 @@ def _query_latency_row(rep: Report, cat, config: SuiteConfig, name: str, query: 
     first instance. The row is named after the witness's problem, the
     first word of its name."""
     witness = cat.witnesses[name].witness
-    sizes, tasks = [], []
+    timed = []
     for first_len, digests in rungs:
         calls = [(d, query) for d in digests]
-        sizes.append(first_len)
-        tasks.append((witness.post_language.membership,
-                      calls * max(1, config.query_reps // len(calls))))
-    floors = time_interleaved_ns(tasks)
-    cap_k = witness.output_bound.k
-    qfit = fit_runtime(list(zip(sizes, floors)), "poly-log-n")
-    rep.add(f"query-latency-polylog:{name.partition('-')[0]}",
-            qfit.exponent <= cap_k + config.slope_slack,
-            bound=cap_k + config.slope_slack,
-            detail="post-digest decision latency vs log input size",
-            timings={"fit": qfit.to_dict()})
+        timed.append((first_len, (witness.post_language.membership,
+                                  calls * max(1, config.query_reps // len(calls)))))
+    _fit_row(rep, f"query-latency-polylog:{name.partition('-')[0]}", timed, "poly-log-n",
+             witness.output_bound.k + config.slope_slack,
+             "post-digest decision latency vs log input size")
+
+
+def _fit_row(rep: Report, name: str, rungs: list, model: str, bound: float, detail: str,
+             residual_max: float = math.inf) -> None:
+    """Time one (size, (fn, calls)) task per rung with time_interleaved_ns,
+    fit `model` to the sizes and floors, and add row `name`, passing when
+    the exponent is within `bound` and the residual within `residual_max`.
+    Rungs whose sizes tie leave nothing to fit: the row fails, untimed,
+    and names the tied sizes."""
+    sizes = [size for size, _ in rungs]
+    tied = sorted({size for size in sizes if sizes.count(size) > 1})
+    if tied:
+        rep.add(name, False, bound=bound,
+                detail=f"no fit: rungs tie at size {', '.join(map(str, tied))}")
+        return
+    fit = fit_runtime(list(zip(sizes, time_interleaved_ns([task for _, task in rungs]))), model)
+    rep.add(name, fit.exponent <= bound and fit.residual <= residual_max,
+            bound=bound, detail=detail, timings={"fit": fit.to_dict()})
 
 
 # A stage is named "<kind>:<catalog name>" for the kinds in _NAMED_CHECKS
@@ -630,12 +625,12 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     """Run every stage of SUITE_STAGES with the configured budgets.
 
     A worker process forked before any draw draws the bds ladder
-    (_draw_ladder) while this process draws the sample streams and runs
-    _MAIN_LANE. One join then adds the worker's draws to the catalog, and
-    _AFTER_JOIN runs. The fork, the sample draws and the wait at the join
-    are timed as draw-samples. The reports and timings stay in
-    SUITE_STAGES order. The worker is reaped however the run ends, and
-    its exception reaches the caller."""
+    (_draw_ladder) while this process runs _MAIN_LANE; each sample stream
+    is drawn by the first stage that reads it, through Catalog.draws. One
+    join then adds the worker's draws to the catalog, and _AFTER_JOIN
+    runs. The fork and the wait at the join are timed as draw-samples.
+    The reports and timings stay in SUITE_STAGES order. The worker is
+    reaped however the run ends, and its exception reaches the caller."""
     check_config(config)
     cat = catalog_mod.build_catalog(config)
     done: dict[str, tuple[Report, int]] = {}
@@ -650,9 +645,8 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     t0 = time.perf_counter_ns()
     worker = Worker(_draw_ladder, cat, config)
+    draw_ns = time.perf_counter_ns() - t0
     try:
-        _draw_samples(cat, config)
-        draw_ns = time.perf_counter_ns() - t0
         for stage in _MAIN_LANE:
             run(stage)
         t0 = time.perf_counter_ns()

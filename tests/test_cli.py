@@ -4,6 +4,7 @@ import re
 import pytest
 
 from polytract.cli import _config_from_args, build_parser, main
+from polytract.harness import SUITE_STAGES
 from polytract.report import strip_timings
 
 
@@ -71,8 +72,11 @@ def test_misspelled_inject_is_usage_error(tmp_path, capsys):
 
 
 def test_degenerate_lexicon_and_gate_weights_are_usage_errors(tmp_path, capsys):
-    # Each used to get through parse_config and crash the check (exit 3).
+    # Each used to get through parse_config and crash the check (exit 3),
+    # or abort it (exit 1): a word holding whitespace never occurs in a
+    # corpus, so a sampled positive was not a member.
     for line, command in (("lexicon = ,", ["verify-witness", "wordstats-count-digest"]),
+                          ("lexicon = in on", ["run-suite"]),
                           ("gate_weights = 0,0,0", ["verify-reduction", "cvp-identity"]),
                           ("gate_weights = -1,1,1", ["verify-reduction", "cvp-identity"])):
         cfg = tmp_path / "degenerate.cfg"
@@ -128,6 +132,30 @@ def test_ladder_out_of_order_or_below_4_is_usage_error(ladder, tmp_path, capsys)
     assert main(["run-suite", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "line 1:" in err and "ladder" in err
+
+
+def test_out_of_lexicon_probe_word_stays_outside_the_lexicon(tmp_path, capsys):
+    # The witness sampler's out-of-lexicon query word used to be zzz
+    # whatever the lexicon, so the check aborted on a mislabeled negative.
+    cfg = tmp_path / "lexicon.cfg"
+    cfg.write_text("lexicon = zzz\n")
+    assert main(["verify-witness", "wordstats-count-digest", "--config", str(cfg)]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
+def test_tiny_ladder_with_tied_rung_sizes_reports_every_stage(tmp_path, capsys):
+    # At seed 0 the first corpora of the 5- and 6-token wordstats rungs
+    # are both 28 bytes; fitting them used to abort the suite (exit 2).
+    cfg, path = tmp_path / "ladder.cfg", tmp_path / "report.json"
+    cfg.write_text("ladder = 4, 5, 6, 7\n")
+    assert main(["run-suite", "--seed", "0", "--config", str(cfg), "--json", str(path)]) == 1
+    groups = {g["name"]: g for g in json.loads(path.read_text())["checks"]}
+    assert list(groups) == list(SUITE_STAGES)
+    assert [name for name, g in groups.items() if g["verdict"] == "fail"] == ["runtime-fits"]
+    rows = {c["name"]: c for c in groups["runtime-fits"]["checks"]}
+    for name in ("preprocess-poly-degree:wordstats", "query-latency-polylog:wordstats"):
+        assert not rows[name]["passed"]
+        assert rows[name]["detail"] == "no fit: rungs tie at size 28"
 
 
 def test_verify_factorization_pass(capsys):

@@ -109,6 +109,7 @@ OUT_OF_RANGE = [
     ("ladder = 4096, 1024, 16384, 65536", {"ladder": (4096, 1024, 16384, 65536)},
      "ladder needs at least 4"),
     ("ladder = 0, 1, 2, 3", {"ladder": (0, 1, 2, 3)}, "ladder needs at least 4"),
+    ("lexicon = in on", {"lexicon": ("in on",)}, "lexicon word 'in on' is not a single token"),
 ]
 
 
@@ -130,6 +131,14 @@ def test_exhaustive_caps_built_in_code_must_name_both():
     for caps in ({"bds": 3}, {"bds": 3, "separation": 5, "qbds": 1}):
         with pytest.raises(ConfigError, match="^exhaustive caps must be bds, separation"):
             check_config(SuiteConfig(exhaustive_caps=caps))
+
+
+def test_lexicon_words_built_in_code_must_be_single_tokens():
+    # Corpora are split on whitespace, so such a word never occurs. No
+    # config file gives these: it drops empty words and strips the rest.
+    for word in ("", " on"):
+        with pytest.raises(ConfigError, match=f"^lexicon word {re.escape(repr(word))} is not"):
+            check_config(SuiteConfig(lexicon=("in", word)))
 
 
 def test_smallest_budgets_and_shipped_configs_are_legal():
@@ -658,6 +667,25 @@ def test_suite_draws_each_sample_stream_once(monkeypatch):
     assert {name: len(calls) for name, calls in draws.items()} == {
         "random_instance": 360, "random_circuit": 457, "random_corpus_text": 33}
     assert cat.held == {}
+
+
+def test_each_sample_stream_is_drawn_by_the_first_stage_that_reads_it(monkeypatch):
+    drawn = {}
+    check = harness.run_check
+
+    def recorded(cat, config, stage):
+        drawn[stage] = set(cat.drawn)
+        return check(cat, config, stage)
+
+    monkeypatch.setattr(harness, "run_check", recorded)
+    run_suite(HANDOFF)
+    # nothing is drawn before the first stage
+    assert drawn[harness._MAIN_LANE[0]] == set()
+    for stream, reader, after in (("bds-random", "factorization:bds-all-data",
+                                   "factorization:qbds-absorb"),
+                                  ("cvp-pairs", "reduction:cvp-identity",
+                                   "reduction:cvp-double-negation")):
+        assert stream not in drawn[reader] and stream in drawn[after]
 
 
 def test_suite_timings_cover_the_sample_draw_and_every_stage():
