@@ -3,11 +3,12 @@
     python -m polytract.bench --json BENCH.json [--label change]
 
 Runs run_suite(SuiteConfig()) at seed 42 once and records its wall time,
-each stage's time, the process's peak RSS right after it, the peak RSS
-and CPU time of the worker process that drew the bds ladder, the
-stripped report's sha256 and the report/check names of its failing
-rows. Then it times each large-instance kernel at every DEFAULT_LADDER
-rung with time_interleaved_ns: the rungs of one kernel are swept together and
+each stage's time, the process's peak RSS right after it, the largest
+peak RSS and the total CPU time of the worker processes that drew and
+decided the bds ladder rungs, the stripped report's sha256 and the
+report/check names of its failing rows. Then it times each
+large-instance kernel at every DEFAULT_LADDER rung with
+time_interleaved_ns: the rungs of one kernel are swept together and
 each keeps its fastest sweep. Last it records the tracemalloc peak of
 one call of each PEAK_LAYERS kernel at every rung, in MB (2**20 bytes)
 to six places, so a few bytes at a small rung do not read 0: what the
@@ -40,6 +41,7 @@ import platform
 import random
 import resource
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -67,8 +69,10 @@ def _suite(seed: int) -> dict:
         "wall_s": round(wall / 1e9, 3),
         "stages_s": {k: round(v / 1e9, 3) for k, v in report.timings.items()},
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        # The ladder worker's, reaped by run_suite: it does nothing but
-        # draw the bds ladder, so its CPU time is the draw's time.
+        # The ladder workers', reaped by run_suite: they draw and decide
+        # the bds ladder rungs and do nothing else, so their CPU time is
+        # the time of those draws and decides. The peak is the largest
+        # worker's.
         "worker_peak_rss_mb": round(children.ru_maxrss / 1024, 1),
         "worker_cpu_s": round(_cpu_s(children) - _cpu_s(before), 3),
         "report_sha256": hashlib.sha256(stripped.encode("utf-8")).hexdigest(),
@@ -80,40 +84,47 @@ def _suite(seed: int) -> dict:
 
 def suite_decides(package: str = __package__, **settings) -> dict:
     """bds.block_member calls in one run_suite of the polytract package
-    imported under the name package, with SuiteConfig(**settings); the
-    distinct (graph block, query) pairs they asked about, an instance's
-    pair being its block and query tail; and the entries of the run's
-    catalog verdict table, None for a catalog without one."""
+    imported under the name package, with SuiteConfig(**settings), in
+    this process and in every worker it forks; the distinct (graph
+    block, query) pairs they asked about, an instance's pair being its
+    block and query tail; and the entries of the run's catalog verdict
+    table, None for a catalog without one. Each call appends a line to a
+    file every process opened for appending, so the forks' calls count."""
     bds = importlib.import_module(f"{package}.problems.bds")
     catalog = importlib.import_module(f"{package}.catalog")
     harness = importlib.import_module(f"{package}.harness")
     malformed = importlib.import_module(f"{package}.errors").MalformedInstance
     decide, build = bds.block_member, catalog.build_catalog
-    calls, pairs, built = 0, set(), []
+    built = []
 
     def counted(block, query, *bounds):
-        nonlocal calls
-        calls += 1
         try:
             data, tail = bds.split_block_tail(block) if query is None else (block, query)
         except malformed:
-            pass
+            line = b"-\n"
         else:
-            pairs.add(hashlib.blake2b(len(data).to_bytes(8, "big") + data + tail,
-                                      digest_size=16).digest())
+            line = hashlib.blake2b(len(data).to_bytes(8, "big") + data + tail,
+                                   digest_size=16).hexdigest().encode("ascii") + b"\n"
+        os.write(log, line)
         return decide(block, query, *bounds)
 
     def kept(config):
         built.append(build(config))
         return built[-1]
 
-    bds.block_member, catalog.build_catalog = counted, kept
-    try:
-        harness.run_suite(harness.SuiteConfig(**settings))
-    finally:
-        bds.block_member, catalog.build_catalog = decide, build
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "decides")
+        log = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        bds.block_member, catalog.build_catalog = counted, kept
+        try:
+            harness.run_suite(harness.SuiteConfig(**settings))
+        finally:
+            bds.block_member, catalog.build_catalog = decide, build
+            os.close(log)
+        with open(path, "rb") as fh:
+            lines = fh.read().split()
     table = getattr(built[0], "verdicts", None)
-    return {"block_member_calls": calls, "distinct_pairs": len(pairs),
+    return {"block_member_calls": len(lines), "distinct_pairs": len(set(lines) - {b"-"}),
             "table_entries": None if table is None else len(table)}
 
 

@@ -169,10 +169,11 @@ class Catalog:
     # substream name -> (seed, rng, draws): the random draws samplers and
     # the bds ladder made from it for the last seed asked for, extended
     # when a larger budget is asked for; see draws(). run_suite adds the
-    # bds ladder's entries its worker process drew.
+    # bds ladder's entries its worker processes drew.
     drawn: dict[str, tuple[int, random.Random, list]] = field(default_factory=dict)
     # 16-byte digest of a (graph block, query) pair -> its
-    # bds.block_member verdict; see block_verdict()
+    # bds.block_member verdict; see block_verdict(). run_suite adds the
+    # bds ladder rungs' entries its worker processes decided.
     verdicts: dict[bytes, bool] = field(default_factory=dict)
 
     def problem(self, name: str) -> ProblemEntry:

@@ -12,6 +12,7 @@ log t against log log n. The slope estimates the exponent.
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -142,10 +143,13 @@ def check_config(cfg: SuiteConfig) -> None:
                           "the smallest at least 4")
     if not cfg.lexicon:
         raise ConfigError("lexicon needs at least one word")
-    # Corpora and queries split on whitespace: a word that is not one token never occurs.
+    # Corpora are split on whitespace and lowercased (wordstats.corpus_from_text),
+    # so a word that is not one lowercase token never occurs.
     for word in cfg.lexicon:
         if word.split() != [word]:
             raise ConfigError(f"lexicon word {word!r} is not a single token")
+        if word.lower() != word:
+            raise ConfigError(f"lexicon word {word!r} is not lowercase")
     if len(cfg.gate_weights) != 3:
         raise ConfigError("gate_weights needs three integers")
     if min(cfg.gate_weights) < 0 or sum(cfg.gate_weights) == 0:
@@ -257,15 +261,34 @@ def _sample(cat, config: SuiteConfig, name: str, budget: int) -> list:
     return cat.sampler(name)(config.seed, config.exhaustive_caps["bds"], budget)
 
 
-def _draw_ladder(cat, config: SuiteConfig) -> dict:
-    """Draw every bds ladder rung through witness:bds-verdict-bit's own
-    ladder_gen and return the catalog's draws. run_suite makes this call
-    in a worker forked before any draw, so the draws it returns are the
-    rungs' entries alone."""
+def _ladder_task(cat, config: SuiteConfig, sizes) -> tuple[dict, dict, dict]:
+    """Draw and decide the bds ladder rungs of `sizes`, in that order, as
+    witness:bds-verdict-bit reads them: a rung's instances through the
+    witness's own ladder_gen, then each one through cat.bds_verdict, the
+    table its preprocessing asks. run_suite makes this call in workers
+    forked before any draw, so the catalog's draws and verdicts it
+    returns are the rungs' entries alone. The third value maps each size
+    to the rung's (draw ns, decide ns)."""
     ladder_gen = cat.witnesses["bds-verdict-bit"].ladder_gen
-    for size in config.ladder:
-        ladder_gen(size, config.seed)
-    return cat.drawn
+    times = {}
+    for size in sizes:
+        t0 = time.perf_counter_ns()
+        instances = ladder_gen(size, config.seed)
+        t1 = time.perf_counter_ns()
+        for x in instances:
+            cat.bds_verdict(x)
+        times[size] = t1 - t0, time.perf_counter_ns() - t1
+    return cat.drawn, cat.verdicts, times
+
+
+def _deal(sizes, count: int) -> list[list[int]]:
+    """Deal the ladder sizes into `count` shares, largest first, each to
+    the share with the fewest nodes so far (the first of a tie), since a
+    rung costs about its node count to draw and decide."""
+    shares = [[] for _ in range(count)]
+    for size in sorted(sizes, reverse=True):
+        min(shares, key=sum).append(size)
+    return shares
 
 
 def _factorization_check(cat, config: SuiteConfig, name: str) -> Report:
@@ -573,10 +596,10 @@ SUITE_STAGES = (
     "separation", "runtime-fits",
 )
 
-# The stages run_suite runs after its one join with the ladder worker, in
-# SUITE_STAGES order: the two that read the bds ladder, and runtime-fits,
-# so its timing fits never overlap the worker. _MAIN_LANE, every other
-# stage, runs while the worker draws.
+# The stages run_suite runs after its one join with the ladder workers,
+# in SUITE_STAGES order: the two that read the bds ladder, and
+# runtime-fits, so its timing fits never overlap a worker. _MAIN_LANE,
+# every other stage, runs while the workers draw and decide.
 _AFTER_JOIN = ("witness:bds-verdict-bit", "witness-transfer", "runtime-fits")
 _MAIN_LANE = tuple(s for s in SUITE_STAGES if s not in _AFTER_JOIN)
 
@@ -624,13 +647,19 @@ class SuiteReport:
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Run every stage of SUITE_STAGES with the configured budgets.
 
-    A worker process forked before any draw draws the bds ladder
-    (_draw_ladder) while this process runs _MAIN_LANE; each sample stream
-    is drawn by the first stage that reads it, through Catalog.draws. One
-    join then adds the worker's draws to the catalog, and _AFTER_JOIN
-    runs. The fork and the wait at the join are timed as draw-samples.
-    The reports and timings stay in SUITE_STAGES order. The worker is
-    reaped however the run ends, and its exception reaches the caller."""
+    Before any draw, one worker process per usable CPU, and no more than
+    the ladder has rungs, is forked. The rungs are dealt to them by
+    _deal, and each worker draws and decides its share (_ladder_task)
+    while this process runs _MAIN_LANE; each sample stream is drawn by
+    the first stage that reads it, through Catalog.draws. One join then
+    reads the workers in the order they were forked, adds their draws
+    and verdicts to the catalog and reaps them all, and _AFTER_JOIN
+    runs; so no rung is decided in this process. The forks and the wait
+    at the join are timed as draw-samples, and what the workers spent
+    goes in the timings of the ladder:bds-verdict-bit row
+    (_note_workers). The reports and timings stay in SUITE_STAGES order.
+    The workers are reaped however the run ends, and the exception of
+    the first worker read that raised reaches the caller."""
     check_config(config)
     cat = catalog_mod.build_catalog(config)
     done: dict[str, tuple[Report, int]] = {}
@@ -643,22 +672,49 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     # Imported here, so importing polytract does not load pickle.
     from .worker import Worker
 
+    shares = _deal(config.ladder, min(len(config.ladder), len(os.sched_getaffinity(0))))
+    workers = []
     t0 = time.perf_counter_ns()
-    worker = Worker(_draw_ladder, cat, config)
-    draw_ns = time.perf_counter_ns() - t0
     try:
+        for share in shares:
+            workers.append(Worker(_ladder_task, cat, config, share))
+        draw_ns = time.perf_counter_ns() - t0
         for stage in _MAIN_LANE:
             run(stage)
         t0 = time.perf_counter_ns()
-        cat.drawn.update(worker.result())
+        rung_ns = {}
+        for worker in workers:
+            drawn, verdicts, times = worker.result()
+            cat.drawn.update(drawn)
+            cat.verdicts.update(verdicts)
+            rung_ns.update(times)
         draw_ns += time.perf_counter_ns() - t0
     finally:
-        worker.close()
+        for worker in workers:
+            worker.close()
     for stage in _AFTER_JOIN:
         run(stage)
+    _note_workers(done["witness:bds-verdict-bit"][0], config, rung_ns,
+                  [worker.usage for worker in workers])
 
     return SuiteReport(
         environment={"seed": config.seed, "config": config_echo(config)},
         reports=[done[stage][0] for stage in SUITE_STAGES],
         timings={"draw-samples": draw_ns, **{stage: done[stage][1] for stage in SUITE_STAGES}},
     )
+
+
+def _note_workers(rep: Report, config: SuiteConfig, rung_ns: dict, usages: list) -> None:
+    """Put what the ladder workers spent in the timings of rep's
+    ladder:bds-verdict-bit row, whose own wall_time_ns then times table
+    hits: each rung's draw_ns and decide_ns from the worker that drew and
+    decided it, and the workers' count, total CPU ns and largest peak
+    RSS in KB."""
+    i = next(i for i, row in enumerate(rep.checks) if row.name == "ladder:bds-verdict-bit")
+    row = rep.checks[i]
+    rungs = [dict(rung, draw_ns=rung_ns[size][0], decide_ns=rung_ns[size][1])
+             for rung, size in zip(row.timings["rungs"], config.ladder)]
+    workers = {"count": len(usages),
+               "cpu_ns": round(sum(u.ru_utime + u.ru_stime for u in usages) * 1e9),
+               "peak_rss_kb": max(u.ru_maxrss for u in usages)}
+    rep.checks[i] = replace(row, timings={**row.timings, "rungs": rungs, "workers": workers})

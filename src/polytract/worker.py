@@ -4,6 +4,7 @@ on with other work.
     worker = Worker(fn, *args)
     worker.result()    # waits for the call: its value, or its exception
     worker.close()     # kills the worker if it still runs, and reaps it
+    worker.usage       # the reaped worker's resource usage (os.wait4)
 
 The worker is a fork of this process, so the call needs no pickling and
 sees this process's state as it was at the fork. It makes the call, then
@@ -12,7 +13,8 @@ value straight from the pipe when it asks for it, with no thread. The
 worker leaves with os._exit, so it runs no exit handler and flushes no
 stream of this process. A fork copies only the thread that forks, so the
 call must take no lock another thread of this process may hold;
-run_suite's ladder draw takes none.
+run_suite's ladder task, which draws and decides a share of the bds
+ladder rungs, takes none.
 """
 from __future__ import annotations
 
@@ -32,6 +34,8 @@ class Worker:
         os.close(write)
         self.pid = pid
         self._pipe = os.fdopen(read, "rb")
+        # Set by close: the worker's CPU time and peak RSS, among others.
+        self.usage = None
 
     def result(self):
         """The value the call returned, waiting for it, or raise what it
@@ -53,7 +57,7 @@ class Worker:
             return
         self._pipe.close()
         os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
+        self.usage = os.wait4(self.pid, 0)[2]
 
 
 def _serve(fn, args, read: int, write: int) -> None:

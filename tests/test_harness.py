@@ -23,7 +23,7 @@ from polytract.harness import (
     time_interleaved_ns,
 )
 from polytract.problems import bds, cvp, wordstats
-from polytract.report import strip_timings
+from polytract.report import dump_json, strip_timings
 
 
 def test_parse_config_full():
@@ -139,6 +139,15 @@ def test_lexicon_words_built_in_code_must_be_single_tokens():
     for word in ("", " on"):
         with pytest.raises(ConfigError, match=f"^lexicon word {re.escape(repr(word))} is not"):
             check_config(SuiteConfig(lexicon=("in", word)))
+
+
+def test_lexicon_words_built_in_code_must_be_lowercase():
+    # Corpora are lowercased, so such a word is never counted. A config
+    # file lowercases the words it gives.
+    for word in ("In", "ON"):
+        with pytest.raises(ConfigError, match=f"^lexicon word '{word}' is not lowercase"):
+            check_config(SuiteConfig(lexicon=("on", word)))
+    assert parse_config("lexicon = In, on\n").lexicon == ("in", "on")
 
 
 def test_smallest_budgets_and_shipped_configs_are_legal():
@@ -344,29 +353,123 @@ def _count_sparse_draws(monkeypatch) -> list:
     return _calls(monkeypatch, bds, "random_sparse_instance")
 
 
-def test_suite_draws_each_bds_rung_once(monkeypatch, tmp_path):
-    # The rungs are drawn in a forked worker process, whose calls no list
-    # of this process sees, so every draw appends its process id and size
-    # to a file as well.
-    log = tmp_path / "draws"
-    calls = _count_sparse_draws(monkeypatch)
-    counted = bds.random_sparse_instance
+def _log_calls(monkeypatch, tmp_path, module, name: str, describe=repr):
+    """Make module.name append its process id and describe(first
+    argument) to a file on every call, in this process and in the
+    workers it forks; return a function that reads the (pid,
+    description) pairs logged so far."""
+    log = tmp_path / f"{name}.log"
+    log.touch()
+    fn = getattr(module, name)
 
-    def logged(n, rng):
+    def logged(first, *args, **kwargs):
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {n}\n")
-        return counted(n, rng)
+            fh.write(f"{os.getpid()} {describe(first)}\n")
+        return fn(first, *args, **kwargs)
 
-    monkeypatch.setattr(bds, "random_sparse_instance", logged)
+    monkeypatch.setattr(module, name, logged)
+    return lambda: [tuple(line.split(" ", 1)) for line in log.read_text().splitlines()]
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def test_suite_draws_each_bds_rung_once(monkeypatch, tmp_path):
+    # The rungs are drawn in forked worker processes, whose calls no list
+    # of this process sees, so every draw logs its process id and size.
+    calls = _count_sparse_draws(monkeypatch)
+    draws = _log_calls(monkeypatch, tmp_path, bds, "random_sparse_instance", str)
     run_suite(HANDOFF)
-    draws = [line.split() for line in log.read_text().splitlines()]
-    # two instances per rung, drawn once by the worker and taken from the
+    logged = draws()
+    # two instances per rung, drawn once by a worker and taken from the
     # catalog by witness:bds-verdict-bit and witness-transfer
-    assert sorted(int(n) for _, n in draws) == sorted(2 * HANDOFF.ladder)
-    assert len({pid for pid, _ in draws}) == 1
+    assert sorted(int(n) for _, n in logged) == sorted(2 * HANDOFF.ladder)
+    assert len({pid for pid, _ in logged}) <= min(len(HANDOFF.ladder), _usable_cpus())
     # this process draws no rung
     assert calls == []
-    assert str(os.getpid()) not in {pid for pid, _ in draws}
+    assert str(os.getpid()) not in {pid for pid, _ in logged}
+
+
+def test_rungs_are_dealt_largest_first_to_the_lightest_share():
+    assert harness._deal(harness.DEFAULT_LADDER, 2) == [[65536], [16384, 4096, 1024]]
+    assert harness._deal(HANDOFF.ladder, 1) == [[512, 256, 128, 64]]
+    assert harness._deal((4, 5, 6, 7), 4) == [[7], [6], [5], [4]]
+
+
+def _untimed_fits(monkeypatch) -> None:
+    """Give every timed task the same floor, so the fitted rows pass
+    whatever the host's noise: their verdicts are not what the test is
+    about."""
+    monkeypatch.setattr(harness, "time_interleaved_ns", lambda tasks: [1000.0] * len(tasks))
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 16])
+def test_ladder_workers_are_one_per_usable_cpu_at_most(cpus, monkeypatch, tmp_path):
+    from polytract.worker import Worker
+
+    config = replace(HANDOFF, ladder=tuple(range(16, 64, 4)))
+    assert len(config.ladder) == 12
+    forked = []
+    start = Worker.__init__
+
+    def counted(worker, fn, *args):
+        start(worker, fn, *args)
+        forked.append(str(worker.pid))
+
+    monkeypatch.setattr(Worker, "__init__", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    _untimed_fits(monkeypatch)
+    draws = _log_calls(monkeypatch, tmp_path, bds, "random_sparse_instance", str)
+    assert run_suite(config).passed
+    assert len(forked) == min(12, cpus)
+    # each rung drawn in exactly one worker, and every worker draws
+    drawers = {}
+    for pid, n in draws():
+        drawers.setdefault(int(n), []).append(pid)
+    assert sorted(drawers) == list(config.ladder)
+    assert all(len(pids) == 2 and len(set(pids)) == 1 for pids in drawers.values())
+    assert {pids[0] for pids in drawers.values()} == set(forked)
+
+
+def test_one_usable_cpu_gives_the_same_report(monkeypatch):
+    _untimed_fits(monkeypatch)
+    default = dump_json(strip_timings(run_suite(HANDOFF).to_dict()))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert dump_json(strip_timings(run_suite(HANDOFF).to_dict())) == default
+
+
+def test_the_suite_decides_no_rung_in_this_process(monkeypatch):
+    ladder_gen = build_catalog(HANDOFF).witnesses["bds-verdict-bit"].ladder_gen
+    blocks = [bds.split_block_tail(x)[0]
+              for size in HANDOFF.ladder for x in ladder_gen(size, HANDOFF.seed)]
+    # block_member is asked with a whole instance or with its block
+    decided = _calls(monkeypatch, bds, "block_member")
+
+    def rungs_decided() -> int:
+        return sum(first.startswith(block) for first in decided for block in blocks)
+
+    run_suite(HANDOFF)
+    # this process decides its samples, but no rung
+    assert decided and rungs_decided() == 0
+    run_check(build_catalog(HANDOFF), HANDOFF, "witness:bds-verdict-bit")
+    # a check run alone decides its rungs in place
+    assert rungs_decided() == len(blocks)
+
+
+def test_the_workers_time_lands_in_the_bds_ladder_row():
+    report = run_suite(HANDOFF)
+    witness = next(r for r in report.reports if r.name == "witness:bds-verdict-bit")
+    row = next(c for c in witness.checks if c.name == "ladder:bds-verdict-bit")
+    rungs, workers = row.timings["rungs"], row.timings["workers"]
+    assert len(rungs) == len(HANDOFF.ladder)
+    assert all(rung["draw_ns"] > 0 and rung["decide_ns"] > 0 for rung in rungs)
+    assert workers["count"] == min(len(HANDOFF.ladder), _usable_cpus())
+    assert workers["cpu_ns"] > 0 and workers["peak_rss_kb"] > 0
+    # all of it under the row's timings, so a stripped report has none of it
+    assert "timings" not in strip_timings(row.to_dict())
+    # and SuiteReport.timings stays one number per entry
+    assert all(isinstance(v, int) for v in report.timings.values())
 
 
 def test_worker_draws_are_the_catalog_draws(monkeypatch):
@@ -389,7 +492,7 @@ def test_worker_draws_are_the_catalog_draws(monkeypatch):
 def test_the_wait_for_the_worker_is_charged_to_draw_samples(monkeypatch, tmp_path):
     from polytract.worker import Worker
 
-    # The join's read of the result makes a file; the worker's first
+    # The join's read of a result makes a file; each worker's first
     # ladder draw waits for it, then sleeps 0.5 s, so the join waits at
     # least that long.
     joined = tmp_path / "joined"
@@ -453,18 +556,22 @@ def test_a_failing_worker_draw_reaches_the_caller(monkeypatch):
         raise DrawFailed(f"no rung of {n} nodes")
 
     monkeypatch.setattr(bds, "random_sparse_instance", failed)
-    with pytest.raises(DrawFailed, match="no rung of 64 nodes"):
+    # The join reads the workers in the order they were forked. The first
+    # holds the largest rung, whichever the CPU count, and draws it first.
+    with pytest.raises(DrawFailed, match="no rung of 512 nodes"):
         run_suite(HANDOFF)
     _no_process_left()
 
 
-def test_suite_decides_each_bds_pair_once(monkeypatch):
-    decided = _calls(monkeypatch, bds, "block_member")
-    members = _calls(monkeypatch, bds, "bds_member")
+def test_suite_decides_each_bds_pair_once(monkeypatch, tmp_path):
+    # The rungs are decided in the workers, so every decide is logged,
+    # in whichever process it runs.
+    decided = _log_calls(monkeypatch, tmp_path, bds, "block_member", len)
+    members = _log_calls(monkeypatch, tmp_path, bds, "bds_member", len)
     cat = _suite_catalog(monkeypatch, HANDOFF)
     # every bds decide of the run goes through the catalog's table
-    assert members == []
-    assert len(decided) == len(cat.verdicts) > 0
+    assert members() == []
+    assert len(decided()) == len(cat.verdicts) > 0
 
 
 def test_both_bds_ladder_stages_leave_no_rung_held(monkeypatch):

@@ -1,4 +1,4 @@
-"""The forked worker process behind run_suite's bds ladder draws."""
+"""The forked worker process behind run_suite's bds ladder draws and decides."""
 import os
 import subprocess
 import sys
@@ -24,10 +24,15 @@ def test_the_value_comes_back():
     worker = Worker(pow, 2, 10)
     try:
         assert worker.result() == 1024
+        assert worker.usage is None
     finally:
         worker.close()
     assert _reaped(worker)
+    # the reaped worker's resource usage, kept by close
+    usage = worker.usage
+    assert usage.ru_maxrss > 0 and usage.ru_utime >= 0
     worker.close()
+    assert worker.usage is usage
 
 
 def test_calls_see_this_process_at_the_fork():
