@@ -5,76 +5,60 @@
 Runs run_suite(SuiteConfig()) at seed 42 once and records its wall time,
 each stage's time, the process's peak RSS right after it, the largest
 peak RSS and the total CPU time of the worker processes that drew and
-decided the bds ladder rungs, the stripped report's sha256 and the
-report/check names of its failing rows. Then it times each
-large-instance kernel at every DEFAULT_LADDER rung with
-time_interleaved_ns: the rungs of one kernel are swept together and
-each keeps its fastest sweep. Last it records the tracemalloc peak of
-one call of each PEAK_LAYERS kernel at every rung, in MB (2**20 bytes)
-to six places, so a few bytes at a small rung do not read 0: what the
-call allocates beyond its input. Inputs come from fixed string
-seeds. Finally it counts the bds decides of a second suite run
-(suite_decides).
+decided the bds ladder rungs (as the report's ladder:bds-verdict-bit
+row gives them), the stripped report's sha256 and the report/check
+names of its failing rows. Then it times each large-instance kernel at
+every DEFAULT_LADDER rung with time_interleaved_ns: the rungs of one
+kernel are swept together and each keeps its fastest sweep. Last it
+records the tracemalloc peak of one call of each PEAK_LAYERS kernel at
+every rung, in MB (2**20 bytes) to six places, so a few bytes at a
+small rung do not read 0: what the call allocates beyond its input.
+Inputs come from fixed string seeds. Finally it counts the bds decides
+of a second suite run (suite_decides).
 
 The record is stored under LABEL in the JSON file and other labels
 already there are kept, so running this file against two checkouts puts
-their columns side by side. It uses only functions older checkouts have
-too. Columns recorded in separate processes minutes apart differ by host
-drift as well as by code, so with --parent DIR it also imports the
-polytract package of the checkout at DIR under a second name and times
-both packages' kernels in one process: each layer's parent and change
-tasks at every rung go to one time_interleaved_ns call, recorded as
-[rung, parent ns, change ns, change/parent] under "interleaved", next to
-[rung, parent MB, change MB] rows of the PEAK_LAYERS traced peaks and
-both checkouts' suite_decides.
+their columns side by side.
 `polytract bench` is a different thing: the suite's growth-fit check.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
-import math
 import os
 import platform
 import random
 import resource
-import sys
 import tempfile
 import time
 import tracemalloc
-from pathlib import Path
 
+from . import catalog, encoding
+from .errors import MalformedInstance
 from .harness import DEFAULT_LADDER, SuiteConfig, run_suite, time_interleaved_ns
+from .problems import bds, cvp, wordstats
 from .report import dump_json, strip_timings
 
 SEED = 42
-# The name import_checkout gives a second checkout's polytract package.
-PARENT_PACKAGE = "polytract_parent"
-
-
-def _cpu_s(usage) -> float:
-    return usage.ru_utime + usage.ru_stime
 
 
 def _suite(seed: int) -> dict:
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter_ns()
     report = run_suite(SuiteConfig(seed=seed))
     wall = time.perf_counter_ns() - t0
-    children = resource.getrusage(resource.RUSAGE_CHILDREN)
     stripped = dump_json(strip_timings(report.to_dict()))
+    # What the ladder workers spent, as run_suite reaped them: they draw
+    # and decide the bds ladder rungs and do nothing else. The peak is
+    # the largest worker's.
+    workers = next(c.timings["workers"] for r in report.reports for c in r.checks
+                   if c.name == "ladder:bds-verdict-bit")
     return {
         "wall_s": round(wall / 1e9, 3),
         "stages_s": {k: round(v / 1e9, 3) for k, v in report.timings.items()},
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        # The ladder workers', reaped by run_suite: they draw and decide
-        # the bds ladder rungs and do nothing else, so their CPU time is
-        # the time of those draws and decides. The peak is the largest
-        # worker's.
-        "worker_peak_rss_mb": round(children.ru_maxrss / 1024, 1),
-        "worker_cpu_s": round(_cpu_s(children) - _cpu_s(before), 3),
+        "worker_peak_rss_mb": round(workers["peak_rss_kb"] / 1024, 1),
+        "worker_cpu_s": round(workers["cpu_ns"] / 1e9, 3),
         "report_sha256": hashlib.sha256(stripped.encode("utf-8")).hexdigest(),
         "verdict": "pass" if report.passed else "fail",
         "failed_rows": [f"{r.name}/{c.name}" for r in report.reports
@@ -82,25 +66,20 @@ def _suite(seed: int) -> dict:
     }
 
 
-def suite_decides(package: str = __package__, **settings) -> dict:
-    """bds.block_member calls in one run_suite of the polytract package
-    imported under the name package, with SuiteConfig(**settings), in
-    this process and in every worker it forks; the distinct (graph
-    block, query) pairs they asked about, an instance's pair being its
-    block and query tail; and the entries of the run's catalog verdict
-    table, None for a catalog without one. Each call appends a line to a
-    file every process opened for appending, so the forks' calls count."""
-    bds = importlib.import_module(f"{package}.problems.bds")
-    catalog = importlib.import_module(f"{package}.catalog")
-    harness = importlib.import_module(f"{package}.harness")
-    malformed = importlib.import_module(f"{package}.errors").MalformedInstance
+def suite_decides(config: SuiteConfig) -> dict:
+    """bds.block_member calls in one run_suite(config), in this process
+    and in every worker it forks; the distinct (graph block, query)
+    pairs they asked about, an instance's pair being its block and query
+    tail; and the entries of the run's catalog verdict table. Each call
+    appends a line to a file every process opened for appending, so the
+    forks' calls count."""
     decide, build = bds.block_member, catalog.build_catalog
     built = []
 
     def counted(block, query, *bounds):
         try:
             data, tail = bds.split_block_tail(block) if query is None else (block, query)
-        except malformed:
+        except MalformedInstance:
             line = b"-\n"
         else:
             line = hashlib.blake2b(len(data).to_bytes(8, "big") + data + tail,
@@ -117,26 +96,19 @@ def suite_decides(package: str = __package__, **settings) -> dict:
         log = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         bds.block_member, catalog.build_catalog = counted, kept
         try:
-            harness.run_suite(harness.SuiteConfig(**settings))
+            run_suite(config)
         finally:
             bds.block_member, catalog.build_catalog = decide, build
             os.close(log)
         with open(path, "rb") as fh:
             lines = fh.read().split()
-    table = getattr(built[0], "verdicts", None)
     return {"block_member_calls": len(lines), "distinct_pairs": len(set(lines) - {b"-"}),
-            "table_entries": None if table is None else len(table)}
+            "table_entries": len(built[0].verdicts)}
 
 
-def _layer_tasks(n: int, seed: int, package: str = __package__) -> dict:
-    """layer name -> (fn, calls) at rung n, from the polytract package
-    imported under the name package."""
-    bds = importlib.import_module(f"{package}.problems.bds")
-    cvp = importlib.import_module(f"{package}.problems.cvp")
-    wordstats = importlib.import_module(f"{package}.problems.wordstats")
-    encoding = importlib.import_module(f"{package}.encoding")
-    catalog = importlib.import_module(f"{package}.catalog")
-    config = importlib.import_module(f"{package}.harness").SuiteConfig()
+def _layer_tasks(n: int, seed: int) -> dict:
+    """layer name -> (fn, calls) at rung n."""
+    config = SuiteConfig()
     count_digest = catalog.build_catalog(config).witnesses["wordstats-count-digest"].witness
     g = bds.random_sparse_graph(n, random.Random(f"{seed}:bench-graph:{n}"))
     block = bds.graph_to_bytes(g)
@@ -184,8 +156,7 @@ def _layer_tasks(n: int, seed: int, package: str = __package__) -> dict:
 def _forward_wired_text(c) -> bytes:
     """Text of circuit c with ids 1..n-1 reversed and the output kept
     last, so every gate names later nodes only and cvp_member evaluates
-    in topological order. Written from c.nodes, which circuits of older
-    checkouts have too."""
+    in topological order."""
     nodes = c.nodes
     n = len(nodes)
     return "".join(
@@ -209,12 +180,12 @@ PEAK_LAYERS = ("bds.parse_instance", "bds.bds_member", "cvp.parse_circuit", "cvp
                "cvp.cvp_member (forward-wired)", "encoding.unescape_payload (escape-dense)")
 
 
-def layer_peak_mb(seed: int, ladder=DEFAULT_LADDER, package: str = __package__) -> dict:
+def layer_peak_mb(seed: int, ladder=DEFAULT_LADDER) -> dict:
     """layer name -> [[rung, traced peak MB of one call], ...] in ladder
     order, for the PEAK_LAYERS."""
     out = {layer: [] for layer in PEAK_LAYERS}
     for n in ladder:
-        tasks = _layer_tasks(n, seed, package)
+        tasks = _layer_tasks(n, seed)
         for layer in PEAK_LAYERS:
             fn, calls = tasks[layer]
             tracemalloc.start()
@@ -227,66 +198,18 @@ def layer_peak_mb(seed: int, ladder=DEFAULT_LADDER, package: str = __package__) 
     return out
 
 
-def import_checkout(root) -> str:
-    """Import the polytract package of the checkout at root (its
-    src/polytract) as PARENT_PACKAGE and return that name. Its modules
-    import one another relatively, so none of them is shared with this
-    package."""
-    init = Path(root) / "src" / "polytract" / "__init__.py"
-    loaded = sys.modules.get(PARENT_PACKAGE)
-    if loaded is not None:
-        if Path(loaded.__file__).resolve() != init.resolve():
-            raise ValueError(f"{PARENT_PACKAGE} is already imported from {loaded.__file__}")
-        return PARENT_PACKAGE
-    spec = importlib.util.spec_from_file_location(
-        PARENT_PACKAGE, init, submodule_search_locations=[str(init.parent)])
-    module = importlib.util.module_from_spec(spec)
-    # Registered first so the package's relative imports find it.
-    sys.modules[PARENT_PACKAGE] = module
-    spec.loader.exec_module(module)
-    return PARENT_PACKAGE
-
-
-def interleaved(seed: int, parent: str, ladder=DEFAULT_LADDER) -> dict:
-    """The parent package (a name from import_checkout) against this one
-    in one process. ns_per_call: layer name -> [[rung, parent ns, change
-    ns, change/parent], ...], each layer's tasks of both sides at every
-    rung swept together by one time_interleaved_ns call. traced_peak_mb:
-    PEAK_LAYERS name -> [[rung, parent MB, change MB], ...]."""
-    sides = [{n: _layer_tasks(n, seed, package) for n in ladder}
-             for package in (parent, __package__)]
-    # The task after the top rung runs on cold caches, so each sweep goes
-    # through the rungs twice, once with each side first, and each task
-    # keeps its faster place.
-    order = [(n, side) for first in (0, 1) for n in ladder for side in (first, 1 - first)]
-    ns = {}
-    for layer in sides[1][ladder[0]]:
-        floors = time_interleaved_ns([sides[side][n][layer] for n, side in order])
-        best = dict.fromkeys(order, math.inf)
-        for key, floor in zip(order, floors):
-            best[key] = min(best[key], floor)
-        ns[layer] = [[n, round(best[n, 0]), round(best[n, 1]), round(best[n, 1] / best[n, 0], 3)]
-                     for n in ladder]
-    del sides
-    peaks = [layer_peak_mb(seed, ladder, package) for package in (parent, __package__)]
-    return {
-        "ns_per_call": ns,
-        "traced_peak_mb": {layer: [[n, p, c] for (n, p), (_, c) in zip(peaks[0][layer],
-                                                                      peaks[1][layer])]
-                           for layer in PEAK_LAYERS},
-    }
-
-
 def measure() -> dict:
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
+        # What run_suite deals the ladder rungs over, one worker per CPU
+        # at most.
+        "usable_cpus": len(os.sched_getaffinity(0)),
         "seed": SEED,
         "suite": _suite(SEED),
         "ns_per_call": layer_ns(SEED),
         "traced_peak_mb": layer_peak_mb(SEED),
-        "suite_decides": suite_decides(seed=SEED),
+        "suite_decides": suite_decides(SuiteConfig(seed=SEED)),
     }
 
 
@@ -299,25 +222,15 @@ def main(argv=None) -> int:
                     help="JSON file to add the record to")
     ap.add_argument("--label", default="change",
                     help="name of this record's column (default: change)")
-    ap.add_argument("--parent", metavar="DIR",
-                    help="also time the polytract package of the checkout at DIR "
-                         "against this one in one process, under \"interleaved\"")
     args = ap.parse_args(argv)
 
     record = measure()
-    # Imported after the suite run, so its peak RSS is this checkout's.
-    parent = None if args.parent is None else import_checkout(args.parent)
     try:
         with open(args.json, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         doc = {"columns": {}}
     doc["columns"][args.label] = record
-    if parent is not None:
-        doc["interleaved"] = {"python": record["python"], "seed": SEED,
-                              **interleaved(SEED, parent),
-                              "suite_decides": {"parent": suite_decides(parent, seed=SEED),
-                                                "change": record["suite_decides"]}}
     dump_json(doc, args.json)
     print(f"{args.label}: run_suite {record['suite']['wall_s']} s, "
           f"peak RSS {record['suite']['peak_rss_mb']} MB -> {args.json}")

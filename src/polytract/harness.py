@@ -76,6 +76,10 @@ _CAP_LIMITS = {
     "bds": (5, "bds instance enumeration cap"),
     "separation": (ENUMERATION_CAP, "edgeless enumeration cap"),
 }
+# The largest separation_max_n. The table writes n! in decimal, which
+# from n = 1,559 on has more digits than Python's int-to-str limit
+# (4,300) allows.
+_SEPARATION_MAX_N = 1000
 
 
 # Every bound a check reads: the catalog's declared bounds and the
@@ -127,10 +131,10 @@ def apply_key(cfg: SuiteConfig, key: str, value: str) -> None:
 
 
 def check_config(cfg: SuiteConfig) -> None:
-    """Raise ConfigError for the first budget, ladder, cap, lexicon or
-    gate weight out of range. Setting a key, loading a config and running
-    a check all call this, so a config built in code meets what a config
-    file must."""
+    """Raise ConfigError for the first budget, ladder, lexicon, rate,
+    separation size, gate weight or cap out of range. Setting a key,
+    loading a config and running a check all call this, so a config
+    built in code meets what a config file must."""
     if cfg.random_budget < 0:
         raise ConfigError(f"random_budget {cfg.random_budget} is negative")
     if cfg.witness_samples < 1:
@@ -150,6 +154,14 @@ def check_config(cfg: SuiteConfig) -> None:
             raise ConfigError(f"lexicon word {word!r} is not a single token")
         if word.lower() != word:
             raise ConfigError(f"lexicon word {word!r} is not lowercase")
+    # NaN fails the comparison, so it is rejected too.
+    for name in ("edge_prob", "preposition_rate"):
+        rate = getattr(cfg, name)
+        if not 0 <= rate <= 1:
+            raise ConfigError(f"{name} {rate} is outside 0..1")
+    if cfg.separation_max_n > _SEPARATION_MAX_N:
+        raise ConfigError(f"separation_max_n {cfg.separation_max_n} exceeds "
+                          f"{_SEPARATION_MAX_N}")
     if len(cfg.gate_weights) != 3:
         raise ConfigError("gate_weights needs three integers")
     if min(cfg.gate_weights) < 0 or sum(cfg.gate_weights) == 0:

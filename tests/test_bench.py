@@ -36,6 +36,9 @@ def test_layer_peak_mb_has_one_entry_per_rung():
 
 def test_suite_record_names_failing_rows(monkeypatch):
     reports = [Report("compositions").add("ok", True),
+               Report("witness:bds-verdict-bit").add(
+                   "ladder:bds-verdict-bit", True,
+                   timings={"workers": {"count": 1, "cpu_ns": 0, "peak_rss_kb": 0}}),
                Report("runtime-fits").add("ok", True).add("slope", False)]
     monkeypatch.setattr(bench, "run_suite", lambda config: harness.SuiteReport(
         environment={}, reports=reports, timings={}))
@@ -47,12 +50,18 @@ def test_suite_record_names_failing_rows(monkeypatch):
 def test_suite_record_has_the_ladder_worker_beside_this_process(monkeypatch):
     small = harness.SuiteConfig(ladder=(64, 128, 256, 512), random_budget=10,
                                 witness_samples=5)
-    monkeypatch.setattr(bench, "run_suite", lambda config: harness.run_suite(
-        replace(small, seed=config.seed)))
+    reports = []
+    monkeypatch.setattr(bench, "run_suite", lambda config: reports.append(harness.run_suite(
+        replace(small, seed=config.seed))) or reports[-1])
     record = bench._suite(0)
     assert record["verdict"] == "pass"
-    assert record["peak_rss_mb"] > 0 and record["worker_peak_rss_mb"] > 0
-    assert record["worker_cpu_s"] >= 0
+    # the workers' usage is the report's, which run_suite read as it
+    # reaped them
+    workers = next(c.timings["workers"] for r in reports[0].reports for c in r.checks
+                   if c.name == "ladder:bds-verdict-bit")
+    assert record["worker_peak_rss_mb"] == round(workers["peak_rss_kb"] / 1024, 1) > 0
+    assert record["worker_cpu_s"] == round(workers["cpu_ns"] / 1e9, 3)
+    assert record["peak_rss_mb"] > 0
 
 
 def test_records_are_kept_side_by_side(tmp_path, monkeypatch):
@@ -65,58 +74,6 @@ def test_records_are_kept_side_by_side(tmp_path, monkeypatch):
     columns = json.loads(path.read_text())["columns"]
     assert {k: v["suite"]["wall_s"] for k, v in columns.items()} == {
         "parent": 1.0, "change": 2.0}
-
-
-def test_parent_checkout_is_timed_against_this_one_in_one_process():
-    parent = bench.import_checkout(ROOT)
-    assert bench.import_checkout(ROOT) == parent
-    assert sys.modules[f"{parent}.encoding"] is not sys.modules["polytract.encoding"]
-    out = bench.interleaved(0, parent, ladder=(8, 16))
-    assert set(out["ns_per_call"]) == set(bench._layer_tasks(8, 0))
-    for rows in out["ns_per_call"].values():
-        assert [row[0] for row in rows] == [8, 16]
-        for _, p, c, ratio in rows:
-            assert p > 0 and c > 0 and ratio == round(c / p, 3)
-    assert set(out["traced_peak_mb"]) == set(bench.PEAK_LAYERS)
-    for rows in out["traced_peak_mb"].values():
-        assert [n for n, _, _ in rows] == [8, 16]
-        assert all(p > 0 and c > 0 for _, p, c in rows)
-
-
-def test_parent_flag_adds_interleaved_rows(tmp_path, monkeypatch):
-    path = tmp_path / "bench.json"
-    steps = []
-    monkeypatch.setattr(bench, "measure", lambda: steps.append("measure") or {
-        "python": "3", "suite": {"wall_s": 1.0, "peak_rss_mb": 3.0},
-        "suite_decides": {"block_member_calls": 1}})
-    imported = bench.import_checkout
-    monkeypatch.setattr(bench, "import_checkout",
-                        lambda root: steps.append("import") or imported(root))
-    monkeypatch.setattr(bench, "interleaved", lambda seed, parent: {"ns_per_call": {
-        "layer": [[8, 2, 1, 0.5]]}})
-    monkeypatch.setattr(bench, "suite_decides", lambda package, seed: {
-        "block_member_calls": 2, "package": package, "seed": seed})
-    bench.main(["--json", str(path), "--parent", str(ROOT)])
-    # the parent package is not loaded while the record's suite runs
-    assert steps == ["measure", "import"]
-    doc = json.loads(path.read_text())
-    assert doc["columns"]["change"]["suite"]["wall_s"] == 1.0
-    assert doc["interleaved"] == {
-        "python": "3", "seed": bench.SEED, "ns_per_call": {"layer": [[8, 2, 1, 0.5]]},
-        "suite_decides": {"parent": {"block_member_calls": 2, "package": bench.PARENT_PACKAGE,
-                                     "seed": bench.SEED},
-                          "change": {"block_member_calls": 1}}}
-
-
-def test_suite_decides_counts_each_decide_and_each_pair():
-    small = dict(seed=0, ladder=(64, 128, 256, 512), random_budget=10, witness_samples=5)
-    for package in (bench.import_checkout(ROOT), "polytract"):
-        bds = importlib.import_module(f"{package}.problems.bds")
-        decide = bds.block_member
-        out = bench.suite_decides(package, **small)
-        # one decide per table entry, one entry per pair asked about
-        assert out["block_member_calls"] == out["distinct_pairs"] == out["table_entries"] > 0
-        assert bds.block_member is decide
 
 
 def test_perfbench_trace_targets_resolve():

@@ -78,7 +78,10 @@ def test_degenerate_lexicon_and_gate_weights_are_usage_errors(tmp_path, capsys):
     for line, command in (("lexicon = ,", ["verify-witness", "wordstats-count-digest"]),
                           ("lexicon = in on", ["run-suite"]),
                           ("gate_weights = 0,0,0", ["verify-reduction", "cvp-identity"]),
-                          ("gate_weights = -1,1,1", ["verify-reduction", "cvp-identity"])):
+                          ("gate_weights = -1,1,1", ["verify-reduction", "cvp-identity"]),
+                          ("preposition_rate = nan", ["run-suite"]),
+                          ("preposition_rate = inf",
+                           ["verify-witness", "wordstats-count-digest"])):
         cfg = tmp_path / "degenerate.cfg"
         cfg.write_text(line + "\n")
         assert main([*command, "--config", str(cfg)]) == 2
@@ -103,6 +106,15 @@ def test_oversized_bds_cap_is_usage_error(tmp_path, capsys):
         assert main(["list", "--max-exhaustive", cap]) == 2
         assert f"error: exhaustive_cap.bds {cap} exceeds" in capsys.readouterr().err
     assert main(["list", "--max-exhaustive", "5"]) == 0
+
+
+def test_oversized_separation_table_is_usage_error(capsys):
+    # From n = 1,559 on, n! has more digits than Python converts to a
+    # string, and the table used to crash on it (exit 3).
+    for args in (["--max-n", "1559"], ["--max-n", "1001", "--json", "-"]):
+        assert main(["separate", *args]) == 2
+        assert f"error: separation_max_n {args[1]} exceeds 1000" in capsys.readouterr().err
+    assert main(["separate", "--max-n", "1000"]) == 0
 
 
 def test_budgets_out_of_range_are_usage_errors(tmp_path, capsys):

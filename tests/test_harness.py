@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from polytract import catalog, harness
+from polytract import bench, catalog, harness
 from polytract.catalog import DEFAULT_BOUNDS, INJECTIONS, build_catalog
 from polytract.encoding import PolylogBound
 from polytract.errors import ConfigError, InsufficientData, UnknownProblem
@@ -110,6 +110,14 @@ OUT_OF_RANGE = [
      "ladder needs at least 4"),
     ("ladder = 0, 1, 2, 3", {"ladder": (0, 1, 2, 3)}, "ladder needs at least 4"),
     ("lexicon = in on", {"lexicon": ("in on",)}, "lexicon word 'in on' is not a single token"),
+    ("preposition_rate = nan", {"preposition_rate": math.nan},
+     "preposition_rate nan is outside 0..1"),
+    ("preposition_rate = 1.5", {"preposition_rate": 1.5}, "preposition_rate 1.5 is outside 0..1"),
+    ("preposition_rate = -0.2", {"preposition_rate": -0.2},
+     "preposition_rate -0.2 is outside 0..1"),
+    ("edge_prob = inf", {"edge_prob": math.inf}, "edge_prob inf is outside 0..1"),
+    ("edge_prob = -0.1", {"edge_prob": -0.1}, "edge_prob -0.1 is outside 0..1"),
+    ("separation_max_n = 1001", {"separation_max_n": 1001}, "separation_max_n 1001 exceeds 1000"),
 ]
 
 
@@ -564,14 +572,17 @@ def test_a_failing_worker_draw_reaches_the_caller(monkeypatch):
 
 
 def test_suite_decides_each_bds_pair_once(monkeypatch, tmp_path):
-    # The rungs are decided in the workers, so every decide is logged,
-    # in whichever process it runs.
-    decided = _log_calls(monkeypatch, tmp_path, bds, "block_member", len)
+    # The rungs are decided in the workers, so suite_decides counts the
+    # decides of every process, and bds_member logs its calls in
+    # whichever process they run.
     members = _log_calls(monkeypatch, tmp_path, bds, "bds_member", len)
-    cat = _suite_catalog(monkeypatch, HANDOFF)
-    # every bds decide of the run goes through the catalog's table
+    decide = bds.block_member
+    out = bench.suite_decides(HANDOFF)
+    # every bds decide of the run goes through the catalog's table: one
+    # decide per table entry, one entry per pair asked about
     assert members() == []
-    assert len(decided()) == len(cat.verdicts) > 0
+    assert out["block_member_calls"] == out["distinct_pairs"] == out["table_entries"] > 0
+    assert bds.block_member is decide
 
 
 def test_both_bds_ladder_stages_leave_no_rung_held(monkeypatch):
