@@ -1,14 +1,17 @@
 import ast
 import importlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from polytract import bench, harness
+from polytract import bench, catalog, harness
+from polytract.problems import bds
 from polytract.report import Report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +77,32 @@ def test_records_are_kept_side_by_side(tmp_path, monkeypatch):
     columns = json.loads(path.read_text())["columns"]
     assert {k: v["suite"]["wall_s"] for k, v in columns.items()} == {
         "parent": 1.0, "change": 2.0}
+
+
+def test_suite_decides_counts_each_decide_and_each_pair(monkeypatch):
+    # A decide in a forked worker counts like one in this process; a pair
+    # asked twice, or once with its query as the block's tail, is one
+    # pair; a malformed block is a decide but no pair.
+    stub = lambda block, query, *bounds: True  # noqa: E731
+    monkeypatch.setattr(bds, "block_member", stub)
+    monkeypatch.setattr(catalog, "build_catalog", lambda config: SimpleNamespace(
+        verdicts={"a": True, "b": False}))
+
+    def fake_suite(config):
+        catalog.build_catalog(config)
+        pid = os.fork()
+        if pid == 0:
+            bds.block_member(b"2 0\n0 1\n", b"q1")
+            os._exit(0)
+        os.waitpid(pid, 0)
+        bds.block_member(b"2 0\n0 1\nq1", None)
+        bds.block_member(b"2 0\n0 1\n", b"q2")
+        bds.block_member(b"no newline", None)
+
+    monkeypatch.setattr(bench, "run_suite", fake_suite)
+    out = bench.suite_decides(harness.SuiteConfig())
+    assert out == {"block_member_calls": 4, "distinct_pairs": 2, "table_entries": 2}
+    assert bds.block_member is stub
 
 
 def test_perfbench_trace_targets_resolve():
