@@ -109,7 +109,9 @@ def suite_decides(config: SuiteConfig) -> dict:
 def _layer_tasks(n: int, seed: int) -> dict:
     """layer name -> (fn, calls) at rung n."""
     config = SuiteConfig()
-    count_digest = catalog.build_catalog(config).witnesses["wordstats-count-digest"].witness
+    cat = catalog.build_catalog(config)
+    count_digest = cat.witnesses["wordstats-count-digest"].witness
+    count_member = cat.pair_languages["wordstats-pairs"].membership
     g = bds.random_sparse_graph(n, random.Random(f"{seed}:bench-graph:{n}"))
     block = bds.graph_to_bytes(g)
     instance = block + b"1 2"
@@ -127,6 +129,11 @@ def _layer_tasks(n: int, seed: int) -> dict:
         """n tokens, as the wordstats ladder rung of size n draws them."""
         return wordstats.random_corpus_text(n, random.Random(f"{seed}:bench-corpus:{n}"),
                                             config.lexicon, config.preposition_rate)
+
+    corpus = draw_corpus()
+    digest = count_digest.preprocess(corpus)
+    count_query = wordstats.query_bytes(config.lexicon[-1], 1)
+    count_member(corpus, count_query)  # the table now holds the corpus
 
     return {
         "bds.random_sparse_graph": (
@@ -149,7 +156,12 @@ def _layer_tasks(n: int, seed: int) -> dict:
         "cvp.cvp_member": (cvp.cvp_member, [(text,)]),
         "cvp.cvp_member (forward-wired)": (cvp.cvp_member, [(forward_text,)]),
         "wordstats.random_corpus_text": (draw_corpus, [()]),
-        "wordstats-count-digest preprocess": (count_digest.preprocess, [(draw_corpus(),)]),
+        "wordstats-count-digest preprocess": (count_digest.preprocess, [(corpus,)]),
+        # one count unpacked from the rung corpus's digest, and a count
+        # table hit on the corpus: a hash of it and a lookup
+        "counts-at-least post (one count)": (count_digest.post_language.membership,
+                                             [(digest, count_query)]),
+        "wordstats-pairs count-table hit": (count_member, [(corpus, count_query)]),
     }
 
 

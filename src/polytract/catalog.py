@@ -18,13 +18,19 @@ parts together are one byte shorter than the instance.
 Every bds and qbds membership the catalog hands out, and so every check
 built on one, decides through the catalog's verdict table
 (Catalog.block_verdict): each (graph block, query) pair is decided once
-per catalog, whichever form of the instance asks.
+per catalog, whichever form of the instance asks. Likewise the
+wordstats-pairs membership counts each corpus once per catalog, into its
+count table (Catalog.counts).
+
+The entries close over the tables, never over the catalog, so a catalog
+makes no reference cycle and is freed as soon as its last user lets go.
 """
 from __future__ import annotations
 
 import hashlib
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .encoding import (
@@ -36,7 +42,7 @@ from .encoding import (
     decode_pair,
     encode_pair,
 )
-from .errors import ConfigError, MalformedInstance, UnknownPreposition, UnknownProblem
+from .errors import ConfigError, MalformedInstance, UnknownProblem
 from .factorization import CrFactorization, FactoredLanguage, identity_factorization
 from .preprocessing import PreprocessingWitness
 from .reductions import FcrReduction, FReduction
@@ -175,6 +181,19 @@ class Catalog:
     # bds.block_member verdict; see block_verdict(). run_suite adds the
     # bds ladder rungs' entries its worker processes decided.
     verdicts: dict[bytes, bool] = field(default_factory=dict)
+    # 16-byte blake2b digest of a corpus -> its wordstats.lexicon_counts
+    # over the catalog's lexicon, None for text that is not UTF-8; the
+    # wordstats-pairs membership fills it (_count_member).
+    counts: dict[bytes, tuple[int, ...] | None] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # The table functions, bound to the tables alone: the entries
+        # built on them then hold no reference to the catalog. The
+        # tables are only ever updated in place, never replaced.
+        self.draws = partial(_draws, self.drawn)
+        self.block_verdict = partial(_block_verdict, self.verdicts)
+        self.bds_verdict = partial(_bds_verdict, self.verdicts)
+        self.qbds_verdict = partial(_qbds_verdict, self.verdicts)
 
     def problem(self, name: str) -> ProblemEntry:
         return _lookup(self.problems, name, "problem")
@@ -185,50 +204,77 @@ class Catalog:
         'qbds-absorb' samples qbds instances."""
         return self.problem(name.split("-", 1)[0]).sample
 
-    def draws(self, stream: str, seed: int, budget: int, draw) -> list:
-        """The first `budget` values of draw(rng) on the `stream` substream
-        of `seed`, as a new list. Only the last seed's draws are kept, and
-        they are extended only when a larger budget is asked for, so every
-        reader gets the same bytes in any order, and an entry drawn in a
-        forked copy of this catalog goes on as one drawn here."""
-        kept = self.drawn.get(stream)
-        if kept is None or kept[0] != seed:
-            kept = self.drawn[stream] = seed, random.Random(f"{seed}:{stream}"), []
-        _, rng, values = kept
-        while len(values) < budget:
-            values.append(draw(rng))
-        return values[:budget]
 
-    def block_verdict(self, block: bytes, query: bytes) -> bool:
-        """bds.block_member(block, query), decided once per catalog."""
-        key = _pair_key(len(block), block, query)
-        verdict = self.verdicts.get(key)
-        if verdict is None:
-            verdict = self.verdicts[key] = bds.block_member(block, query)
-        return verdict
+# ------------------------------------------------------------------ tables
+#
+# A catalog's draws, bds_verdict, qbds_verdict and block_verdict are these
+# functions bound to its tables.
 
-    def bds_verdict(self, x: Instance) -> bool:
-        """bds.bds_member(x) through the table. The pair is x's graph block
-        and query tail, so x shares its entry with as_qbds(x); bytes that
-        do not split are out, with no entry. x's header is read once: its
-        block's end keys the pair and its bounds go on to the decide."""
-        try:
-            bounds = bds.block_bounds(x)
-        except MalformedInstance:
-            return False
-        key = _pair_key(bounds[3], x)
-        verdict = self.verdicts.get(key)
-        if verdict is None:
-            verdict = self.verdicts[key] = bds.block_member(x, None, bounds)
-        return verdict
 
-    def qbds_verdict(self, y: Instance) -> bool:
-        """qbds_member(y) through the table."""
-        try:
-            pair = decode_pair(y)
-        except MalformedInstance:
-            return False
-        return self.block_verdict(pair.data, pair.query)
+def _draws(drawn: dict, stream: str, seed: int, budget: int, draw) -> list:
+    """The first `budget` values of draw(rng) on the `stream` substream
+    of `seed`, as a new list. Only the last seed's draws are kept, and
+    they are extended only when a larger budget is asked for, so every
+    reader gets the same bytes in any order, and an entry drawn in a
+    forked copy of a catalog goes on as one drawn in the catalog."""
+    kept = drawn.get(stream)
+    if kept is None or kept[0] != seed:
+        kept = drawn[stream] = seed, random.Random(f"{seed}:{stream}"), []
+    _, rng, values = kept
+    while len(values) < budget:
+        values.append(draw(rng))
+    return values[:budget]
+
+
+def _block_verdict(verdicts: dict, block: bytes, query: bytes) -> bool:
+    """bds.block_member(block, query), decided once per table."""
+    key = _pair_key(len(block), block, query)
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = bds.block_member(block, query)
+    return verdict
+
+
+def _bds_verdict(verdicts: dict, x: Instance) -> bool:
+    """bds.bds_member(x) through the table. The pair is x's graph block
+    and query tail, so x shares its entry with as_qbds(x); bytes that do
+    not split are out, with no entry. x's header is read once: its
+    block's end keys the pair and its bounds go on to the decide."""
+    try:
+        bounds = bds.block_bounds(x)
+    except MalformedInstance:
+        return False
+    key = _pair_key(bounds[3], x)
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = bds.block_member(x, None, bounds)
+    return verdict
+
+
+def _qbds_verdict(verdicts: dict, y: Instance) -> bool:
+    """qbds_member(y) through the table."""
+    try:
+        pair = decode_pair(y)
+    except MalformedInstance:
+        return False
+    return _block_verdict(verdicts, pair.data, pair.query)
+
+
+def _count_member(counts: dict, lexicon: tuple[str, ...], text: Instance,
+                  query: Instance) -> bool:
+    """wordstats.pair_member(text, query, lexicon) through the count
+    table. The query is read first, so a malformed query or a word
+    outside the lexicon is out before the corpus is hashed; a corpus is
+    counted on its first in-lexicon query and read from the table after."""
+    asked = wordstats.lexicon_query(query, lexicon)
+    if asked is None:
+        return False
+    key = hashlib.blake2b(text, digest_size=16).digest()
+    try:
+        tally = counts[key]
+    except KeyError:
+        tally = counts[key] = wordstats.lexicon_counts(text, lexicon)
+    return tally is not None and tally[asked[0]] >= asked[1]
 
 
 def _pair_key(block_len: int, data: bytes, query: bytes = b"") -> bytes:
@@ -253,14 +299,14 @@ def _lookup(table: dict, name: str, what: str):
 # ---------------------------------------------------------------- builders
 
 
-def _bds_sampler(cat: Catalog, edge_prob: float):
+def _bds_sampler(draws, edge_prob: float):
     def draw(rng: random.Random) -> Instance:
         return bds.random_instance(rng.randrange(5, 31), rng, edge_prob)
 
     def instances(seed: int, cap: int, budget: int) -> list[Instance]:
         """Exhaustive small instances plus random larger ones, members or not."""
         out = list(bds.enumerate_instances(cap))
-        out += cat.draws("bds-random", seed, budget, draw)
+        out += draws("bds-random", seed, budget, draw)
         # A few malformed strays keep the oracles honest about totality.
         out.extend([b"", b"not a graph", b"2 1\n1 2\n", b"1 0\n1\n0 0"])
         return out
@@ -273,12 +319,12 @@ def _small_circuit(rng: random.Random, gate_weights) -> Instance:
     return cvp.circuit_to_bytes(cvp.random_circuit(rng.randrange(2, 14), rng, gate_weights))
 
 
-def _cvp_sampler(cat: Catalog, gate_weights, stream: str):
+def _cvp_sampler(draws, gate_weights, stream: str):
     def instances(seed: int, cap: int, budget: int) -> list[Instance]:
         """Every one-gate circuit plus random small ones; cap is unused,
         the exhaustive part is fixed."""
         out = [cvp.circuit_to_bytes(c) for c in cvp.enumerate_circuits(1)]
-        out += cat.draws(stream, seed, budget, lambda rng: _small_circuit(rng, gate_weights))
+        out += draws(stream, seed, budget, lambda rng: _small_circuit(rng, gate_weights))
         return out
 
     return instances
@@ -308,7 +354,7 @@ def _labeled_pairs(stream: str, draw, member, flip=None):
 
 
 def _build_problems(cat: Catalog, config) -> None:
-    sample_bds = _bds_sampler(cat, config.edge_prob)
+    sample_bds = _bds_sampler(cat.draws, config.edge_prob)
 
     def sample_qbds(seed: int, cap: int, budget: int) -> list[Instance]:
         return [as_qbds(x) for x in sample_bds(seed, cap, budget)]
@@ -324,7 +370,7 @@ def _build_problems(cat: Catalog, config) -> None:
     cat.problems["cvp"] = ProblemEntry(
         "cvp", cvp.cvp_member,
         "boolean circuit accepted iff it evaluates to true",
-        _cvp_sampler(cat, config.gate_weights, "cvp-instances"))
+        _cvp_sampler(cat.draws, config.gate_weights, "cvp-instances"))
     cat.problems["wordstats"] = ProblemEntry(
         "wordstats", lambda x: False,
         "corpus text; meaningful only as the data part of count queries")
@@ -354,7 +400,7 @@ def _build_factored(cat: Catalog, config) -> None:
     )
     cat.pair_languages["wordstats-pairs"] = LanguageOfPairs(
         name="wordstats-pairs",
-        membership=lambda d, q: wordstats.pair_member(d, q, lexicon),
+        membership=partial(_count_member, cat.counts, lexicon),
         short_query_bound=bounds["wordstats-query"],
     )
     for name in ("bds-all-data", "qbds-absorb", "cvp-all-data"):
@@ -385,13 +431,15 @@ def _build_witnesses(cat: Catalog, config) -> None:
         )
         cat.witnesses[name] = WitnessEntry(language, witness, sample_pairs, ladder_gen)
 
+    draws = cat.draws  # so bds_ladder holds the draws table, not the catalog
+
     def bds_ladder(size: int, seed: int) -> list[Instance]:
         """Two sparse instances of max(4, size) nodes from the
         bds-ladder:{size} substream, kept by the catalog, so both stages
         that read the rung take the same bytes without drawing them
         again."""
-        return cat.draws(f"bds-ladder:{size}", seed, 2,
-                         lambda rng: bds.random_sparse_instance(max(4, size), rng))
+        return draws(f"bds-ladder:{size}", seed, 2,
+                     lambda rng: bds.random_sparse_instance(max(4, size), rng))
 
     verdict_bit(
         "bds-verdict-bit", cat.bds_verdict,
@@ -430,11 +478,14 @@ def _build_witnesses(cat: Catalog, config) -> None:
         return wordstats.digest_instance(counts, len(corpus.words))
 
     def digest_pair_member(d: Instance, q: Instance) -> bool:
+        """The query's word count, unpacked alone from the digest, against
+        its threshold."""
+        asked = wordstats.lexicon_query(q, lexicon)
+        if asked is None:
+            return False
         try:
-            counts = wordstats.parse_digest_instance(d, m)
-            word, k = wordstats.parse_query(q)
-            return wordstats.preposition_decide(counts, lexicon, word, k)
-        except (MalformedInstance, UnknownPreposition):
+            return wordstats.digest_count(d, m, asked[0]) >= asked[1]
+        except MalformedInstance:
             return False
 
     ws_witness = PreprocessingWitness(
@@ -518,7 +569,7 @@ def _build_reductions(cat: Catalog, config) -> None:
         except MalformedInstance:
             return d
 
-    circuits = _cvp_sampler(cat, config.gate_weights, "cvp-pairs")
+    circuits = _cvp_sampler(cat.draws, config.gate_weights, "cvp-pairs")
 
     def cvp_pairs(seed: int, budget: int) -> list[Pair]:
         out = [Pair(x, b"") for x in circuits(seed, 0, budget)]

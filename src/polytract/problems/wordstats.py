@@ -7,8 +7,12 @@ so a fixed width of ceil(log2(n+1)) bits per count packs the whole vector
 into exactly m * ceil(log2(n+1)) bits. The self-contained instance form
 prepends one byte holding that width so a decider needs nothing else.
 
-A query 'p k' asks whether word p occurs at least k times; answering it
-from the digest touches only the m unpacked counts.
+A query 'p k' asks whether word p occurs at least k times. The reference
+oracle pair_member answers it from lexicon_counts, one tokenize and one
+tally of the whole corpus; a catalog keeps those counts per corpus, so a
+corpus asked again is not read again. Answering a query from the digest
+(digest_count) checks the digest's header, length and padding, then
+unpacks the one count the query names.
 """
 from __future__ import annotations
 
@@ -56,6 +60,19 @@ def preposition_digest(corpus: Corpus) -> tuple[int, ...]:
     return tuple(counts.get(word, 0) for word in corpus.lexicon)
 
 
+def lexicon_counts(text: Instance, lexicon=DEFAULT_LEXICON) -> tuple[int, ...] | None:
+    """Occurrence count of every lexicon word in corpus `text`, in lexicon
+    order, from one tokenize and one tally; None for text that is not
+    UTF-8. It shares no code with corpus_from_text and preposition_digest,
+    so an oracle built on it checks the digest against a second count."""
+    try:
+        decoded = text.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    tally = Counter(decoded.lower().split())
+    return tuple(tally[word] for word in lexicon)
+
+
 def preposition_decide(counts, lexicon, word: str, k: int) -> bool:
     """Does `word` occur at least k times, judging only by the counts?"""
     try:
@@ -92,21 +109,33 @@ def digest_instance(counts, n: int) -> Instance:
     return bytes([w]) + payload
 
 
-def parse_digest_instance(data: Instance, m: int) -> tuple[int, ...]:
+def _digest_value(data: Instance, m: int) -> tuple[int, int]:
+    """(width, packed counts as one integer) of a digest instance of m
+    counts, after checking its width byte, payload length and zero
+    padding; raises MalformedInstance."""
     if not data:
         raise MalformedInstance("empty digest")
     w = data[0]
-    payload = data[1:]
     total_bits = w * m
-    if len(payload) != (total_bits + 7) // 8:
+    if len(data) - 1 != (total_bits + 7) // 8:
         raise MalformedInstance("digest payload has the wrong length")
-    if total_bits == 0:
-        return (0,) * m
-    acc = int.from_bytes(payload, "big")
+    acc = int.from_bytes(data[1:], "big")
     if acc >> total_bits:
         raise MalformedInstance("digest payload has nonzero padding bits")
+    return w, acc
+
+
+def parse_digest_instance(data: Instance, m: int) -> tuple[int, ...]:
+    w, acc = _digest_value(data, m)
     mask = (1 << w) - 1
     return tuple(acc >> (m - 1 - i) * w & mask for i in range(m))
+
+
+def digest_count(data: Instance, m: int, idx: int) -> int:
+    """Count idx (0 <= idx < m) of a digest instance of m counts, after
+    the checks parse_digest_instance makes; only that count is unpacked."""
+    w, acc = _digest_value(data, m)
+    return acc >> (m - 1 - idx) * w & ((1 << w) - 1)
 
 
 def query_bytes(word: str, k: int) -> Instance:
@@ -129,16 +158,30 @@ def parse_query(q: Instance) -> tuple[str, int]:
     return parts[0], k
 
 
-def pair_member(data: Instance, query: Instance, lexicon=DEFAULT_LEXICON) -> bool:
-    """Reference oracle: scan the corpus and compare against the threshold."""
+def lexicon_query(query: Instance, lexicon=DEFAULT_LEXICON) -> tuple[int, int] | None:
+    """(lexicon index of p, k) of a query 'p k'; None when the query is
+    malformed or p is not a lexicon word, which no corpus counts."""
     try:
         word, k = parse_query(query)
-        corpus = corpus_from_text(data, lexicon)
+    except MalformedInstance:
+        return None
+    try:
+        return lexicon.index(word), k
+    except ValueError:
+        return None
+
+
+def pair_member(data: Instance, query: Instance, lexicon=DEFAULT_LEXICON) -> bool:
+    """Reference oracle: count the corpus's lexicon words and compare the
+    asked word's count against the threshold."""
+    try:
+        word, k = parse_query(query)
     except MalformedInstance:
         return False
     if word not in lexicon:
         return False
-    return corpus.words.count(word) >= k
+    counts = lexicon_counts(data, lexicon)
+    return counts is not None and preposition_decide(counts, lexicon, word, k)
 
 
 def random_corpus_text(

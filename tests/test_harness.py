@@ -1,9 +1,11 @@
+import gc
 import math
 import multiprocessing
 import os
 import random
 import re
 import time
+import weakref
 from dataclasses import fields, replace
 
 import pytest
@@ -583,6 +585,42 @@ def test_suite_decides_each_bds_pair_once(monkeypatch, tmp_path):
     assert members() == []
     assert out["block_member_calls"] == out["distinct_pairs"] == out["table_entries"] > 0
     assert bds.block_member is decide
+
+
+def test_wordstats_witness_check_counts_each_corpus_once(monkeypatch):
+    counted = _calls(monkeypatch, wordstats, "lexicon_counts")
+    cat = build_catalog(HANDOFF)
+    assert run_check(cat, HANDOFF, "witness:wordstats-count-digest").passed
+    # the oracle reads a corpus on its first in-lexicon query and takes
+    # every later query on it from the count table
+    pos, neg = cat.witnesses["wordstats-count-digest"].sample_pairs(
+        HANDOFF.seed, HANDOFF.witness_samples)
+    asked = {pair.data for pair in pos + neg
+             if wordstats.lexicon_query(pair.query, HANDOFF.lexicon) is not None}
+    assert len(counted) == len(set(counted)) == len(asked) == len(cat.counts) > 0
+    assert set(counted) == asked
+    assert {(type(key), len(key)) for key in cat.counts} == {(bytes, 16)}
+
+
+def test_run_suite_frees_its_catalog_by_refcount(monkeypatch):
+    built = []
+
+    def watched(config):
+        cat = build(config)
+        built.append(weakref.ref(cat))
+        return cat
+
+    build = catalog.build_catalog
+    monkeypatch.setattr(catalog, "build_catalog", watched)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_suite(HANDOFF)
+        # nothing of the run refers to its catalog, and no cycle holds it
+        assert built[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_both_bds_ladder_stages_leave_no_rung_held(monkeypatch):

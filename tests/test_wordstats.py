@@ -2,8 +2,9 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from polytract import SuiteConfig, build_catalog
 from polytract.errors import MalformedInstance, UnknownPreposition
 from polytract.problems import wordstats as ws
 
@@ -144,8 +145,6 @@ def test_pair_member_total():
 
 
 def test_non_utf8_query_is_rejected():
-    from polytract import SuiteConfig, build_catalog
-
     with pytest.raises(MalformedInstance):
         ws.parse_query(b"\xff 1")
     assert ws.pair_member(b"in in", b"\xff 1") is False
@@ -161,3 +160,148 @@ def test_random_corpus_rate():
     corpus = ws.corpus_from_text(text)
     hits = sum(ws.preposition_digest(corpus))
     assert 0.30 < hits / 20_000 < 0.40
+
+
+# ------------------------------------------- count table and one-count post
+#
+# One catalog for every example, so later examples also meet corpora its
+# count table already holds.
+CAT = build_catalog(SuiteConfig())
+LEXICON = ws.DEFAULT_LEXICON
+M = len(LEXICON)
+COUNT_MEMBER = CAT.pair_languages["wordstats-pairs"].membership
+WITNESS = CAT.witnesses["wordstats-count-digest"].witness
+POST = WITNESS.post_language.membership
+SEPARATORS = (" ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000")
+NON_UTF8 = (b"\xff", b"\xc3\x28", b"\xed\xa0\x80", b"\x80")
+
+
+def _parent_post(digest: bytes, query: bytes) -> bool:
+    """The post language as it was before digest_count: unpack every
+    count, then decide by the asked word's."""
+    try:
+        counts = ws.parse_digest_instance(digest, M)
+        word, k = ws.parse_query(query)
+        return ws.preposition_decide(counts, LEXICON, word, k)
+    except (MalformedInstance, UnknownPreposition):
+        return False
+
+
+_WORDS = st.one_of(st.sampled_from(LEXICON), st.sampled_from(ws.FILLER_WORDS),
+                   st.sampled_from(("zzz", "inn", "", "ß", "\u03a3")))
+
+
+@st.composite
+def corpora(draw):
+    """Lexicon and filler words, some in upper or mixed case, joined by
+    whitespace that str.split() splits at, \\x1c-\\x1f included; some
+    with a byte that is not UTF-8 spliced in."""
+    words = draw(st.lists(_WORDS, max_size=40))
+    text = ""
+    for word in words:
+        case = draw(st.integers(0, 2))
+        word = (word, word.upper(), word.title())[case]
+        text += word + draw(st.sampled_from(SEPARATORS))
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        pos = draw(st.integers(0, len(data)))
+        data = data[:pos] + draw(st.sampled_from(NON_UTF8)) + data[pos:]
+    return data
+
+
+@st.composite
+def queries(draw):
+    """'p k' for a lexicon word in any case, an unknown word or none, with
+    k negative, zero, small or large; or bytes that are no query."""
+    word = draw(_WORDS)
+    word = (word, word.upper())[draw(st.integers(0, 1))]
+    k = draw(st.one_of(st.integers(-3, 6), st.integers(-(2**70), 2**70)))
+    return draw(st.one_of(
+        st.just(f"{word} {k}".encode("utf-8")),
+        st.just(f"{word}\x1c{k}".encode("utf-8")),
+        st.sampled_from((b"", b"in", b"in 1 2", b"in one", b"\xff 1", b"in \xff",
+                         b"in 0x1", b"in +1", b"in 1.0")),
+        st.binary(max_size=12)))
+
+
+@st.composite
+def digests(draw):
+    """A width byte and a payload of about m * width bits: the right
+    length with zero padding, nonzero padding bits (odd widths pad 4
+    bits for 20 counts), or a byte too many or too few; width 0 and the
+    empty digest among them."""
+    if draw(st.integers(0, 9)) == 0:
+        return b""
+    w = draw(st.integers(0, 12))
+    bits = w * M
+    size = max(0, (bits + 7) // 8 + draw(st.sampled_from((0, 0, 0, -1, 1))))
+    acc = int.from_bytes(draw(st.binary(min_size=size, max_size=size)), "big")
+    if draw(st.booleans()):
+        acc &= (1 << bits) - 1
+    return bytes([w]) + acc.to_bytes(size, "big")
+
+
+@settings(max_examples=400)
+@given(corpora(), queries())
+def test_count_table_membership_equals_the_oracle(text, query):
+    expected = ws.pair_member(text, query, LEXICON)
+    # the oracle against a token-by-token scan
+    try:
+        word, k = ws.parse_query(query)
+        text.decode("utf-8")
+    except (MalformedInstance, UnicodeDecodeError):
+        assert expected is False
+    else:
+        assert expected is (word in LEXICON and count_word_oracle(text, word) >= k)
+    assert COUNT_MEMBER(text, query) is expected
+    # asked again, the answer comes from the table
+    assert COUNT_MEMBER(text, query) is expected
+
+
+@settings(max_examples=400)
+@given(st.one_of(digests(), corpora().map(WITNESS.preprocess)), queries())
+def test_one_count_post_equals_the_full_unpack(digest, query):
+    assert POST(digest, query) is _parent_post(digest, query)
+    try:
+        counts = ws.parse_digest_instance(digest, M)
+    except MalformedInstance:
+        for idx in range(M):
+            with pytest.raises(MalformedInstance):
+                ws.digest_count(digest, M, idx)
+    else:
+        assert tuple(ws.digest_count(digest, M, idx) for idx in range(M)) == counts
+
+
+def test_count_table_skips_what_no_corpus_answers():
+    cat = build_catalog(SuiteConfig())
+    member = cat.pair_languages["wordstats-pairs"].membership
+    text = b"In\x1cin IN\x1dto"
+    # a malformed query or a word outside the lexicon is out unhashed
+    for query in (b"in -1", b"IN 1", b"zzz 1", b"\xff 1", b"in"):
+        assert member(text, query) is False
+    assert cat.counts == {}
+    assert member(text, b"in 3") is True and member(text, b"to 2") is False
+    assert member(b"in \xff", b"in 1") is False
+    # one entry per corpus asked about, None for text that is not UTF-8
+    assert list(cat.counts.values()) == [ws.lexicon_counts(text, LEXICON), None]
+
+
+def test_corpora_that_differ_in_their_last_byte_get_their_own_entries():
+    cat = build_catalog(SuiteConfig())
+    member = cat.pair_languages["wordstats-pairs"].membership
+    prefix = b"in " * 200
+    assert member(prefix + b"in", b"in 201") is True
+    assert member(prefix + b"on", b"in 201") is False
+    assert member(prefix + b"on", b"on 1") is True
+    assert len(cat.counts) == 2
+
+
+def test_digest_count_checks_what_the_full_unpack_checks():
+    digest = ws.digest_instance([3, 0, 1], 3)
+    assert [ws.digest_count(digest, 3, idx) for idx in range(3)] == [3, 0, 1]
+    assert ws.digest_count(b"\x00", 3, 1) == 0
+    # empty, a payload for width 0, a byte short, a byte long, and
+    # nonzero padding bits
+    for bad in (b"", b"\x00\x00", digest[:-1], digest + b"\x00", b"\x01\xff"):
+        with pytest.raises(MalformedInstance):
+            ws.digest_count(bad, 3, 0)
