@@ -82,8 +82,7 @@ def suite_decides(config: SuiteConfig) -> dict:
         except MalformedInstance:
             line = b"-\n"
         else:
-            line = hashlib.blake2b(len(data).to_bytes(8, "big") + data + tail,
-                                   digest_size=16).hexdigest().encode("ascii") + b"\n"
+            line = catalog._pair_key(len(data), data, tail).hex().encode("ascii") + b"\n"
         os.write(log, line)
         return decide(block, query, *bounds)
 

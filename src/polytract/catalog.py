@@ -408,42 +408,44 @@ def _build_factored(cat: Catalog, config) -> None:
         cat.pair_languages[f"pairs({name})"] = fl.induced_pairs_language()
 
 
+def _identity(z: Instance) -> Instance:
+    return z
+
+
+def _verdict_bit(member: Callable[[Instance], bool]) -> Callable[[Instance], Instance]:
+    """The preprocessing whose digest is the one-byte verdict of `member`."""
+    return lambda x: b"1" if member(x) else b"0"
+
+
 def _build_witnesses(cat: Catalog, config) -> None:
-    bounds = config.bounds
     injected = set(getattr(config, "inject", ()))
     unknown = injected.difference(INJECTIONS)
     if unknown:
         raise ConfigError(f"unknown inject entry {min(unknown)!r}; "
                           f"known: {', '.join(sorted(INJECTIONS))}")
 
-    def maybe_inject(name: str, pre):
+    def add(name: str, language: LanguageOfPairs, preprocess, post_language: LanguageOfPairs,
+            sample_pairs, ladder_gen) -> None:
+        """Register witness `name` with its declared bound. This is the
+        one place the identity-preprocessing:<name> injection swaps the
+        preprocessing for the identity."""
         if f"identity-preprocessing:{name}" in injected:
-            return lambda x: x
-        return pre
-
-    def verdict_bit(name: str, member, language, sample_pairs, ladder_gen) -> None:
-        """A witness whose digest is the one-byte verdict of `member`."""
-        witness = PreprocessingWitness(
-            name=name,
-            preprocess=maybe_inject(name, lambda x: b"1" if member(x) else b"0"),
-            post_language=one_bit_true_language(),
-            output_bound=bounds[name],
-        )
+            preprocess = _identity
+        witness = PreprocessingWitness(name, preprocess, post_language, config.bounds[name])
         cat.witnesses[name] = WitnessEntry(language, witness, sample_pairs, ladder_gen)
 
     draws = cat.draws  # so bds_ladder holds the draws table, not the catalog
 
     def bds_ladder(size: int, seed: int) -> list[Instance]:
-        """Two sparse instances of max(4, size) nodes from the
+        """Two sparse instances of `size` nodes from the
         bds-ladder:{size} substream, kept by the catalog, so both stages
         that read the rung take the same bytes without drawing them
         again."""
         return draws(f"bds-ladder:{size}", seed, 2,
-                     lambda rng: bds.random_sparse_instance(max(4, size), rng))
+                     lambda rng: bds.random_sparse_instance(size, rng))
 
-    verdict_bit(
-        "bds-verdict-bit", cat.bds_verdict,
-        cat.factored["bds-all-data"].induced_pairs_language(),
+    add("bds-verdict-bit", cat.pair_languages["pairs(bds-all-data)"],
+        _verdict_bit(cat.bds_verdict), one_bit_true_language(),
         _labeled_pairs(
             "bds-witness",
             lambda rng: bds.random_instance(rng.randrange(2, 16), rng, config.edge_prob),
@@ -456,11 +458,11 @@ def _build_witnesses(cat: Catalog, config) -> None:
         # with its negated sibling keeps the verdict mix at exactly half
         # and half on every rung, so branch cost cannot pose as growth.
         rng = random.Random(f"{seed}:cvp-ladder:{size}")
-        c = cvp.random_circuit(max(4, size), rng, config.gate_weights)
+        c = cvp.random_circuit(size, rng, config.gate_weights)
         return [cvp.circuit_to_bytes(c), cvp.circuit_to_bytes(cvp.negate_output(c))]
 
-    verdict_bit(
-        "cvp-verdict-bit", cvp.cvp_member, cat.pair_languages["cvp-pairs"],
+    add("cvp-verdict-bit", cat.pair_languages["cvp-pairs"],
+        _verdict_bit(cvp.cvp_member), one_bit_true_language(),
         _labeled_pairs("cvp-witness", lambda rng: _small_circuit(rng, config.gate_weights),
                        cvp.cvp_member),
         cvp_ladder)
@@ -487,17 +489,6 @@ def _build_witnesses(cat: Catalog, config) -> None:
             return wordstats.digest_count(d, m, asked[0]) >= asked[1]
         except MalformedInstance:
             return False
-
-    ws_witness = PreprocessingWitness(
-        name="wordstats-count-digest",
-        preprocess=maybe_inject("wordstats-count-digest", count_digest),
-        post_language=LanguageOfPairs(
-            name="counts-at-least",
-            membership=digest_pair_member,
-            short_query_bound=bounds["wordstats-query"],
-        ),
-        output_bound=bounds["wordstats-count-digest"],
-    )
 
     # A query word outside the lexicon, which no corpus counts.
     probe = "zzz"
@@ -529,24 +520,15 @@ def _build_witnesses(cat: Catalog, config) -> None:
 
     def ws_ladder(size: int, seed: int) -> list[Instance]:
         rng = random.Random(f"{seed}:wordstats-ladder:{size}")
-        return [
-            wordstats.random_corpus_text(max(1, size), rng, lexicon,
-                                         config.preposition_rate)
-            for _ in range(2)
-        ]
+        return [wordstats.random_corpus_text(size, rng, lexicon, config.preposition_rate)
+                for _ in range(2)]
 
-    cat.witnesses["wordstats-count-digest"] = WitnessEntry(
-        language=cat.pair_languages["wordstats-pairs"],
-        witness=ws_witness,
-        sample_pairs=ws_samples,
-        ladder_gen=ws_ladder,
-    )
+    add("wordstats-count-digest", cat.pair_languages["wordstats-pairs"], count_digest,
+        LanguageOfPairs("counts-at-least", digest_pair_member, config.bounds["wordstats-query"]),
+        ws_samples, ws_ladder)
 
 
 def _build_reductions(cat: Catalog, config) -> None:
-    def identity_map(z: Instance) -> Instance:
-        return z
-
     # Both maps of every factored reduction are identities. qbds-to-bds
     # re-splits: the absorbed data part of a joined instance is literally
     # a visit-order instance.
@@ -555,7 +537,7 @@ def _build_reductions(cat: Catalog, config) -> None:
                                  ("qbds-to-bds", "qbds-absorb", "bds-all-data")):
         src, dst = cat.factored[source], cat.factored[target]
         cat.fcr_reductions[name] = FcrEntry(
-            reduction=FcrReduction(name, src.fact, dst.fact, identity_map, identity_map),
+            reduction=FcrReduction(name, src.fact, dst.fact, _identity, _identity),
             source_member=src.base,
             target_member=dst.base,
         )
@@ -578,12 +560,12 @@ def _build_reductions(cat: Catalog, config) -> None:
         return out
 
     cat.f_reductions["cvp-identity"] = FEntry(
-        reduction=FReduction("cvp-identity", identity_map, identity_map),
+        reduction=FReduction("cvp-identity", _identity, _identity),
         source=cvp_lang, target=cvp_lang,
         sample_pairs=cvp_pairs,
     )
     cat.f_reductions["cvp-double-negation"] = FEntry(
-        reduction=FReduction("cvp-double-negation", doubled, identity_map),
+        reduction=FReduction("cvp-double-negation", doubled, _identity),
         source=cvp_lang, target=cvp_lang,
         sample_pairs=cvp_pairs,
     )

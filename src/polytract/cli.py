@@ -102,12 +102,16 @@ def _config_from_args(args) -> harness.SuiteConfig:
     return cfg
 
 
-def _write_json(payload: dict, args) -> None:
-    """Write payload where --json says: '-' for stdout, else a path."""
-    if args.json == "-":
+def _write_json(payload: dict, path: str | None) -> None:
+    """Write payload to `path`: '-' for stdout, None for nowhere. A path
+    that cannot be written is a usage problem, not an internal error."""
+    if path == "-":
         print(dump_json(payload))
-    elif args.json:
-        dump_json(payload, args.json)
+    elif path:
+        try:
+            dump_json(payload, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _text_stream(args):
@@ -116,12 +120,13 @@ def _text_stream(args):
     return sys.stderr if args.json == "-" else sys.stdout
 
 
-def _emit(report: Report | harness.SuiteReport, args) -> int:
+def _emit(report: Report | harness.SuiteReport, args, path: str | None = None) -> int:
+    """Print the report's lines and write it to --json, else to `path`."""
     out = _text_stream(args)
     for line in report.summary_lines():
         print(line, file=out)
     print(f"overall: {'PASS' if report.passed else 'FAIL'}", file=out)
-    _write_json(report.to_dict(), args)
+    _write_json(report.to_dict(), args.json or path)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -150,17 +155,14 @@ def _cmd_separate(args) -> int:
             col = sep.collision
             print(f"collision: two numberings share the first {col.bits} "
                   f"digest bits at n={len(col.first.numbering)}", file=out)
-    _write_json(sep.to_dict(), args)
+    _write_json(sep.to_dict(), args.json)
     print(f"overall: {'PASS' if sep.passed else 'FAIL'}", file=out)
     return EXIT_PASS if sep.passed else EXIT_FAIL
 
 
 def _cmd_run_suite(args) -> int:
     cfg = _config_from_args(args)
-    suite = harness.run_suite(cfg)
-    if cfg.output_path and not args.json:
-        suite.to_json(cfg.output_path)
-    return _emit(suite, args)
+    return _emit(harness.run_suite(cfg), args, cfg.output_path)
 
 
 def _cmd_list(args) -> int:
@@ -177,7 +179,7 @@ def _cmd_list(args) -> int:
         print(f"  {name}: {describe}", file=out)
     for key in ("factored_languages", "witnesses", "reductions"):
         print(f"{key.replace('_', ' ')}:", ", ".join(listing[key]), file=out)
-    _write_json(listing, args)
+    _write_json(listing, args.json)
     return EXIT_PASS
 
 

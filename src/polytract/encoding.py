@@ -120,7 +120,8 @@ class PolylogBound:
     """Finite-scale stand-in for a polylog size bound: a*log2(n)^k + b.
 
     Sizes below 2 are clamped to 2 before the logarithm so the bound is
-    total and monotone. a and b must be nonnegative, k a nonnegative int.
+    total and monotone. a and b must be finite and nonnegative, k a
+    nonnegative int.
     """
 
     a: float
@@ -128,8 +129,9 @@ class PolylogBound:
     b: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("coefficients must be nonnegative")
+        # NaN fails the comparison, so it is rejected too.
+        if not (0 <= self.a < math.inf and 0 <= self.b < math.inf):
+            raise ValueError("coefficients must be finite and nonnegative")
         if not isinstance(self.k, int) or self.k < 0:
             raise ValueError("exponent must be a nonnegative integer")
 

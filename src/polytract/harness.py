@@ -37,7 +37,7 @@ from .reductions import (
     verify_fcr_reduction,
     hardness_pack,
 )
-from .report import SCHEMA_VERSION, Report, dump_json
+from .report import SCHEMA_VERSION, Report
 from .separation import ENUMERATION_CAP, SeparationReport, separation_report
 
 DEFAULT_LADDER = (1024, 4096, 16384, 65536)
@@ -132,9 +132,9 @@ def apply_key(cfg: SuiteConfig, key: str, value: str) -> None:
 
 def check_config(cfg: SuiteConfig) -> None:
     """Raise ConfigError for the first budget, ladder, lexicon, rate,
-    separation size, gate weight or cap out of range. Setting a key,
-    loading a config and running a check all call this, so a config
-    built in code meets what a config file must."""
+    fit tolerance, separation size, gate weight or cap out of range.
+    Setting a key, loading a config and running a check all call this,
+    so a config built in code meets what a config file must."""
     if cfg.random_budget < 0:
         raise ConfigError(f"random_budget {cfg.random_budget} is negative")
     if cfg.witness_samples < 1:
@@ -159,6 +159,11 @@ def check_config(cfg: SuiteConfig) -> None:
         rate = getattr(cfg, name)
         if not 0 <= rate <= 1:
             raise ConfigError(f"{name} {rate} is outside 0..1")
+    # An infinite slack or residual cap would turn its check off.
+    for name in ("slope_slack", "fit_residual_max"):
+        value = getattr(cfg, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} {value} is not finite")
     if cfg.separation_max_n > _SEPARATION_MAX_N:
         raise ConfigError(f"separation_max_n {cfg.separation_max_n} exceeds "
                           f"{_SEPARATION_MAX_N}")
@@ -185,8 +190,13 @@ def load_config(path: str | None) -> SuiteConfig:
     """The default config, with the keys of the file at `path` if given."""
     if path is None:
         return SuiteConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config file {path}: {reason}") from None
+    return parse_config(text)
 
 
 def _echo(name: str, value):
@@ -651,9 +661,6 @@ class SuiteReport:
             "checks": [r.to_dict() for r in self.reports],
             "timings": self.timings,
         }
-
-    def to_json(self, path=None) -> str:
-        return dump_json(self.to_dict(), path)
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:

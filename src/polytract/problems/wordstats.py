@@ -174,14 +174,11 @@ def lexicon_query(query: Instance, lexicon=DEFAULT_LEXICON) -> tuple[int, int] |
 def pair_member(data: Instance, query: Instance, lexicon=DEFAULT_LEXICON) -> bool:
     """Reference oracle: count the corpus's lexicon words and compare the
     asked word's count against the threshold."""
-    try:
-        word, k = parse_query(query)
-    except MalformedInstance:
-        return False
-    if word not in lexicon:
+    asked = lexicon_query(query, lexicon)
+    if asked is None:
         return False
     counts = lexicon_counts(data, lexicon)
-    return counts is not None and preposition_decide(counts, lexicon, word, k)
+    return counts is not None and counts[asked[0]] >= asked[1]
 
 
 def random_corpus_text(

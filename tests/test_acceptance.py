@@ -274,11 +274,22 @@ def test_acceptance_09_runtime_fits():
              f"over inputs up to 2^20")
 
 
+def _untimed(report: dict) -> tuple[str, bool]:
+    """The stripped report without the runtime-fits group, whose verdicts
+    judge wall-clock fits, and without the overall verdict, which folds
+    them in; and whether every row left passed. Acceptance 09 asserts
+    the timed rows."""
+    groups = [g for g in report["checks"] if g["name"] != "runtime-fits"]
+    passed = all(row["passed"] for g in groups for row in g["checks"])
+    return dump_json(strip_timings(dict(report, checks=groups, verdict=None))), passed
+
+
 def test_acceptance_10_reports_reproduce_byte_for_byte():
     cfg = SuiteConfig(random_budget=60, witness_samples=30)
-    first = dump_json(strip_timings(run_suite(cfg).to_dict()))
-    second = dump_json(strip_timings(run_suite(cfg).to_dict()))
-    ok = first == second and '"verdict": "pass"' in first
+    first, passed = _untimed(run_suite(cfg).to_dict())
+    second, _ = _untimed(run_suite(cfg).to_dict())
+    ok = first == second and passed
     announce(10, ok,
              f"two suite runs at one seed agree byte for byte across "
-             f"{first.count('passed')} check rows once timings are stripped")
+             f"{first.count('passed')} untimed check rows, all passing, once "
+             f"timings are stripped")

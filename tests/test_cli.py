@@ -74,18 +74,54 @@ def test_misspelled_inject_is_usage_error(tmp_path, capsys):
 def test_degenerate_lexicon_and_gate_weights_are_usage_errors(tmp_path, capsys):
     # Each used to get through parse_config and crash the check (exit 3),
     # or abort it (exit 1): a word holding whitespace never occurs in a
-    # corpus, so a sampled positive was not a member.
+    # corpus, so a sampled positive was not a member. The non-finite
+    # slack, residual cap and bounds were accepted: a NaN slack wrote
+    # "bound": NaN into a ladder row, an infinite one turned its cap off,
+    # a NaN query bound passed the short-query row and a NaN separation
+    # bound printed NaN, which is not JSON.
     for line, command in (("lexicon = ,", ["verify-witness", "wordstats-count-digest"]),
                           ("lexicon = in on", ["run-suite"]),
                           ("gate_weights = 0,0,0", ["verify-reduction", "cvp-identity"]),
                           ("gate_weights = -1,1,1", ["verify-reduction", "cvp-identity"]),
                           ("preposition_rate = nan", ["run-suite"]),
                           ("preposition_rate = inf",
-                           ["verify-witness", "wordstats-count-digest"])):
+                           ["verify-witness", "wordstats-count-digest"]),
+                          ("slope_slack = nan", ["verify-witness", "cvp-verdict-bit"]),
+                          ("slope_slack = inf", ["bench"]),
+                          ("fit_residual_max = inf", ["bench"]),
+                          ("bound.qbds-query = nan,0,1",
+                           ["verify-factorization", "qbds-absorb"]),
+                          ("bound.separation = nan,2,0", ["separate", "--json", "-"])):
         cfg = tmp_path / "degenerate.cfg"
         cfg.write_text(line + "\n")
         assert main([*command, "--config", str(cfg)]) == 2
         assert "line 1: " in capsys.readouterr().err
+
+
+def test_missing_or_non_utf8_config_file_is_usage_error(tmp_path, capsys):
+    # Used to end in "internal error: FileNotFoundError" or
+    # "UnicodeDecodeError" (exit 3).
+    missing = tmp_path / "missing.cfg"
+    assert main(["separate", "--config", str(missing)]) == 2
+    assert f"error: cannot read config file {missing}: " in capsys.readouterr().err
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"seed = 1\xff\n")
+    assert main(["list", "--config", str(binary)]) == 2
+    assert f"error: cannot read config file {binary}: " in capsys.readouterr().err
+
+
+def test_unwritable_json_path_is_usage_error(tmp_path, capsys):
+    # Used to end in "internal error: FileNotFoundError" (exit 3), from
+    # --json and from the output_path key alike.
+    path = tmp_path / "no-such-dir" / "report.json"
+    assert main(["list", "--json", str(path)]) == 2
+    assert f"error: cannot write {path}" in capsys.readouterr().err
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text(f"output_path = {path}\nladder = 4, 5, 6, 7\nrandom_budget = 0\n"
+                   "witness_samples = 1\nquery_reps = 1\n")
+    assert main(["run-suite", "--config", str(cfg)]) == 2
+    assert f"error: cannot write {path}" in capsys.readouterr().err
+    assert not path.parent.exists()
 
 
 def test_oversized_separation_cap_is_usage_error(tmp_path, capsys):
@@ -232,7 +268,7 @@ def test_separate_reads_its_keys_from_the_config_file(tmp_path, capsys):
 
 
 def test_separate_rejects_a_malformed_bound(capsys):
-    for bound in ("1,2", "a,2,0", "1,2.5,0"):
+    for bound in ("1,2", "a,2,0", "1,2.5,0", "nan,2,0"):
         assert main(["separate", "--bound", bound]) == 2
         assert "error: --bound: " in capsys.readouterr().err
 

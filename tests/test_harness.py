@@ -12,7 +12,7 @@ import pytest
 
 from polytract import bench, catalog, harness
 from polytract.catalog import DEFAULT_BOUNDS, INJECTIONS, build_catalog
-from polytract.encoding import PolylogBound
+from polytract.encoding import Pair, PolylogBound
 from polytract.errors import ConfigError, InsufficientData, UnknownProblem
 from polytract.harness import (
     SuiteConfig,
@@ -120,6 +120,12 @@ OUT_OF_RANGE = [
     ("edge_prob = inf", {"edge_prob": math.inf}, "edge_prob inf is outside 0..1"),
     ("edge_prob = -0.1", {"edge_prob": -0.1}, "edge_prob -0.1 is outside 0..1"),
     ("separation_max_n = 1001", {"separation_max_n": 1001}, "separation_max_n 1001 exceeds 1000"),
+    ("slope_slack = nan", {"slope_slack": math.nan}, "slope_slack nan is not finite"),
+    ("slope_slack = inf", {"slope_slack": math.inf}, "slope_slack inf is not finite"),
+    ("fit_residual_max = inf", {"fit_residual_max": math.inf},
+     "fit_residual_max inf is not finite"),
+    ("fit_residual_max = nan", {"fit_residual_max": math.nan},
+     "fit_residual_max nan is not finite"),
 ]
 
 
@@ -135,6 +141,16 @@ def test_every_way_of_making_a_config_is_range_checked(line, fields, message):
         run_check(None, cfg, "reduction:bds-identity")
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         run_suite(cfg)
+
+
+@pytest.mark.parametrize("bound", ["nan,0,1", "0,0,nan", "inf,2,0", "1,2,inf"])
+def test_bound_coefficients_must_be_finite(bound):
+    # A NaN query bound made the qbds short-query row pass where 0,0,1
+    # fails it; a NaN separation bound was written into the JSON report.
+    # A bound is refused when it is built, so no config can hold one.
+    for name in ("qbds-query", "separation"):
+        with pytest.raises(ConfigError, match="^line 1: coefficients must be finite"):
+            parse_config(f"bound.{name} = {bound}\n")
 
 
 def test_exhaustive_caps_built_in_code_must_name_both():
@@ -176,6 +192,29 @@ def test_build_catalog_rejects_unknown_injection():
         build_catalog(SuiteConfig(inject=(misspelled,)))
     cat = build_catalog(SuiteConfig(inject=("identity-preprocessing:bds-verdict-bit",)))
     assert cat.witnesses["bds-verdict-bit"].witness.preprocess(b"abc") == b"abc"
+
+
+@pytest.mark.parametrize("inject", INJECTIONS)
+def test_each_injection_swaps_only_its_own_preprocessing(inject):
+    plain = build_catalog(SuiteConfig())
+    cat = build_catalog(SuiteConfig(inject=(inject,)))
+    swapped = inject.removeprefix("identity-preprocessing:")
+    assert cat.witnesses.keys() == plain.witnesses.keys()
+    # a few pairs of each witness's own samples, and bytes of no format
+    pairs = [Pair(b"", b""), Pair(b"not a graph", b"in 1")]
+    for entry in plain.witnesses.values():
+        pos, neg = entry.sample_pairs(5, 2)
+        pairs += pos + neg
+    for name, entry in cat.witnesses.items():
+        witness, before = entry.witness, plain.witnesses[name].witness
+        assert witness.output_bound == before.output_bound
+        assert witness.post_language.name == before.post_language.name
+        assert witness.post_language.short_query_bound == before.post_language.short_query_bound
+        for pair in pairs:
+            digest = before.preprocess(pair.data)
+            assert witness.preprocess(pair.data) == (pair.data if name == swapped else digest)
+            assert (witness.post_language.membership(digest, pair.query)
+                    == before.post_language.membership(digest, pair.query))
 
 
 def test_parse_config_does_not_mutate_base():
@@ -538,7 +577,8 @@ def _no_process_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_passing_suite_leaves_no_process():
+def test_a_passing_suite_leaves_no_process(monkeypatch):
+    _untimed_fits(monkeypatch)
     assert run_suite(HANDOFF).passed
     _no_process_left()
 
