@@ -127,7 +127,7 @@ def _layer_tasks(n: int, seed: int) -> dict:
     def draw_corpus():
         """n tokens, as the wordstats ladder rung of size n draws them."""
         return wordstats.random_corpus_text(n, random.Random(f"{seed}:bench-corpus:{n}"),
-                                            config.lexicon, config.preposition_rate)
+                                            config.lexicon)
 
     corpus = draw_corpus()
     digest = count_digest.preprocess(corpus)

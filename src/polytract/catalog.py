@@ -299,9 +299,9 @@ def _lookup(table: dict, name: str, what: str):
 # ---------------------------------------------------------------- builders
 
 
-def _bds_sampler(draws, edge_prob: float):
+def _bds_sampler(draws):
     def draw(rng: random.Random) -> Instance:
-        return bds.random_instance(rng.randrange(5, 31), rng, edge_prob)
+        return bds.random_instance(rng.randrange(5, 31), rng)
 
     def instances(seed: int, cap: int, budget: int) -> list[Instance]:
         """Exhaustive small instances plus random larger ones, members or not."""
@@ -314,17 +314,17 @@ def _bds_sampler(draws, edge_prob: float):
     return instances
 
 
-def _small_circuit(rng: random.Random, gate_weights) -> Instance:
+def _small_circuit(rng: random.Random) -> Instance:
     """A random circuit of 2-13 nodes."""
-    return cvp.circuit_to_bytes(cvp.random_circuit(rng.randrange(2, 14), rng, gate_weights))
+    return cvp.circuit_to_bytes(cvp.random_circuit(rng.randrange(2, 14), rng))
 
 
-def _cvp_sampler(draws, gate_weights, stream: str):
+def _cvp_sampler(draws, stream: str):
     def instances(seed: int, cap: int, budget: int) -> list[Instance]:
         """Every one-gate circuit plus random small ones; cap is unused,
         the exhaustive part is fixed."""
         out = [cvp.circuit_to_bytes(c) for c in cvp.enumerate_circuits(1)]
-        out += draws(stream, seed, budget, lambda rng: _small_circuit(rng, gate_weights))
+        out += draws(stream, seed, budget, _small_circuit)
         return out
 
     return instances
@@ -353,8 +353,8 @@ def _labeled_pairs(stream: str, draw, member, flip=None):
     return sample_pairs
 
 
-def _build_problems(cat: Catalog, config) -> None:
-    sample_bds = _bds_sampler(cat.draws, config.edge_prob)
+def _build_problems(cat: Catalog) -> None:
+    sample_bds = _bds_sampler(cat.draws)
 
     def sample_qbds(seed: int, cap: int, budget: int) -> list[Instance]:
         return [as_qbds(x) for x in sample_bds(seed, cap, budget)]
@@ -370,7 +370,7 @@ def _build_problems(cat: Catalog, config) -> None:
     cat.problems["cvp"] = ProblemEntry(
         "cvp", cvp.cvp_member,
         "boolean circuit accepted iff it evaluates to true",
-        _cvp_sampler(cat.draws, config.gate_weights, "cvp-instances"))
+        _cvp_sampler(cat.draws, "cvp-instances"))
     cat.problems["wordstats"] = ProblemEntry(
         "wordstats", lambda x: False,
         "corpus text; meaningful only as the data part of count queries")
@@ -448,7 +448,7 @@ def _build_witnesses(cat: Catalog, config) -> None:
         _verdict_bit(cat.bds_verdict), one_bit_true_language(),
         _labeled_pairs(
             "bds-witness",
-            lambda rng: bds.random_instance(rng.randrange(2, 16), rng, config.edge_prob),
+            lambda rng: bds.random_instance(rng.randrange(2, 16), rng),
             cat.bds_verdict, flip=bds.swap_query),
         bds_ladder)
 
@@ -458,13 +458,12 @@ def _build_witnesses(cat: Catalog, config) -> None:
         # with its negated sibling keeps the verdict mix at exactly half
         # and half on every rung, so branch cost cannot pose as growth.
         rng = random.Random(f"{seed}:cvp-ladder:{size}")
-        c = cvp.random_circuit(size, rng, config.gate_weights)
+        c = cvp.random_circuit(size, rng)
         return [cvp.circuit_to_bytes(c), cvp.circuit_to_bytes(cvp.negate_output(c))]
 
     add("cvp-verdict-bit", cat.pair_languages["cvp-pairs"],
         _verdict_bit(cvp.cvp_member), one_bit_true_language(),
-        _labeled_pairs("cvp-witness", lambda rng: _small_circuit(rng, config.gate_weights),
-                       cvp.cvp_member),
+        _labeled_pairs("cvp-witness", _small_circuit, cvp.cvp_member),
         cvp_ladder)
 
     # Count-vector digest for word statistics.
@@ -500,8 +499,7 @@ def _build_witnesses(cat: Catalog, config) -> None:
         pos, neg = [], []
         per_corpus = 8
         while len(pos) < count or len(neg) < count:
-            text = wordstats.random_corpus_text(
-                rng.randrange(20, 2000), rng, lexicon, config.preposition_rate)
+            text = wordstats.random_corpus_text(rng.randrange(20, 2000), rng, lexicon)
             corpus = wordstats.corpus_from_text(text, lexicon)
             counts = wordstats.preposition_digest(corpus)
             for _ in range(per_corpus):
@@ -520,15 +518,14 @@ def _build_witnesses(cat: Catalog, config) -> None:
 
     def ws_ladder(size: int, seed: int) -> list[Instance]:
         rng = random.Random(f"{seed}:wordstats-ladder:{size}")
-        return [wordstats.random_corpus_text(size, rng, lexicon, config.preposition_rate)
-                for _ in range(2)]
+        return [wordstats.random_corpus_text(size, rng, lexicon) for _ in range(2)]
 
     add("wordstats-count-digest", cat.pair_languages["wordstats-pairs"], count_digest,
         LanguageOfPairs("counts-at-least", digest_pair_member, config.bounds["wordstats-query"]),
         ws_samples, ws_ladder)
 
 
-def _build_reductions(cat: Catalog, config) -> None:
+def _build_reductions(cat: Catalog) -> None:
     # Both maps of every factored reduction are identities. qbds-to-bds
     # re-splits: the absorbed data part of a joined instance is literally
     # a visit-order instance.
@@ -551,7 +548,7 @@ def _build_reductions(cat: Catalog, config) -> None:
         except MalformedInstance:
             return d
 
-    circuits = _cvp_sampler(cat.draws, config.gate_weights, "cvp-pairs")
+    circuits = _cvp_sampler(cat.draws, "cvp-pairs")
 
     def cvp_pairs(seed: int, budget: int) -> list[Pair]:
         out = [Pair(x, b"") for x in circuits(seed, 0, budget)]
@@ -573,8 +570,8 @@ def _build_reductions(cat: Catalog, config) -> None:
 
 def build_catalog(config) -> Catalog:
     cat = Catalog()
-    _build_problems(cat, config)
+    _build_problems(cat)
     _build_factored(cat, config)
     _build_witnesses(cat, config)
-    _build_reductions(cat, config)
+    _build_reductions(cat)
     return cat

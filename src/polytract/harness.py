@@ -27,7 +27,7 @@ from .factorization import (
     induced_pairs,
     verify_factorization,
 )
-from .preprocessing import digest_size_ladder, log_fit, verify_witness
+from .preprocessing import SLOPE_SLACK, digest_size_ladder, log_fit, verify_witness
 from .problems import bds
 from .reductions import (
     compose_fcr,
@@ -49,13 +49,6 @@ class SuiteConfig:
     ladder: tuple[int, ...] = DEFAULT_LADDER
     random_budget: int = 200
     witness_samples: int = 60
-    slope_slack: float = 0.5
-    ptime_max_degree: int = 3
-    fit_residual_max: float = 1.0
-    query_reps: int = 300
-    edge_prob: float = 0.3
-    gate_weights: tuple[int, int, int] = (1, 2, 2)
-    preposition_rate: float = 0.35
     lexicon: tuple[str, ...] = catalog_mod.wordstats.DEFAULT_LEXICON
     exhaustive_caps: dict = field(default_factory=lambda: {"bds": 3, "separation": 5})
     separation_max_n: int = 20
@@ -66,7 +59,7 @@ class SuiteConfig:
 
 # Config keys that set one field from its text value, by the field's
 # annotation; the other fields have their own grammar in apply_key.
-_PARSERS = {"int": int, "float": float, "str | None": str}
+_PARSERS = {"int": int, "str | None": str}
 _SCALARS = {f.name: _PARSERS[f.type] for f in fields(SuiteConfig) if f.type in _PARSERS}
 
 # The largest value of each exhaustive cap. bds enumerates every graph up
@@ -114,8 +107,6 @@ def apply_key(cfg: SuiteConfig, key: str, value: str) -> None:
         cfg.ladder = tuple(int(v.strip()) for v in value.split(",") if v.strip())
     elif key == "lexicon":
         cfg.lexicon = tuple(w.strip().lower() for w in value.split(",") if w.strip())
-    elif key == "gate_weights":
-        cfg.gate_weights = tuple(int(v.strip()) for v in value.split(","))
     elif key == "inject":
         cfg.inject = tuple(_known(v.strip(), catalog_mod.INJECTIONS, "inject entry")
                            for v in value.split(",") if v.strip())
@@ -131,10 +122,10 @@ def apply_key(cfg: SuiteConfig, key: str, value: str) -> None:
 
 
 def check_config(cfg: SuiteConfig) -> None:
-    """Raise ConfigError for the first budget, ladder, lexicon, rate,
-    fit tolerance, separation size, gate weight or cap out of range.
-    Setting a key, loading a config and running a check all call this,
-    so a config built in code meets what a config file must."""
+    """Raise ConfigError for the first budget, ladder, lexicon, separation
+    size or cap out of range. Setting a key, loading a config and running
+    a check all call this, so a config built in code meets what a config
+    file must."""
     if cfg.random_budget < 0:
         raise ConfigError(f"random_budget {cfg.random_budget} is negative")
     if cfg.witness_samples < 1:
@@ -154,23 +145,9 @@ def check_config(cfg: SuiteConfig) -> None:
             raise ConfigError(f"lexicon word {word!r} is not a single token")
         if word.lower() != word:
             raise ConfigError(f"lexicon word {word!r} is not lowercase")
-    # NaN fails the comparison, so it is rejected too.
-    for name in ("edge_prob", "preposition_rate"):
-        rate = getattr(cfg, name)
-        if not 0 <= rate <= 1:
-            raise ConfigError(f"{name} {rate} is outside 0..1")
-    # An infinite slack or residual cap would turn its check off.
-    for name in ("slope_slack", "fit_residual_max"):
-        value = getattr(cfg, name)
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} {value} is not finite")
     if cfg.separation_max_n > _SEPARATION_MAX_N:
         raise ConfigError(f"separation_max_n {cfg.separation_max_n} exceeds "
                           f"{_SEPARATION_MAX_N}")
-    if len(cfg.gate_weights) != 3:
-        raise ConfigError("gate_weights needs three integers")
-    if min(cfg.gate_weights) < 0 or sum(cfg.gate_weights) == 0:
-        raise ConfigError("gate_weights must be nonnegative with a positive sum")
     if cfg.exhaustive_caps.keys() != _CAP_LIMITS.keys():
         raise ConfigError(f"exhaustive caps must be {', '.join(sorted(_CAP_LIMITS))}")
     for name, (limit, what) in _CAP_LIMITS.items():
@@ -326,8 +303,7 @@ def _ladder_row(rep: Report, name: str, witness, gen, config: SuiteConfig,
                 detail: str = "", keep=None) -> None:
     """Run the digest-size ladder of `witness` over `gen` and add its
     `ladder:<name>` row; keep goes to digest_size_ladder."""
-    ladder = digest_size_ladder(witness, gen, config.ladder, slope_slack=config.slope_slack,
-                                keep=keep)
+    ladder = digest_size_ladder(witness, gen, config.ladder, keep=keep)
     rep.add(f"ladder:{name}", ladder.passed,
             measured=round(ladder.slope, 4), bound=ladder.exponent_cap, detail=detail,
             timings={"rungs": [r.to_dict() for r in ladder.rungs]})
@@ -494,7 +470,7 @@ def _short_query_checks(cat, config: SuiteConfig) -> Report:
     rng = random.Random(f"{config.seed}:sq-qbds")
     pairs = []
     for _ in range(40):
-        x = bds.random_instance(rng.randrange(2, 24), rng, config.edge_prob)
+        x = bds.random_instance(rng.randrange(2, 24), rng)
         if not cat.bds_verdict(x):
             x = bds.swap_query(x)
         block, tail = bds.split_block_tail(x)
@@ -529,6 +505,15 @@ def _separation_check(cat, config: SuiteConfig) -> Report:
     return rep
 
 
+# The runtime fits' fixed settings: a preprocessing fit passes with a
+# degree up to _PTIME_MAX_DEGREE plus SLOPE_SLACK and a residual up to
+# _FIT_RESIDUAL_MAX, and each query-latency rung times about _QUERY_REPS
+# post-digest calls per sweep.
+_PTIME_MAX_DEGREE = 3
+_FIT_RESIDUAL_MAX = 1.0
+_QUERY_REPS = 300
+
+
 def _fit_checks(cat, config: SuiteConfig) -> Report:
     """Preprocessing stays polynomial; post-digest queries stay polylog."""
     rep = Report("runtime-fits")
@@ -540,8 +525,8 @@ def _fit_checks(cat, config: SuiteConfig) -> Report:
     preprocess = cat.witnesses[wname].witness.preprocess
     _fit_row(rep, "preprocess-poly-degree:wordstats",
              [(len(corpus), (preprocess, [(corpus,)])) for corpus, _ in wrungs],
-             "poly-n", config.ptime_max_degree + config.slope_slack,
-             "degree and residual of the log-log fit", config.fit_residual_max)
+             "poly-n", _PTIME_MAX_DEGREE + SLOPE_SLACK,
+             "degree and residual of the log-log fit", _FIT_RESIDUAL_MAX)
 
     wquery = catalog_mod.wordstats.query_bytes(config.lexicon[0], 1)
     _query_latency_row(rep, cat, config, wname, wquery,
@@ -565,9 +550,9 @@ def _query_latency_row(rep: Report, cat, config: SuiteConfig, name: str, query: 
     for first_len, digests in rungs:
         calls = [(d, query) for d in digests]
         timed.append((first_len, (witness.post_language.membership,
-                                  calls * max(1, config.query_reps // len(calls)))))
+                                  calls * max(1, _QUERY_REPS // len(calls)))))
     _fit_row(rep, f"query-latency-polylog:{name.partition('-')[0]}", timed, "poly-log-n",
-             witness.output_bound.k + config.slope_slack,
+             witness.output_bound.k + SLOPE_SLACK,
              "post-digest decision latency vs log input size")
 
 

@@ -108,6 +108,12 @@ def log_fit(
     return slope, intercept, residual
 
 
+# How far a fitted exponent may exceed the exponent it is checked
+# against: a ladder's digest slope over its witness's declared k, and a
+# runtime fit's slope over its cap.
+SLOPE_SLACK = 0.5
+
+
 @dataclass(frozen=True)
 class LadderRung:
     input_size: int
@@ -142,7 +148,7 @@ def digest_size_ladder(
     witness: PreprocessingWitness,
     gen: Callable[[int], Iterable[Instance]],
     sizes: Sequence[int],
-    slope_slack: float = 0.5,
+    slope_slack: float = SLOPE_SLACK,
     keep: Callable[[int, list[Instance], list[Instance]], None] | None = None,
 ) -> LadderReport:
     """Measure digest sizes along a geometric ladder of input sizes.

@@ -14,13 +14,16 @@ worker leaves with os._exit, so it runs no exit handler and flushes no
 stream of this process. A fork copies only the thread that forks, so the
 call must take no lock another thread of this process may hold;
 run_suite's ladder task, which draws and decides a share of the bds
-ladder rungs, takes none.
+ladder rungs, takes none. On Linux the worker is killed when the thread
+that forked it dies, so a worker whose call never returns does not
+outlive a parent that is killed before it can close the worker.
 """
 from __future__ import annotations
 
 import os
 import pickle
 import signal
+import sys
 
 
 class Worker:
@@ -28,9 +31,10 @@ class Worker:
 
     def __init__(self, fn, *args):
         read, write = os.pipe()
+        parent = os.getpid()
         pid = os.fork()
         if pid == 0:
-            _serve(fn, args, read, write)
+            _serve(fn, args, read, write, parent)
         os.close(write)
         self.pid = pid
         self._pipe = os.fdopen(read, "rb")
@@ -60,11 +64,19 @@ class Worker:
         self.usage = os.wait4(self.pid, 0)[2]
 
 
-def _serve(fn, args, read: int, write: int) -> None:
+def _serve(fn, args, read: int, write: int, parent: int) -> None:
     """The worker's whole life: make the call, send its outcome down the
-    pipe's write end, exit."""
+    pipe's write end, exit. On Linux it first asks for SIGKILL when its
+    parent dies, and exits at once if `parent` died before it asked."""
     status = 1
     try:
+        if sys.platform.startswith("linux"):
+            # Imported here, in the worker only, so the parent does not
+            # load ctypes and libc. 1 is PR_SET_PDEATHSIG.
+            import ctypes
+            ctypes.CDLL(None).prctl(1, int(signal.SIGKILL))
+            if os.getppid() != parent:
+                return
         os.close(read)
         try:
             outcome = False, fn(*args)

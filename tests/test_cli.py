@@ -71,24 +71,14 @@ def test_misspelled_inject_is_usage_error(tmp_path, capsys):
     assert "line 1: unknown inject entry" in capsys.readouterr().err
 
 
-def test_degenerate_lexicon_and_gate_weights_are_usage_errors(tmp_path, capsys):
+def test_degenerate_lexicon_and_bounds_are_usage_errors(tmp_path, capsys):
     # Each used to get through parse_config and crash the check (exit 3),
     # or abort it (exit 1): a word holding whitespace never occurs in a
-    # corpus, so a sampled positive was not a member. The non-finite
-    # slack, residual cap and bounds were accepted: a NaN slack wrote
-    # "bound": NaN into a ladder row, an infinite one turned its cap off,
-    # a NaN query bound passed the short-query row and a NaN separation
-    # bound printed NaN, which is not JSON.
+    # corpus, so a sampled positive was not a member. Non-finite bounds
+    # were accepted: a NaN query bound passed the short-query row and a
+    # NaN separation bound printed NaN, which is not JSON.
     for line, command in (("lexicon = ,", ["verify-witness", "wordstats-count-digest"]),
                           ("lexicon = in on", ["run-suite"]),
-                          ("gate_weights = 0,0,0", ["verify-reduction", "cvp-identity"]),
-                          ("gate_weights = -1,1,1", ["verify-reduction", "cvp-identity"]),
-                          ("preposition_rate = nan", ["run-suite"]),
-                          ("preposition_rate = inf",
-                           ["verify-witness", "wordstats-count-digest"]),
-                          ("slope_slack = nan", ["verify-witness", "cvp-verdict-bit"]),
-                          ("slope_slack = inf", ["bench"]),
-                          ("fit_residual_max = inf", ["bench"]),
                           ("bound.qbds-query = nan,0,1",
                            ["verify-factorization", "qbds-absorb"]),
                           ("bound.separation = nan,2,0", ["separate", "--json", "-"])):
@@ -118,7 +108,7 @@ def test_unwritable_json_path_is_usage_error(tmp_path, capsys):
     assert f"error: cannot write {path}" in capsys.readouterr().err
     cfg = tmp_path / "out.cfg"
     cfg.write_text(f"output_path = {path}\nladder = 4, 5, 6, 7\nrandom_budget = 0\n"
-                   "witness_samples = 1\nquery_reps = 1\n")
+                   "witness_samples = 1\n")
     assert main(["run-suite", "--config", str(cfg)]) == 2
     assert f"error: cannot write {path}" in capsys.readouterr().err
     assert not path.parent.exists()

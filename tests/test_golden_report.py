@@ -13,8 +13,8 @@ import pytest
 from polytract import SuiteConfig, dump_json, run_suite, strip_timings
 
 GOLDEN = {
-    42: "aed3fd4a337a305d162a339135f5bd6c2f44bce0464a5ae2eabd58cdb3c40d68",
-    7: "39cac58cad2a8e1317f3d3383b2311fb228979f0ae6b967c363a954f6507f63f",
+    42: "7c146119a2b7f26c5a09e4d9514c99db90bc76684288dff40a68d95acb5fcc7d",
+    7: "0ca5c5136854761bac8a94ef81334f91882cd82cee6d5a9dd096e5fb0f6e94d9",
 }
 
 
@@ -23,17 +23,17 @@ GOLDEN = {
 # stages that draw and preprocess their own rungs.
 GOLDEN_INJECTED = {
     "identity-preprocessing:bds-verdict-bit":
-        "89c472ac556d33aaf69860450d80a7c8c12f06a0e0d8ccf223936f2a20d5d4b8",
+        "76c7cad7479fb2a0d6958787bf18f5445db955b7c93cb1d1ad8b97cb1bbff28e",
     "identity-preprocessing:cvp-verdict-bit":
-        "20cf075059f6c42a1256dd00218288dfa72958579ca56ce0fef01d53df41f918",
+        "f199aa1885643f2a65a9dc277de7d24032287a0de54cd2e0dcde9ad772eaf134",
     "identity-preprocessing:wordstats-count-digest":
-        "822e3ddea1ee0e473e1d352bb113ba1c101c8c23d628d830a55ac064c433eac0",
+        "343959ca2c426a86b0f6a1a619537b564b871dfaeaaa644b99ea8fcec68fb4de",
 }
 
 
 # The default config at seed 42. Its ladder is the only one here whose
 # bds and cvp texts outgrow one chunk of their readers.
-GOLDEN_DEFAULT = "6683a6ca924bc7d35f03040f99293793be1d43dd79e217b1ac322574ef28d610"
+GOLDEN_DEFAULT = "acdeb9e58e5392d6a6d749b269b89a12b78b038357dc099576c77daced97fd8b"
 
 
 def _stripped_hash(seed: int, inject: tuple[str, ...] = ()) -> str:

@@ -7,11 +7,13 @@ import re
 import time
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 from polytract import bench, catalog, harness
 from polytract.catalog import DEFAULT_BOUNDS, INJECTIONS, build_catalog
+from polytract.cli import main
 from polytract.encoding import Pair, PolylogBound
 from polytract.errors import ConfigError, InsufficientData, UnknownProblem
 from polytract.harness import (
@@ -35,9 +37,7 @@ def test_parse_config_full():
         seed = 9
         ladder = 64, 128, 256, 512
         random_budget = 17
-        slope_slack = 0.25
         lexicon = In, ON, under
-        gate_weights = 1, 1, 1
         inject = identity-preprocessing:bds-verdict-bit
         exhaustive_cap.bds = 2
         bound.wordstats-count-digest = 4, 1, 9   # trailing comment
@@ -46,9 +46,7 @@ def test_parse_config_full():
     assert cfg.seed == 9
     assert cfg.ladder == (64, 128, 256, 512)
     assert cfg.random_budget == 17
-    assert cfg.slope_slack == 0.25
     assert cfg.lexicon == ("in", "on", "under")
-    assert cfg.gate_weights == (1, 1, 1)
     assert cfg.inject == ("identity-preprocessing:bds-verdict-bit",)
     assert cfg.exhaustive_caps["bds"] == 2
     assert cfg.bounds["wordstats-count-digest"] == PolylogBound(4.0, 1, 9.0)
@@ -61,16 +59,12 @@ def test_parse_config_rejects_unknown_and_malformed():
         parse_config("just words\n")
     with pytest.raises(ConfigError):
         parse_config("seed = not-a-number\n")
-    with pytest.raises(ConfigError):
-        parse_config("gate_weights = 1, 2\n")
     for line in ("exhaustive_cap.qbds = 3",
                  "bound.nonsense = 1,1,1",
                  "inject = identity-preprocesing:bds-verdict-bit"):
         with pytest.raises(ConfigError, match="line 2: unknown"):
             parse_config(f"seed = 3\n{line}\n")
-    for line in ("lexicon = ,", "lexicon =",
-                 "gate_weights = 0,0,0", "gate_weights = -1,1,1",
-                 "exhaustive_cap.separation = 8"):
+    for line in ("lexicon = ,", "lexicon =", "exhaustive_cap.separation = 8"):
         with pytest.raises(ConfigError, match="line 2: "):
             parse_config(f"seed = 3\n{line}\n")
 
@@ -94,11 +88,6 @@ OUT_OF_RANGE = [
     ("witness_samples = -2", {"witness_samples": -2}, "witness_samples -2 is below 1"),
     ("random_budget = -3", {"random_budget": -3}, "random_budget -3 is negative"),
     ("lexicon = ,", {"lexicon": ()}, "lexicon needs at least one word"),
-    ("gate_weights = 1, 2", {"gate_weights": (1, 2)}, "gate_weights needs three integers"),
-    ("gate_weights = 0, 0, 0", {"gate_weights": (0, 0, 0)},
-     "gate_weights must be nonnegative"),
-    ("gate_weights = -1, 1, 1", {"gate_weights": (-1, 1, 1)},
-     "gate_weights must be nonnegative"),
     ("exhaustive_cap.bds = -1", {"exhaustive_caps": {"bds": -1, "separation": 5}},
      "exhaustive_cap.bds -1 exceeds"),
     ("exhaustive_cap.bds = 6", {"exhaustive_caps": {"bds": 6, "separation": 5}},
@@ -110,22 +99,11 @@ OUT_OF_RANGE = [
     ("ladder = 512, 1024, 2048", {"ladder": (512, 1024, 2048)}, "ladder needs at least 4"),
     ("ladder = 4096, 1024, 16384, 65536", {"ladder": (4096, 1024, 16384, 65536)},
      "ladder needs at least 4"),
+    ("separation_max_n = 1001", {"separation_max_n": 1001}, "separation_max_n 1001 exceeds 1000"),
+    ("ladder = 64, 64, 128, 256", {"ladder": (64, 64, 128, 256)}, "ladder needs at least 4"),
+    ("ladder = 3, 4, 5, 6", {"ladder": (3, 4, 5, 6)}, "ladder needs at least 4"),
     ("ladder = 0, 1, 2, 3", {"ladder": (0, 1, 2, 3)}, "ladder needs at least 4"),
     ("lexicon = in on", {"lexicon": ("in on",)}, "lexicon word 'in on' is not a single token"),
-    ("preposition_rate = nan", {"preposition_rate": math.nan},
-     "preposition_rate nan is outside 0..1"),
-    ("preposition_rate = 1.5", {"preposition_rate": 1.5}, "preposition_rate 1.5 is outside 0..1"),
-    ("preposition_rate = -0.2", {"preposition_rate": -0.2},
-     "preposition_rate -0.2 is outside 0..1"),
-    ("edge_prob = inf", {"edge_prob": math.inf}, "edge_prob inf is outside 0..1"),
-    ("edge_prob = -0.1", {"edge_prob": -0.1}, "edge_prob -0.1 is outside 0..1"),
-    ("separation_max_n = 1001", {"separation_max_n": 1001}, "separation_max_n 1001 exceeds 1000"),
-    ("slope_slack = nan", {"slope_slack": math.nan}, "slope_slack nan is not finite"),
-    ("slope_slack = inf", {"slope_slack": math.inf}, "slope_slack inf is not finite"),
-    ("fit_residual_max = inf", {"fit_residual_max": math.inf},
-     "fit_residual_max inf is not finite"),
-    ("fit_residual_max = nan", {"fit_residual_max": math.nan},
-     "fit_residual_max nan is not finite"),
 ]
 
 
@@ -141,6 +119,42 @@ def test_every_way_of_making_a_config_is_range_checked(line, fields, message):
         run_check(None, cfg, "reduction:bds-identity")
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         run_suite(cfg)
+
+
+# Settings the checker fixes rather than reads from a config: the
+# instance mixes are the generators' defaults, the slack and the fit caps
+# are constants of preprocessing and harness. A config line that sets one
+# is refused as an unknown key, whatever its value.
+FIXED_SETTINGS = [
+    "slope_slack = inf", "ptime_max_degree = 4", "fit_residual_max = nan", "query_reps = 1",
+    "edge_prob = -0.1", "gate_weights = 0,0,0", "preposition_rate = 1.5",
+]
+
+
+@pytest.mark.parametrize("line", FIXED_SETTINGS)
+def test_fixed_settings_are_unknown_keys(line, tmp_path, capsys):
+    key = line.partition(" = ")[0]
+    assert key not in {f.name for f in fields(SuiteConfig)}
+    with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'$"):
+        parse_config(line + "\n")
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["run-suite", "--config", str(cfg)]) == 2
+    assert f"line 1: unknown key '{key}'" in capsys.readouterr().err
+
+
+def test_readme_example_config_names_every_key():
+    # The ini block under "Configuration files" parses, and sets every key
+    # apply_key takes by name: each field but the two dotted tables.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Configuration files", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    parse_config(block)
+    keys = {line.split("#", 1)[0].partition("=")[0].strip() for line in block.splitlines()}
+    named = {f.name for f in fields(SuiteConfig)} - {"exhaustive_caps", "bounds"}
+    assert named <= keys
+    assert any(k.startswith("exhaustive_cap.") for k in keys)
+    assert any(k.startswith("bound.") for k in keys)
 
 
 @pytest.mark.parametrize("bound", ["nan,0,1", "0,0,nan", "inf,2,0", "1,2,inf"])
@@ -245,8 +259,6 @@ def test_config_echo_round_trips_through_parse_config():
               enumerate((*DEFAULT_BOUNDS, "separation"))}
     cfg = SuiteConfig(
         seed=7, ladder=(64, 128, 256, 512), random_budget=17, witness_samples=9,
-        slope_slack=0.25, ptime_max_degree=4, fit_residual_max=0.75, query_reps=11,
-        edge_prob=0.2, gate_weights=(2, 1, 3), preposition_rate=0.5,
         lexicon=("in", "under"), exhaustive_caps={"bds": 2, "separation": 4},
         separation_max_n=9, bounds=bounds, inject=INJECTIONS[1:],
         output_path="report.json")

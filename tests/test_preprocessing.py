@@ -12,6 +12,7 @@ from polytract.errors import (
 from polytract.preprocessing import (
     PreprocessingWitness,
     digest_size_ladder,
+    log_fit,
     verify_witness,
 )
 from polytract.report import strip_timings
@@ -142,6 +143,35 @@ def test_ladder_linear_digest_fails():
     assert not rep.passed
     assert rep.slope > rep.exponent_cap
     assert not rep.bound_ok
+
+
+def _witness(preprocess, output_bound):
+    return PreprocessingWitness("toy", preprocess, GOOD_WITNESS.post_language, output_bound)
+
+
+def test_ladder_within_the_bound_but_too_steep_fails():
+    # An eighth of the input is far inside a huge constant bound, but it
+    # grows faster than log2(n)^0 + slack.
+    eighth = _witness(lambda d: d[:len(d) // 8], PolylogBound(1.0, 0, 10.0**6))
+    rep = digest_size_ladder(eighth, _gen, (64, 256, 1024, 4096))
+    assert rep.bound_ok
+    assert rep.slope > rep.exponent_cap
+    assert not rep.passed
+
+
+def test_ladder_flat_but_over_the_bound_at_one_rung_fails():
+    # 7 bytes at every rung: log2(64) = 6 is exceeded, log2(256) = 8 is not.
+    seven = _witness(lambda d: b"x" * 7, PolylogBound(1.0, 1, 0.0))
+    rep = digest_size_ladder(seven, _gen, (64, 256, 1024, 4096))
+    assert rep.slope == 0.0 <= rep.exponent_cap
+    assert not rep.bound_ok
+    assert not rep.passed
+
+
+def test_log_fit_of_two_distinct_values_has_a_slope():
+    # Only equal values are flat; two distinct ones are a regression.
+    slope, _, _ = log_fit("poly-n", (8, 16, 32, 64), (10, 10, 100, 100))
+    assert slope > 0
 
 
 def test_ladder_rejects_thin_or_unsorted_sizes():

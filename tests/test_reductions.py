@@ -134,6 +134,50 @@ def test_transfer_witness_shape_and_bound():
     assert verify_witness(induced, new_witness, positives, negatives).passed
 
 
+def test_transfer_witness_adds_and_scales_a_query_bound():
+    # The middle factorization splits off the last byte as the query part,
+    # under a log-squared query bound, so the transferred bound must add
+    # both bounds' coefficients and scale them by 2**k at the larger k.
+    last_byte = CrFactorization(
+        name="last-byte", data_part=lambda x: x[:-1], query_part=lambda x: x[-1:],
+        restore=lambda d, q: d + q, redundancy=0, query_bound=PolylogBound(1.0, 2, 4.0))
+
+    def parity_class(d: bytes) -> bytes:
+        # e or o for an all-'b' data part of even or odd length, x otherwise
+        if any(c != 0x62 for c in d):
+            return b"x"
+        return b"o" if len(d) % 2 else b"e"
+
+    mid_witness = PreprocessingWitness(
+        name="parity-class",
+        preprocess=parity_class,
+        post_language=LanguageOfPairs(
+            name="class-and-last",
+            membership=lambda d, q: (d, q) in ((b"e", b""), (b"o", b"b")),
+            short_query_bound=PolylogBound(0.0, 0, 1.0),
+        ),
+        output_bound=PolylogBound(2.0, 1, 3.0),
+    )
+    swap = FcrReduction("a-to-b", id_fact("src"), last_byte, a_to_b, lambda q: q)
+    new_fact, new_witness = transfer_witness(swap, mid_witness)
+    # k' = max(1, 2) = 2, a' = (2 + 1) * 2**2 = 12, b' = 3 + 4 + 1 = 8
+    assert new_witness.output_bound == PolylogBound(12.0, 2, 8.0)
+
+    data = new_fact.data_part(b"aaaa")
+    digest = new_witness.preprocess(data)
+    assert split_packed(digest) == (b"o", b"b")
+    assert len(digest) <= new_witness.output_bound(len(data))
+
+    induced = LanguageOfPairs(
+        name="packed-even-a",
+        membership=lambda d, q: even_a(new_fact.restore(d, q)),
+        short_query_bound=new_fact.query_bound,
+    )
+    positives = [Pair(new_fact.data_part(x), b"") for x in (b"", b"aa", b"aaaa")]
+    negatives = [Pair(new_fact.data_part(x), b"") for x in (b"a", b"xy", b"aaa", b"ay")]
+    assert verify_witness(induced, new_witness, positives, negatives).passed
+
+
 def test_hardness_pack_builds_valid_reduction():
     # Membership-preserving map into the target problem, then packing.
     packed = hardness_pack(a_to_b, id_fact("search"))

@@ -1,8 +1,10 @@
 """The forked worker process behind run_suite's bds ladder draws and decides."""
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -85,3 +87,43 @@ def test_importing_polytract_loads_no_worker_and_no_pickle():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert out.stdout.strip() == "[]"
+
+
+def _state(pid: int) -> str | None:
+    """The state letter of process `pid`, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the parent-death signal is Linux only")
+def test_a_worker_dies_with_its_killed_parent():
+    # SIGKILL skips the parent's close, so only the kernel can end a
+    # worker whose call has not returned.
+    code = ("import time; from polytract.worker import Worker; "
+            "print(Worker(time.sleep, 60).pid, flush=True); time.sleep(60)")
+    parent = subprocess.Popen([sys.executable, "-c", code], cwd=ROOT, stdout=subprocess.PIPE,
+                              text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    pid = None
+    try:
+        pid = int(parent.stdout.readline())
+        assert _state(pid) not in (None, "Z")
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 5
+        while _state(pid) not in (None, "Z") and time.monotonic() < deadline:
+            time.sleep(0.05)
+        # gone, or a zombie that no reaper has collected yet
+        assert _state(pid) in (None, "Z")
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+        if pid is not None:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
