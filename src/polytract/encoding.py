@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import MalformedInstance
 

@@ -41,10 +41,6 @@ class UnknownNode(VerifierError):
     """A visit-order query named a node outside the graph."""
 
 
-class UnknownPreposition(VerifierError):
-    """A count query named a word outside the fixed lexicon."""
-
-
 class NonMemberSample(VerifierError):
     """A sample that was required to be a member of the language is not."""
 

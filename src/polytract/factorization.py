@@ -13,8 +13,8 @@ a member iff restoring it lands in L.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
 
 from .encoding import (
     Instance,

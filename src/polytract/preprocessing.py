@@ -14,10 +14,9 @@ shows up as a slope of at most k (plus slack).
 from __future__ import annotations
 
 import math
-import statistics
 import time
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
 
 from .encoding import Instance, LanguageOfPairs, Pair, PolylogBound
 from .errors import GeneratorExhausted, InsufficientData, MislabeledSample
@@ -88,7 +87,8 @@ def log_fit(
 
     Returns (slope, intercept, root-mean-square residual); the slope
     estimates e. Values below 1 count as 1; equal values give slope 0,
-    where the regression would be degenerate.
+    where the regression would be degenerate. Sizes that all give one x
+    raise InsufficientData.
     """
     if model == "poly-n":
         xs = [math.log(n) for n in sizes]
@@ -100,8 +100,15 @@ def log_fit(
     if len(set(ys)) == 1:
         slope, intercept = 0.0, ys[0]
     else:
-        reg = statistics.linear_regression(xs, ys)
-        slope, intercept = reg.slope, reg.intercept
+        # statistics.linear_regression's arithmetic, without its import
+        xbar = math.fsum(xs) / len(xs)
+        ybar = math.fsum(ys) / len(ys)
+        sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+        sxx = math.fsum((d := x - xbar) * d for x in xs)
+        if not sxx:
+            raise InsufficientData(f"every size has one x value under {model!r}")
+        slope = sxy / sxx
+        intercept = ybar - slope * xbar
     residual = math.sqrt(
         sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / len(xs)
     )

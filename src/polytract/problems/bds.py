@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, permutations, repeat
 from operator import eq
-from typing import Iterator
 
 from ..encoding import Instance
 from ..errors import MalformedGraph, SameNode, UnknownNode
@@ -310,8 +310,6 @@ def _recorded(n: int, numbering, keys) -> Iterator[list[int]]:
         a, b = number[k // stride], number[k % stride]
         nbrs[a].append(b)
         nbrs[b].append(a)
-    for lst in nbrs:
-        lst.sort()
     visited = [False] * (n + 1)
     stack: list[int] = []
     restart = 1
@@ -328,6 +326,9 @@ def _recorded(n: int, numbering, keys) -> Iterator[list[int]]:
             yield [cur]
         children = [w for w in nbrs[cur] if not visited[w]]
         if children:
+            # Sorted here, not up front: _decide mostly stops long before
+            # every node is expanded.
+            children.sort()
             for w in children:
                 visited[w] = True
             left -= len(children)

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..encoding import Instance
-from ..errors import MalformedInstance, UnknownPreposition
+from ..errors import MalformedInstance
 
 DEFAULT_LEXICON = (
     "about", "against", "among", "at", "between", "by", "during", "for",
@@ -71,15 +71,6 @@ def lexicon_counts(text: Instance, lexicon=DEFAULT_LEXICON) -> tuple[int, ...] |
         return None
     tally = Counter(decoded.lower().split())
     return tuple(tally[word] for word in lexicon)
-
-
-def preposition_decide(counts, lexicon, word: str, k: int) -> bool:
-    """Does `word` occur at least k times, judging only by the counts?"""
-    try:
-        idx = lexicon.index(word)
-    except ValueError:
-        raise UnknownPreposition(f"{word!r} is not in the lexicon") from None
-    return counts[idx] >= k
 
 
 def count_width(n: int) -> int:

@@ -21,8 +21,8 @@ supplied by the caller.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
 
 from .encoding import (
     Instance,

@@ -10,8 +10,8 @@ of the same configuration can be compared byte for byte.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
 SCHEMA_VERSION = 1
 

@@ -73,6 +73,16 @@ def test_decide_siblings_first_last_and_restart():
     _assert_decide_matches_oracle(g)
 
 
+def test_decide_sorts_neighbors_that_arrive_in_descending_number_order():
+    # Node 2's edges to nodes 3..6 come in node order, which is their
+    # numbers 6, 5, 4, 3 in descending order; the batch records them
+    # ascending by number when node 2 is expanded.
+    g = bds.make_graph(6, (1, 2, 6, 5, 4, 3), [(1, 2), (2, 3), (2, 4), (2, 5), (2, 6)])
+    assert bds_order_oracle(g.n, g.numbering, g.edges) == (1, 2, 6, 5, 4, 3)
+    assert bds.bds_order(g) == (1, 2, 6, 5, 4, 3)
+    _assert_decide_matches_oracle(g)
+
+
 @st.composite
 def decide_graphs(draw):
     n = draw(st.integers(1, 10))

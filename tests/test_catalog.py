@@ -8,6 +8,11 @@ can meet a garbage query and the other way round. The same holds for
 what the harness builds from the catalog: compositions, transferred and
 pulled-back witnesses and the hardness reduction.
 """
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -97,3 +102,18 @@ BYTES = st.one_of(st.binary(max_size=64), st.sampled_from(SPECIMENS),
 @given(args=st.lists(BYTES, min_size=2, max_size=2))
 def test_catalog_callables_are_total(fn, arity, returns, args):
     assert type(fn(*args[:arity])) is returns
+
+
+def test_building_the_catalog_loads_no_typing_and_no_statistics():
+    # Annotations are never evaluated and log_fit does its own least
+    # squares, so a process that builds the catalog loads neither module,
+    # nor the number types statistics brings in.
+    code = ("import sys; import polytract; "
+            "polytract.build_catalog(polytract.SuiteConfig()); "
+            "print(sorted({'typing', 'statistics', 'fractions', 'decimal', 'numbers'}"
+            " & set(sys.modules)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]"

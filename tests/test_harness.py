@@ -300,6 +300,9 @@ def test_fit_runtime_needs_enough_increasing_points():
         fit_runtime([(8, 1), (16, 2), (32, 3)], "poly-n")
     with pytest.raises(InsufficientData):
         fit_runtime([(8, 1), (16, 2), (16, 3), (32, 4)], "poly-n")
+    # log2 of every size is floored at 2, so these sizes share one x
+    with pytest.raises(InsufficientData, match="one x value"):
+        fit_runtime([(1, 10), (2, 20), (3, 40), (4, 80)], "poly-log-n")
     with pytest.raises(ValueError):
         fit_runtime([(8, 1), (16, 2), (32, 3), (64, 4)], "exp-n")
 

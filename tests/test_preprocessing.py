@@ -1,7 +1,10 @@
+import math
+import statistics
 import time
 import weakref
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from polytract.encoding import LanguageOfPairs, Pair, PolylogBound, ZERO_BOUND
 from polytract.errors import (
@@ -10,6 +13,7 @@ from polytract.errors import (
     MislabeledSample,
 )
 from polytract.preprocessing import (
+    LadderReport,
     PreprocessingWitness,
     digest_size_ladder,
     log_fit,
@@ -172,6 +176,44 @@ def test_log_fit_of_two_distinct_values_has_a_slope():
     # Only equal values are flat; two distinct ones are a regression.
     slope, _, _ = log_fit("poly-n", (8, 16, 32, 64), (10, 10, 100, 100))
     assert slope > 0
+
+
+@given(st.sampled_from(["poly-n", "poly-log-n"]),
+       st.lists(st.integers(4, 2**40), min_size=2, max_size=12, unique=True),
+       st.data())
+def test_log_fit_matches_the_standard_library_regression(model, sizes, data):
+    sizes.sort()
+    values = data.draw(st.lists(st.floats(0.0, 1e12), min_size=len(sizes),
+                                max_size=len(sizes)))
+    ys = [math.log(max(v, 1)) for v in values]
+    assume(len(set(ys)) > 1)
+    if model == "poly-n":
+        xs = [math.log(n) for n in sizes]
+    else:
+        xs = [math.log(math.log2(n)) for n in sizes]
+    assume(len(set(xs)) > 1)
+    reg = statistics.linear_regression(xs, ys)
+    slope, intercept, _ = log_fit(model, sizes, values)
+    assert (slope, intercept) == (reg.slope, reg.intercept)
+
+
+def test_a_ladder_slope_equal_to_its_cap_passes():
+    assert LadderReport(rungs=(), slope=1.5, exponent_cap=1.5, bound_ok=True).passed
+
+
+def test_log_fit_floors_values_at_one_not_above():
+    # v = 3n/4 exactly: 1.5 counts as itself, so the fit is exact.
+    slope, intercept, residual = log_fit("poly-n", (2, 4, 8, 16), (1.5, 3, 6, 12))
+    assert slope == pytest.approx(1.0)
+    assert intercept == pytest.approx(math.log(0.75))
+    assert residual == pytest.approx(0.0, abs=1e-12)
+
+
+def test_log_fit_floors_sizes_at_four_not_above():
+    # v = log2(n)^2 exactly: size 4 fits as 4, so the fit is exact.
+    slope, _, residual = log_fit("poly-log-n", (4, 16, 256, 65536), (4, 16, 64, 256))
+    assert slope == pytest.approx(2.0)
+    assert residual == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ladder_rejects_thin_or_unsorted_sizes():
