@@ -130,9 +130,9 @@ def _layer_tasks(n: int, seed: int) -> dict:
                                             config.lexicon)
 
     corpus = draw_corpus()
-    digest = count_digest.preprocess(corpus)
+    digest = count_digest.preprocess(corpus)  # the digest table now holds the corpus
     count_query = wordstats.query_bytes(config.lexicon[-1], 1)
-    count_member(corpus, count_query)  # the table now holds the corpus
+    count_member(corpus, count_query)  # and so does the count table
 
     return {
         "bds.random_sparse_graph": (
@@ -155,12 +155,15 @@ def _layer_tasks(n: int, seed: int) -> dict:
         "cvp.cvp_member": (cvp.cvp_member, [(text,)]),
         "cvp.cvp_member (forward-wired)": (cvp.cvp_member, [(forward_text,)]),
         "wordstats.random_corpus_text": (draw_corpus, [()]),
-        "wordstats-count-digest preprocess": (count_digest.preprocess, [(corpus,)]),
+        # the digest kernel, which a digest-table miss runs
+        "wordstats-count-digest preprocess": (wordstats.count_digest,
+                                              [(corpus, config.lexicon)]),
         # one count unpacked from the rung corpus's digest, and a count
-        # table hit on the corpus: a hash of it and a lookup
+        # and a digest table hit on the corpus: a hash of it and a lookup
         "counts-at-least post (one count)": (count_digest.post_language.membership,
                                              [(digest, count_query)]),
         "wordstats-pairs count-table hit": (count_member, [(corpus, count_query)]),
+        "count-digest table hit": (count_digest.preprocess, [(corpus,)]),
     }
 
 

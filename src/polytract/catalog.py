@@ -20,7 +20,9 @@ built on one, decides through the catalog's verdict table
 (Catalog.block_verdict): each (graph block, query) pair is decided once
 per catalog, whichever form of the instance asks. Likewise the
 wordstats-pairs membership counts each corpus once per catalog, into its
-count table (Catalog.counts).
+count table (Catalog.counts), and the wordstats-count-digest
+preprocessing digests each corpus once per catalog, into its digest
+table (Catalog.digests).
 
 The entries close over the tables, never over the catalog, so a catalog
 makes no reference cycle and is freed as soon as its last user lets go.
@@ -185,6 +187,9 @@ class Catalog:
     # over the catalog's lexicon, None for text that is not UTF-8; the
     # wordstats-pairs membership fills it (_count_member).
     counts: dict[bytes, tuple[int, ...] | None] = field(default_factory=dict)
+    # the same key -> its wordstats.count_digest over the catalog's
+    # lexicon; the wordstats-count-digest preprocessing fills it.
+    digests: dict[bytes, Instance] = field(default_factory=dict)
 
     def __post_init__(self):
         # The table functions, bound to the tables alone: the entries
@@ -269,12 +274,20 @@ def _count_member(counts: dict, lexicon: tuple[str, ...], text: Instance,
     asked = wordstats.lexicon_query(query, lexicon)
     if asked is None:
         return False
+    tally = _per_corpus(counts, wordstats.lexicon_counts, lexicon, text)
+    return tally is not None and tally[asked[0]] >= asked[1]
+
+
+def _per_corpus(table: dict, make, lexicon: tuple[str, ...], text: Instance):
+    """make(text, lexicon), made once per table: the table is keyed by
+    the 16-byte blake2b digest of the corpus, so it holds no corpus
+    bytes."""
     key = hashlib.blake2b(text, digest_size=16).digest()
     try:
-        tally = counts[key]
+        return table[key]
     except KeyError:
-        tally = counts[key] = wordstats.lexicon_counts(text, lexicon)
-    return tally is not None and tally[asked[0]] >= asked[1]
+        value = table[key] = make(text, lexicon)
+        return value
 
 
 def _pair_key(block_len: int, data: bytes, query: bytes = b"") -> bytes:
@@ -466,17 +479,10 @@ def _build_witnesses(cat: Catalog, config) -> None:
         _labeled_pairs("cvp-witness", _small_circuit, cvp.cvp_member),
         cvp_ladder)
 
-    # Count-vector digest for word statistics.
+    # Count-vector digest for word statistics, made once per corpus.
     lexicon = config.lexicon
     m = len(lexicon)
-
-    def count_digest(d: Instance) -> Instance:
-        try:
-            corpus = wordstats.corpus_from_text(d, lexicon)
-        except MalformedInstance:
-            corpus = wordstats.Corpus((), lexicon)
-        counts = wordstats.preposition_digest(corpus)
-        return wordstats.digest_instance(counts, len(corpus.words))
+    count_digest = partial(_per_corpus, cat.digests, wordstats.count_digest, lexicon)
 
     def digest_pair_member(d: Instance, q: Instance) -> bool:
         """The query's word count, unpacked alone from the digest, against

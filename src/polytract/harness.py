@@ -28,7 +28,7 @@ from .factorization import (
     verify_factorization,
 )
 from .preprocessing import SLOPE_SLACK, digest_size_ladder, log_fit, verify_witness
-from .problems import bds
+from .problems import bds, wordstats
 from .reductions import (
     compose_fcr,
     pullback_witness_f,
@@ -49,7 +49,7 @@ class SuiteConfig:
     ladder: tuple[int, ...] = DEFAULT_LADDER
     random_budget: int = 200
     witness_samples: int = 60
-    lexicon: tuple[str, ...] = catalog_mod.wordstats.DEFAULT_LEXICON
+    lexicon: tuple[str, ...] = wordstats.DEFAULT_LEXICON
     exhaustive_caps: dict = field(default_factory=lambda: {"bds": 3, "separation": 5})
     separation_max_n: int = 20
     bounds: dict = field(default_factory=lambda: dict(catalog_mod.DEFAULT_BOUNDS))
@@ -328,7 +328,7 @@ def _fcr_check(cat, config: SuiteConfig, r, source_member, target_member,
 # digests all obey the bound, made from the rung's instances and digests,
 # for runtime-fits, which reads the same rung: the length of a cvp rung's
 # first instance and its digests, and a wordstats rung's first corpus,
-# which times the preprocessing, and its digests. runtime-fits takes its
+# on which it times the digest kernel, and its digests. runtime-fits takes its
 # entry with _held. The bds rungs need no entry: the catalog keeps them.
 _HANDOFF = {
     "cvp-verdict-bit": lambda instances, digests: (len(instances[0]), list(digests)),
@@ -520,15 +520,18 @@ def _fit_checks(cat, config: SuiteConfig) -> Report:
     wname = "wordstats-count-digest"
 
     # Each wordstats rung's first corpus times the preprocessing, its
-    # digests the post-digest queries.
+    # digests the post-digest queries. The witness's preprocessing
+    # answers a corpus it has digested from the catalog's digest table,
+    # so the fit times the digest kernel itself: every timed call
+    # digests the whole corpus.
     wrungs = [_held(cat, config, wname, size) for size in config.ladder]
-    preprocess = cat.witnesses[wname].witness.preprocess
     _fit_row(rep, "preprocess-poly-degree:wordstats",
-             [(len(corpus), (preprocess, [(corpus,)])) for corpus, _ in wrungs],
+             [(len(corpus), (wordstats.count_digest, [(corpus, config.lexicon)]))
+              for corpus, _ in wrungs],
              "poly-n", _PTIME_MAX_DEGREE + SLOPE_SLACK,
              "degree and residual of the log-log fit", _FIT_RESIDUAL_MAX)
 
-    wquery = catalog_mod.wordstats.query_bytes(config.lexicon[0], 1)
+    wquery = wordstats.query_bytes(config.lexicon[0], 1)
     _query_latency_row(rep, cat, config, wname, wquery,
                        [(len(corpus), digests) for corpus, digests in wrungs])
     # The corpora go before any cvp rung is drawn, so they add nothing

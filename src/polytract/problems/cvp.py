@@ -142,18 +142,26 @@ def _chunk_columns(data: bytes) -> tuple[list, array, array] | None:
     # below is a code's.
     if data.translate(None, _CANONICAL_BYTES):
         return None
+    # The last line's id must be the line count: a look at one line
+    # that turns down much text of canonical bytes before the passes
+    # below.
+    lines = data.count(b"\n")
+    if lines and not data.startswith(b"%d " % lines, data.rfind(b"\n", 0, -1) + 1):
+        return None
     kinds, left, right = [IN0], _NODE_0[:], _NODE_0[:]
     start, end = 0, len(data)
     while start < end:
-        stop = data.find(b"\n", start + _CHUNK) + 1 or end
+        # text no longer than a chunk is one chunk, found with no search
+        stop = end if end - start <= _CHUNK else data.find(b"\n", start + _CHUNK) + 1 or end
         chunk = data[start:stop]
         for word, coded in _CODED_WORDS:
             chunk = chunk.replace(word, coded)
+        # The last chunk holds the lines the earlier chunks left.
+        k = chunk.count(b"\n") if stop < end else lines + 1 - len(kinds)
         # Every line must now be four decimals with single spaces, with a
         # code, negative, in the field after the id and in no other: each
         # line had one kind word, there, and was written as
         # circuit_to_bytes writes it.
-        k = chunk.count(b"\n")
         ints = read_ints(chunk, _CODED_LINE * k)
         if ints is None:
             return None

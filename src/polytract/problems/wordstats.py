@@ -5,7 +5,9 @@ lowercase-normalized. The digest of a corpus is the vector of occurrence
 counts for the m lexicon words. Each count is at most the token count n,
 so a fixed width of ceil(log2(n+1)) bits per count packs the whole vector
 into exactly m * ceil(log2(n+1)) bits. The self-contained instance form
-prepends one byte holding that width so a decider needs nothing else.
+prepends one byte holding that width so a decider needs nothing else;
+count_digest makes it from corpus text, and a catalog keeps it per
+corpus, so a corpus digested again is not read again.
 
 A query 'p k' asks whether word p occurs at least k times. The reference
 oracle pair_member answers it from lexicon_counts, one tokenize and one
@@ -71,6 +73,17 @@ def lexicon_counts(text: Instance, lexicon=DEFAULT_LEXICON) -> tuple[int, ...] |
         return None
     tally = Counter(decoded.lower().split())
     return tuple(tally[word] for word in lexicon)
+
+
+def count_digest(text: Instance, lexicon=DEFAULT_LEXICON) -> Instance:
+    """The digest instance of corpus `text`: its lexicon counts packed
+    behind their width byte. Text that is not UTF-8 digests as the
+    empty corpus."""
+    try:
+        corpus = corpus_from_text(text, lexicon)
+    except MalformedInstance:
+        corpus = Corpus((), tuple(lexicon))
+    return digest_instance(preposition_digest(corpus), len(corpus.words))
 
 
 def count_width(n: int) -> int:

@@ -22,6 +22,7 @@ def test_layer_ns_covers_every_layer_and_rung():
     out = bench.layer_ns(0, ladder=(8, 16))
     assert "bds.parse_instance" in out and "cvp.parse_circuit" in out
     assert "wordstats.random_corpus_text" in out and "wordstats-count-digest preprocess" in out
+    assert "count-digest table hit" in out and "wordstats-pairs count-table hit" in out
     for rungs in out.values():
         assert [n for n, _ in rungs] == [8, 16]
         assert all(ns > 0 for _, ns in rungs)

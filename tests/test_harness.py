@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import multiprocessing
 import os
@@ -657,6 +658,54 @@ def test_wordstats_witness_check_counts_each_corpus_once(monkeypatch):
     assert {(type(key), len(key)) for key in cat.counts} == {(bytes, 16)}
 
 
+def test_runtime_fits_times_the_whole_digest_kernel(monkeypatch):
+    cat = build_catalog(HANDOFF)
+    assert run_check(cat, HANDOFF, "witness:wordstats-count-digest").passed
+    name, rungs = "wordstats-count-digest", len(HANDOFF.ladder)
+    firsts = [cat.held[name, size, HANDOFF.seed][0] for size in HANDOFF.ladder]
+    # the digest table already holds every rung's corpus
+    assert all(hashlib.blake2b(corpus, digest_size=16).digest() in cat.digests
+               for corpus in firsts)
+    kernel = _calls(monkeypatch, wordstats, "count_digest")
+    tallied = _calls(monkeypatch, wordstats, "preposition_digest")
+    run_check(cat, HANDOFF, "runtime-fits")
+    # one warm-up and seven timed sweeps, each digesting every rung's
+    # first corpus in full: tokenized and tallied, none read from a table
+    assert sorted(kernel) == sorted(firsts * 8)
+    assert sorted(len(corpus.words) for corpus in tallied) == sorted(
+        len(text.split()) for text in firsts * 8)
+    assert len(tallied) == 8 * rungs
+
+    # Run alone, the stage digests each rung through the table first.
+    kernel.clear()
+    lone = build_catalog(HANDOFF)
+    run_check(lone, HANDOFF, "runtime-fits")
+    assert len(kernel) == 8 * rungs + len(lone.digests) == 10 * rungs
+
+
+def test_default_suite_tables_hold_keys_and_bounded_digests(monkeypatch):
+    built, lengths = [], {}
+    build, kernel = catalog.build_catalog, wordstats.count_digest
+
+    def kept(config):
+        built.append(build(config))
+        return built[-1]
+
+    def measured(text, lexicon):
+        lengths[hashlib.blake2b(text, digest_size=16).digest()] = len(text)
+        return kernel(text, lexicon)
+
+    monkeypatch.setattr(catalog, "build_catalog", kept)
+    monkeypatch.setattr(wordstats, "count_digest", measured)
+    assert run_suite(SuiteConfig()).passed
+    cat = built[0]
+    # every table holds 16-byte keys only, no instance bytes
+    for table in (cat.verdicts, cat.counts, cat.digests):
+        assert table and {(type(key), len(key)) for key in table} == {(bytes, 16)}
+    bound = cat.witnesses["wordstats-count-digest"].witness.output_bound
+    assert all(len(digest) <= bound(lengths[key]) for key, digest in cat.digests.items())
+
+
 def test_run_suite_frees_its_catalog_by_refcount(monkeypatch):
     built = []
 
@@ -858,10 +907,11 @@ def test_injected_wordstats_witness_hands_over_no_corpus(monkeypatch):
     assert cat.held == {}
     seen = _record_fit_inputs(monkeypatch)
     run_check(cat, config, "runtime-fits")
-    # runtime-fits draws its own corpora and times the first of each rung
+    # runtime-fits draws its own corpora and times the digest kernel on
+    # the first of each rung
     assert sorted(corpora) == sorted(4 * HANDOFF.ladder)
     entry = cat.witnesses["wordstats-count-digest"]
-    assert seen[0] == ("timed", [[(entry.ladder_gen(size, config.seed)[0],)]
+    assert seen[0] == ("timed", [[(entry.ladder_gen(size, config.seed)[0], config.lexicon)]
                                  for size in HANDOFF.ladder])
 
 

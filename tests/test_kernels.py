@@ -540,6 +540,68 @@ def test_circuit_edges_match_oracles(x, columns):
     assert (cvp._chunk_columns(x) is not None) == columns
 
 
+# Bytes canonical circuit text holds, and a few runs of them, that the
+# edits below put into canonical text.
+_CANONICAL_SPLICES = [bytes([c]) for c in cvp._CANONICAL_BYTES] + [
+    b"\n", b"1 ", b" 1", b"0\n", b"input", b" not ", b"\n1 input 1\n"]
+
+
+@st.composite
+def canonical_byte_texts(draw):
+    """Canonical text of a random circuit of up to 40 nodes with up to
+    three edits that keep its bytes canonical: a byte replaced, a run
+    inserted, bytes cut or the text truncated at a line end."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    data = bytearray(cvp.circuit_to_bytes(cvp.random_circuit(draw(st.integers(2, 40)), rng)))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(data)))
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            data[pos:pos + 1] = draw(st.sampled_from(_CANONICAL_SPLICES))
+        elif kind == 1:
+            data[pos:pos] = draw(st.sampled_from(_CANONICAL_SPLICES))
+        elif kind == 2:
+            del data[pos:pos + draw(st.integers(1, 4))]
+        else:
+            del data[data.find(b"\n", pos) + 1 or len(data):]
+    return bytes(data)
+
+
+def _turned_down_by_the_last_id(x: bytes) -> bool:
+    """Whether _chunk_columns turns x down for its last line's id, before
+    it codes a kind word."""
+    lines = x.count(b"\n")
+    return bool(x.endswith(b"\n") and not x.translate(None, cvp._CANONICAL_BYTES)
+                and not x.startswith(b"%d " % lines, x.rfind(b"\n", 0, -1) + 1))
+
+
+@settings(max_examples=600)
+@given(canonical_byte_texts())
+def test_last_id_check_turns_down_no_canonical_text(x):
+    line_loop = _outcome(cvp._line_columns, x)
+    if _turned_down_by_the_last_id(x):
+        assert cvp._chunk_columns(x) is None
+        # text the line loop reads is not the documented form of what it
+        # read, so the chunk passes turned it down too
+        if line_loop[0] == "ok":
+            assert oracles.circuit_text_oracle(cvp.Circuit(*line_loop[1]).nodes) != x
+    else:
+        chunk = cvp._chunk_columns(x)
+        assert chunk is None or ("ok", chunk) == line_loop
+    # whichever path x takes, it raises exactly the error the line loop
+    # raises, which is the reference parser's
+    assert _outcome(lambda d: cvp.parse_circuit(d).nodes, x) == _outcome(
+        oracles.parse_circuit_oracle, x)
+    assert cvp.cvp_member(x) is _member_by_oracle(x)
+
+
+@pytest.mark.parametrize("size", [2, 3, 9, 10, 11, 99, 100, 101, 6000])
+def test_canonical_circuits_take_the_chunk_path(size):
+    text = cvp.circuit_to_bytes(cvp.random_circuit(size, random.Random(size)))
+    assert not _turned_down_by_the_last_id(text)
+    assert ("ok", cvp._chunk_columns(text)) == _outcome(cvp._line_columns, text)
+
+
 def _second_chunk_line(text: bytes) -> int:
     """Number of a line a few lines into the second chunk of text."""
     first_chunk = text.find(b"\n", cvp._CHUNK) + 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from polytract import SuiteConfig, build_catalog
 from polytract.errors import MalformedInstance
+from polytract.preprocessing import verify_witness
 from polytract.problems import wordstats as ws
 
 from oracles import count_word_oracle
@@ -298,3 +299,118 @@ def test_digest_count_checks_what_the_full_unpack_checks():
     for bad in (b"", b"\x00\x00", digest[:-1], digest + b"\x00", b"\x01\xff"):
         with pytest.raises(MalformedInstance):
             ws.digest_count(bad, 3, 0)
+
+
+# ------------------------------------------------------------ digest table
+
+
+def _closure_digest(d: bytes) -> bytes:
+    """The witness's preprocessing as the catalog built it before the
+    digest table: the corpus's counts packed behind their width, the
+    empty corpus's for text that is not UTF-8."""
+    try:
+        corpus = ws.corpus_from_text(d, LEXICON)
+    except MalformedInstance:
+        corpus = ws.Corpus((), LEXICON)
+    counts = ws.preposition_digest(corpus)
+    return ws.digest_instance(counts, len(corpus.words))
+
+
+@settings(max_examples=400)
+@given(st.one_of(corpora(), st.binary(max_size=64), st.just(b"")))
+def test_count_digest_equals_the_closure_it_replaced(text):
+    digest = ws.count_digest(text, LEXICON)
+    assert digest == _closure_digest(text)
+    # the counts against a token-by-token scan
+    try:
+        text.decode("utf-8")
+    except UnicodeDecodeError:
+        assert digest == b"\x00"
+    else:
+        assert ws.parse_digest_instance(digest, M) == tuple(
+            count_word_oracle(text, word) for word in LEXICON)
+    # through the shared catalog's table, first and later asks alike
+    assert WITNESS.preprocess(text) == digest
+    assert WITNESS.preprocess(text) == digest
+
+
+def _counted_kernel(monkeypatch) -> list:
+    """Make ws.count_digest append each corpus it digests to the returned
+    list; a catalog built after this digests through it."""
+    calls = []
+    kernel = ws.count_digest
+
+    def counted(text, lexicon=ws.DEFAULT_LEXICON):
+        calls.append(text)
+        return kernel(text, lexicon)
+
+    monkeypatch.setattr(ws, "count_digest", counted)
+    return calls
+
+
+def test_verify_witness_digests_each_corpus_once(monkeypatch):
+    calls = _counted_kernel(monkeypatch)
+    cat = build_catalog(SuiteConfig())
+    entry = cat.witnesses["wordstats-count-digest"]
+    pos, neg = entry.sample_pairs(3, 30)
+    corpora_asked = {pair.data for pair in pos + neg}
+    assert len(pos + neg) > 2 * len(corpora_asked) > 2
+    for _ in range(2):
+        assert verify_witness(entry.language, entry.witness, pos, neg).passed
+    # N pairs over k corpora: k digests, one table entry each
+    assert sorted(calls) == sorted(corpora_asked)
+    assert len(cat.digests) == len(corpora_asked)
+    assert {(type(key), len(key)) for key in cat.digests} == {(bytes, 16)}
+
+
+def test_corpora_that_differ_in_their_last_byte_get_their_own_digests():
+    cat = build_catalog(SuiteConfig())
+    preprocess = cat.witnesses["wordstats-count-digest"].witness.preprocess
+    prefix = b"in " * 200
+    texts = (prefix + b"in", prefix + b"io", prefix + b"i\xff")
+    for text in texts + texts:
+        assert preprocess(text) == ws.count_digest(text, LEXICON)
+    assert len(cat.digests) == 3
+    assert sorted(cat.digests.values()) == sorted(ws.count_digest(t, LEXICON) for t in texts)
+
+
+def test_injected_identity_preprocessing_fills_no_digest_table(monkeypatch):
+    calls = _counted_kernel(monkeypatch)
+    cat = build_catalog(SuiteConfig(inject=("identity-preprocessing:wordstats-count-digest",)))
+    entry = cat.witnesses["wordstats-count-digest"]
+    pos, neg = entry.sample_pairs(3, 10)
+    assert entry.witness.preprocess(pos[0].data) == pos[0].data
+    verify_witness(entry.language, entry.witness, pos, neg)
+    assert cat.digests == {} and calls == []
+    # the oracle still counts through its own table
+    assert cat.counts
+
+
+def test_hostile_corpora_add_at_most_one_entry_each():
+    cat = build_catalog(SuiteConfig())
+    preprocess = cat.witnesses["wordstats-count-digest"].witness.preprocess
+    rng = random.Random(33)
+    specimens = [ws.random_corpus_text(rng.randrange(1, 60), rng) for _ in range(20)]
+    args = []
+    for _ in range(600):
+        x = bytearray(rng.choice(specimens))
+        for _ in range(rng.randrange(4)):
+            pos = rng.randint(0, len(x))
+            edit = rng.randrange(4)
+            if edit == 0 and x:
+                x[min(pos, len(x) - 1)] ^= 1 << rng.randrange(8)
+            elif edit == 1:
+                x[pos:pos] = rng.choice((b"#", b"@", b"\\", b"\xff", b"\xc3\x28", b"\x1c"))
+            elif edit == 2:
+                del x[pos:]
+            else:
+                del x[pos:pos + rng.randint(1, 4)]
+        args.append(bytes(x))
+    args += [bytes(rng.randrange(256) for _ in range(rng.randrange(64))) for _ in range(200)]
+    seen = set()
+    for x in args:
+        assert type(preprocess(x)) is bytes
+        seen.add(x)
+        # one entry per distinct corpus asked so far
+        assert len(cat.digests) == len(seen)
+    assert len(seen) < len(args)
