@@ -285,8 +285,8 @@ def test_corpora_that_differ_in_their_last_byte_get_their_own_entries():
     member = cat.pair_languages["wordstats-pairs"].membership
     prefix = b"in " * 200
     assert member(prefix + b"in", b"in 201") is True
-    assert member(prefix + b"on", b"in 201") is False
-    assert member(prefix + b"on", b"on 1") is True
+    assert member(prefix + b"io", b"in 201") is False
+    assert member(prefix + b"io", b"in 200") is True
     assert len(cat.counts) == 2
 
 
