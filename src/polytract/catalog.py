@@ -472,7 +472,8 @@ def _build_witnesses(cat: Catalog, config) -> None:
         # and half on every rung, so branch cost cannot pose as growth.
         rng = random.Random(f"{seed}:cvp-ladder:{size}")
         c = cvp.random_circuit(size, rng)
-        return [cvp.circuit_to_bytes(c), cvp.circuit_to_bytes(cvp.negate_output(c))]
+        text = cvp.circuit_to_bytes(c)
+        return [text, cvp.negate_output_bytes(c, text)]
 
     add("cvp-verdict-bit", cat.pair_languages["cvp-pairs"],
         _verdict_bit(cvp.cvp_member), one_bit_true_language(),

@@ -609,9 +609,16 @@ SUITE_STAGES = (
 # The stages run_suite runs after its one join with the ladder workers,
 # in SUITE_STAGES order: the two that read the bds ladder, and
 # runtime-fits, so its timing fits never overlap a worker. _MAIN_LANE,
-# every other stage, runs while the workers draw and decide.
+# every other stage, runs while the workers draw and decide, in
+# SUITE_STAGES order but for witness:cvp-verdict-bit, its longest stage,
+# which runs last: by then the worker with the small rungs has most
+# often finished, so the cvp ladder shares the CPUs with one worker
+# rather than two, and its rungs' times do not jump when that worker
+# ends partway through it.
 _AFTER_JOIN = ("witness:bds-verdict-bit", "witness-transfer", "runtime-fits")
-_MAIN_LANE = tuple(s for s in SUITE_STAGES if s not in _AFTER_JOIN)
+_MAIN_LANE = tuple(s for s in SUITE_STAGES
+                   if s not in _AFTER_JOIN and s != "witness:cvp-verdict-bit") + (
+    "witness:cvp-verdict-bit",)
 
 
 def run_check(cat, config: SuiteConfig, stage: str) -> Report:

@@ -91,6 +91,17 @@ def circuit_to_bytes(c: Circuit) -> Instance:
     return (fmt % tuple(filter(None, args))).encode("ascii")
 
 
+def negate_output_bytes(c: Circuit, data: Instance) -> Instance:
+    """circuit_to_bytes(negate_output(c)), given data = circuit_to_bytes(c).
+    With the output last, as the generators put it, only the last line
+    changes: it turns into the negation and the new output follows."""
+    n = len(c.kinds) - 1
+    if c.kinds[n] != OUTPUT:
+        return circuit_to_bytes(negate_output(c))
+    head = data[:data.rfind(b"\n", 0, -1) + 1]
+    return head + b"%d not %d\n%d output %d\n" % (n, c.right[n], n + 1, n)
+
+
 def parse_circuit(data: Instance) -> Circuit:
     return _parse(data)[0]
 

@@ -249,6 +249,20 @@ def test_negate_output_with_output_mid_sequence():
     assert cvp.cvp_eval(circ) is True
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3000), st.integers(0, 2**32))
+def test_negate_output_bytes_writes_the_negated_circuit(size, seed):
+    circ = cvp.random_circuit(size, random.Random(seed))
+    text = cvp.circuit_to_bytes(circ)
+    assert cvp.negate_output_bytes(circ, text) == cvp.circuit_to_bytes(cvp.negate_output(circ))
+
+
+def test_negate_output_bytes_with_output_mid_sequence():
+    circ = c(("input", True), ("output", 1), ("not", 1))
+    text = cvp.circuit_to_bytes(circ)
+    assert cvp.negate_output_bytes(circ, text) == cvp.circuit_to_bytes(cvp.negate_output(circ))
+
+
 def test_enumeration_yields_valid_unique_circuits():
     seen = set()
     for circ in cvp.enumerate_circuits(max_gates=1, max_inputs=2):

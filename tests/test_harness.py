@@ -949,6 +949,23 @@ def test_each_sample_stream_is_drawn_by_the_first_stage_that_reads_it(monkeypatc
         assert stream not in drawn[reader] and stream in drawn[after]
 
 
+def test_the_cvp_witness_runs_last_in_the_main_lane(monkeypatch):
+    ran = []
+    check = harness.run_check
+
+    def recorded(cat, config, stage):
+        ran.append(stage)
+        return check(cat, config, stage)
+
+    monkeypatch.setattr(harness, "run_check", recorded)
+    report = run_suite(HANDOFF)
+    lane = [s for s in harness.SUITE_STAGES
+            if s not in harness._AFTER_JOIN and s != "witness:cvp-verdict-bit"]
+    assert ran == [*lane, "witness:cvp-verdict-bit", *harness._AFTER_JOIN]
+    # the report keeps SUITE_STAGES order
+    assert [r.name for r in report.reports] == list(harness.SUITE_STAGES)
+
+
 def test_suite_timings_cover_the_sample_draw_and_every_stage():
     report = run_suite(HANDOFF)
     assert list(report.timings) == ["draw-samples", *harness.SUITE_STAGES]
