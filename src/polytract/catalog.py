@@ -42,7 +42,6 @@ from .encoding import (
     PolylogBound,
     ZERO_BOUND,
     decode_pair,
-    encode_pair,
 )
 from .errors import ConfigError, MalformedInstance, UnknownProblem
 from .factorization import CrFactorization, FactoredLanguage, identity_factorization
@@ -65,11 +64,6 @@ INJECTIONS = tuple(
     f"identity-preprocessing:{name}"
     for name in ("bds-verdict-bit", "cvp-verdict-bit", "wordstats-count-digest")
 )
-
-
-def qbds_instance_bytes(g: bds.NumberedGraph, u: int, v: int) -> Instance:
-    """Graph block and query joined by '#'; payloads never need escaping."""
-    return encode_pair(Pair(bds.graph_to_bytes(g), f"{u} {v}".encode("ascii")))
 
 
 def as_qbds(x: Instance) -> Instance:
@@ -185,7 +179,8 @@ class Catalog:
     verdicts: dict[bytes, bool] = field(default_factory=dict)
     # 16-byte blake2b digest of a corpus -> its wordstats.lexicon_counts
     # over the catalog's lexicon, None for text that is not UTF-8; the
-    # wordstats-pairs membership fills it (_count_member).
+    # wordstats-pairs membership (_count_member) and the
+    # wordstats-count-digest witness's sampler fill it.
     counts: dict[bytes, tuple[int, ...] | None] = field(default_factory=dict)
     # the same key -> its wordstats.count_digest over the catalog's
     # lexicon; the wordstats-count-digest preprocessing fills it.
@@ -484,6 +479,9 @@ def _build_witnesses(cat: Catalog, config) -> None:
     lexicon = config.lexicon
     m = len(lexicon)
     count_digest = partial(_per_corpus, cat.digests, wordstats.count_digest, lexicon)
+    # The sampler labels its queries from the oracle's count table, so a
+    # sampled corpus is counted once for its labels and the oracle alike.
+    lexicon_counts = partial(_per_corpus, cat.counts, wordstats.lexicon_counts, lexicon)
 
     def digest_pair_member(d: Instance, q: Instance) -> bool:
         """The query's word count, unpacked alone from the digest, against
@@ -507,8 +505,7 @@ def _build_witnesses(cat: Catalog, config) -> None:
         per_corpus = 8
         while len(pos) < count or len(neg) < count:
             text = wordstats.random_corpus_text(rng.randrange(20, 2000), rng, lexicon)
-            corpus = wordstats.corpus_from_text(text, lexicon)
-            counts = wordstats.preposition_digest(corpus)
+            counts = lexicon_counts(text)
             for _ in range(per_corpus):
                 word = rng.choice(lexicon)
                 have = counts[lexicon.index(word)]

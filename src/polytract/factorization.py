@@ -184,6 +184,7 @@ def check_short_query(language: LanguageOfPairs, samples: Iterable[Pair]) -> Rep
     empty sample set passes vacuously.
     """
     bound = language.short_query_bound
+    row = f"short-query:{language.name}"
     queries: list[int] = []
 
     def test(idx, pair):
@@ -194,11 +195,11 @@ def check_short_query(language: LanguageOfPairs, samples: Iterable[Pair]) -> Rep
         queries.append(len(pair.query))
         limit = bound(len(pair.data))
         if len(pair.query) > limit:
-            return "short-query", f"|Q|={len(pair.query)} > {limit:.2f}"
+            return row, f"|Q|={len(pair.query)} > {limit:.2f}"
         return None
 
     total, failures = probe(samples, test)
-    rep = Report(f"short-query:{language.name}")
-    rep.add("short-query", not failures, measured=max(queries) if queries else None,
+    rep = Report(row)
+    rep.add(row, not failures, measured=max(queries) if queries else None,
             bound=bound.describe(), detail=f"{total} member samples")
     return rep.itemize("sample", failures)

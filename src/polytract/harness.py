@@ -388,9 +388,7 @@ def _composition_checks(cat, config: SuiteConfig) -> Report:
     for first_name, second_name in COMPOSITIONS:
         first = cat.fcr_reductions[first_name]
         second = cat.fcr_reductions[second_name]
-        middle = first.reduction.target_fact
-        probes = [x for x in cat.sampler(middle.name)(config.seed, 2, 20)
-                  if first.target_member(x)]
+        probes = cat.sampler(first.reduction.target_fact.name)(config.seed, 2, 20)
         composed = compose_fcr(
             first.reduction, second.reduction, first.target_member, probes)
         label = composed.name
@@ -402,12 +400,6 @@ def _composition_checks(cat, config: SuiteConfig) -> Report:
                          second.target_member, first_name, budget)
         rep.checks.extend(replace(check, name=f"{label}.{check.name}")
                           for check in sub.checks)
-        beta_id = all(
-            composed.map_query(q) == q
-            for q in (b"", b"probe", b"1 2", b"\\h#\\a")
-        )
-        rep.add(f"identity-query-map:{label}", beta_id,
-                detail="composed query map is the identity on every probe")
     return rep
 
 
@@ -594,14 +586,15 @@ _CHECKS = {
     "runtime-fits": _fit_checks,
 }
 
-# The stages run_suite runs, in report order.
+# The stages run_suite runs, in report order. The catalog's identity
+# reductions are not among them: their two sides are the same language
+# under identity maps, so no fault can fail their rows.
 SUITE_STAGES = (
     "short-query",
     "factorization:bds-all-data", "factorization:qbds-absorb",
     "witness:bds-verdict-bit", "witness:cvp-verdict-bit",
     "witness:wordstats-count-digest",
-    "reduction:bds-identity", "reduction:qbds-identity", "reduction:qbds-to-bds",
-    "reduction:cvp-identity", "reduction:cvp-double-negation",
+    "reduction:qbds-to-bds", "reduction:cvp-double-negation",
     "compositions", "witness-transfer", "hardness-pack", "witness-pullback",
     "separation", "runtime-fits",
 )

@@ -12,8 +12,8 @@ import time
 
 from conftest import record_acceptance
 
-from polytract.catalog import build_catalog, qbds_instance_bytes
-from polytract.encoding import PolylogBound
+from polytract.catalog import build_catalog
+from polytract.encoding import Pair, PolylogBound, encode_pair
 from polytract.factorization import check_prop1, verify_factorization
 from polytract.harness import (
     SuiteConfig,
@@ -192,8 +192,10 @@ def test_acceptance_05_factorization_contracts_exact_slack():
 
 
 def _as_qbds(x: bytes) -> bytes:
+    """x's graph and query, rewritten and joined by '#'; the payloads
+    never need escaping."""
     g, u, v = bds.parse_instance(x)
-    return qbds_instance_bytes(g, u, v)
+    return encode_pair(Pair(bds.graph_to_bytes(g), f"{u} {v}".encode("ascii")))
 
 
 def test_acceptance_06_composition_with_exact_constants():

@@ -223,9 +223,9 @@ def test_failing_short_query_report_is_pinned():
         "name": "short-query:digit-pairs",
         "verdict": "fail",
         "checks": [
-            {"name": "short-query", "passed": False, "measured": 3,
+            {"name": "short-query:digit-pairs", "passed": False, "measured": 3,
              "bound": "1.0*log2(n)^1+0.0", "detail": "3 member samples"},
-            {"name": "sample[1].short-query", "passed": False, "measured": None,
+            {"name": "sample[1].short-query:digit-pairs", "passed": False, "measured": None,
              "bound": None, "detail": "|Q|=3 > 1.00"},
         ],
     }
@@ -233,16 +233,16 @@ def test_failing_short_query_report_is_pinned():
         "name": "short-query:digit-pairs",
         "verdict": "pass",
         "checks": [
-            {"name": "short-query", "passed": True, "measured": None,
+            {"name": "short-query:digit-pairs", "passed": True, "measured": None,
              "bound": "1.0*log2(n)^1+0.0", "detail": "0 member samples"},
         ],
     }
     rep = check_short_query(lang, [Pair(b"12345", b"1234")] * 51).to_dict()
     assert rep["checks"][0] == {
-        "name": "short-query", "passed": False, "measured": 4,
+        "name": "short-query:digit-pairs", "passed": False, "measured": 4,
         "bound": "1.0*log2(n)^1+0.0", "detail": "51 member samples"}
     assert rep["checks"][1:] == [
-        *({"name": f"sample[{i}].short-query", "passed": False, "measured": None,
+        *({"name": f"sample[{i}].short-query:digit-pairs", "passed": False, "measured": None,
            "bound": None, "detail": "|Q|=4 > 2.32"} for i in range(50)),
         {"name": "sample.overflow", "passed": False, "measured": 51,
          "bound": None, "detail": "1 further failing samples not itemized"},

@@ -341,8 +341,12 @@ SMALL = SuiteConfig(random_budget=25, witness_samples=10)
 
 
 def test_reduction_checks_small_budget():
+    # Every catalog reduction, the identity ones too: the suite runs only
+    # the reductions whose maps are not identities.
     cat = build_catalog(SMALL)
-    for name in ("bds-identity", "qbds-to-bds", "cvp-double-negation"):
+    names = [*cat.fcr_reductions, *cat.f_reductions]
+    assert len(names) == 5
+    for name in names:
         assert run_check(cat, SMALL, f"reduction:{name}").passed
 
 
@@ -922,9 +926,9 @@ def test_suite_draws_each_sample_stream_once(monkeypatch):
     draws = {name: _calls(monkeypatch, module, name) for module, name in (
         (bds, "random_instance"), (cvp, "random_circuit"), (wordstats, "random_corpus_text"))}
     cat = _suite_catalog(monkeypatch, SuiteConfig())
-    # 200 bds-random draws read by eight stages, plus 160 from two
-    # streams one stage each reads; 200 cvp-pairs draws read by both cvp
-    # reductions; each wordstats ladder corpus drawn once
+    # 200 bds-random draws read by six stages, plus 160 from two
+    # streams one stage each reads; 200 cvp-pairs draws; each wordstats
+    # ladder corpus drawn once
     assert {name: len(calls) for name, calls in draws.items()} == {
         "random_instance": 360, "random_circuit": 457, "random_corpus_text": 33}
     assert cat.held == {}
@@ -941,11 +945,11 @@ def test_each_sample_stream_is_drawn_by_the_first_stage_that_reads_it(monkeypatc
     monkeypatch.setattr(harness, "run_check", recorded)
     run_suite(HANDOFF)
     # nothing is drawn before the first stage
-    assert drawn[harness._MAIN_LANE[0]] == set()
-    for stream, reader, after in (("bds-random", "factorization:bds-all-data",
-                                   "factorization:qbds-absorb"),
-                                  ("cvp-pairs", "reduction:cvp-identity",
-                                   "reduction:cvp-double-negation")):
+    lane = harness._MAIN_LANE
+    assert drawn[lane[0]] == set()
+    for stream, reader in (("bds-random", "factorization:bds-all-data"),
+                           ("cvp-pairs", "reduction:cvp-double-negation")):
+        after = lane[lane.index(reader) + 1]
         assert stream not in drawn[reader] and stream in drawn[after]
 
 
@@ -964,6 +968,16 @@ def test_the_cvp_witness_runs_last_in_the_main_lane(monkeypatch):
     assert ran == [*lane, "witness:cvp-verdict-bit", *harness._AFTER_JOIN]
     # the report keeps SUITE_STAGES order
     assert [r.name for r in report.reports] == list(harness.SUITE_STAGES)
+
+
+@pytest.mark.parametrize("inject", [(), *((name,) for name in INJECTIONS)],
+                         ids=["none", *INJECTIONS])
+def test_no_two_rows_of_a_group_share_a_name(inject):
+    # The injected suites fail rows, so their itemized rows count too.
+    report = run_suite(replace(HANDOFF, inject=inject))
+    for group in report.reports:
+        names = [row.name for row in group.checks]
+        assert len(set(names)) == len(names), group.name
 
 
 def test_suite_timings_cover_the_sample_draw_and_every_stage():

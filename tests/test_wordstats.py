@@ -363,6 +363,32 @@ def test_verify_witness_digests_each_corpus_once(monkeypatch):
     assert {(type(key), len(key)) for key in cat.digests} == {(bytes, 16)}
 
 
+def test_the_sampler_labels_from_the_count_table(monkeypatch):
+    # The sampler tokenizes no corpus with the witness's code; it counts
+    # each corpus it draws into the oracle's table, so the oracle counts
+    # none of them again.
+    tokenized, counted = [], []
+    count = ws.lexicon_counts
+
+    def counting(text, lexicon=ws.DEFAULT_LEXICON):
+        counted.append(text)
+        return count(text, lexicon)
+
+    monkeypatch.setattr(ws, "lexicon_counts", counting)
+    for name in ("corpus_from_text", "preposition_digest"):
+        monkeypatch.setattr(ws, name, lambda *args, _f=getattr(ws, name):
+                            tokenized.append(args) or _f(*args))
+    cat = build_catalog(SuiteConfig())
+    entry = cat.witnesses["wordstats-count-digest"]
+    pos, neg = entry.sample_pairs(3, 30)
+    assert tokenized == []
+    assert len(set(counted)) == len(counted) == len(cat.counts)
+    assert {pair.data for pair in pos + neg} <= set(counted)
+    before = list(counted)
+    assert verify_witness(entry.language, entry.witness, pos, neg).passed
+    assert counted == before
+
+
 def test_corpora_that_differ_in_their_last_byte_get_their_own_digests():
     cat = build_catalog(SuiteConfig())
     preprocess = cat.witnesses["wordstats-count-digest"].witness.preprocess
