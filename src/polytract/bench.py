@@ -48,9 +48,9 @@ def _suite(seed: int) -> dict:
     report = run_suite(SuiteConfig(seed=seed))
     wall = time.perf_counter_ns() - t0
     stripped = dump_json(strip_timings(report.to_dict()))
-    # What the ladder workers spent, as run_suite reaped them: they draw
-    # and decide the bds ladder rungs and do nothing else. The peak is
-    # the largest worker's.
+    # What the ladder workers and their helpers spent, as run_suite
+    # reaped them: they draw and decide the bds ladder rungs and do
+    # nothing else. The peak is the largest worker's or helper's.
     workers = next(c.timings["workers"] for r in report.reports for c in r.checks
                    if c.name == "ladder:bds-verdict-bit")
     return {

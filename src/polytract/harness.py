@@ -260,24 +260,57 @@ def _sample(cat, config: SuiteConfig, name: str, budget: int) -> list:
     return cat.sampler(name)(config.seed, config.exhaustive_caps["bds"], budget)
 
 
-def _ladder_task(cat, config: SuiteConfig, sizes) -> tuple[dict, dict, dict]:
+# The smallest ladder rung whose instances after the first _ladder_task
+# decides in a helper process. On a 2-CPU host a helper's fork and round
+# trip cost about 7.5 ms, a decide about 105 ms at 65,536 nodes and 9 ms
+# at 4,096, so a helper shortens the large rungs and lengthens the
+# small ones.
+_HELPER_NODES = 16_384
+
+
+def _ladder_task(cat, config: SuiteConfig, sizes) -> tuple[dict, dict, dict, int]:
     """Draw and decide the bds ladder rungs of `sizes`, in that order, as
     witness:bds-verdict-bit reads them: a rung's instances through the
     witness's own ladder_gen, then each one through cat.bds_verdict, the
-    table its preprocessing asks. run_suite makes this call in workers
-    forked before any draw, so the catalog's draws and verdicts it
-    returns are the rungs' entries alone. The third value maps each size
-    to the rung's (draw ns, decide ns)."""
+    table its preprocessing asks. On a rung of at least _HELPER_NODES
+    nodes, a forked helper (worker.Worker) decides every instance after
+    the first (_decide) while this process decides the first, and the
+    helper's entries join the table. run_suite makes this call in
+    workers forked before any draw, so the catalog's draws and verdicts
+    it returns are the rungs' entries alone. The third value maps each
+    size to the rung's (draw ns, decide ns), the decide being the wall
+    time of the rung's decides, and the fourth counts the helpers."""
+    # Imported here, so importing polytract does not load pickle.
+    from .worker import Worker
+
     ladder_gen = cat.witnesses["bds-verdict-bit"].ladder_gen
     times = {}
+    helpers = 0
     for size in sizes:
         t0 = time.perf_counter_ns()
         instances = ladder_gen(size, config.seed)
         t1 = time.perf_counter_ns()
-        for x in instances:
-            cat.bds_verdict(x)
+        if size < _HELPER_NODES:
+            for x in instances:
+                cat.bds_verdict(x)
+        else:
+            helper = Worker(_decide, instances[1:])
+            helpers += 1
+            try:
+                cat.bds_verdict(instances[0])
+                cat.verdicts.update(helper.result())
+            finally:
+                helper.close()
         times[size] = t1 - t0, time.perf_counter_ns() - t1
-    return cat.drawn, cat.verdicts, times
+    return cat.drawn, cat.verdicts, times, helpers
+
+
+def _decide(instances) -> dict:
+    """The verdict table entries of `instances`, decided in a fresh catalog."""
+    fresh = catalog_mod.Catalog()
+    for x in instances:
+        fresh.bds_verdict(x)
+    return fresh.verdicts
 
 
 def _deal(sizes, count: int) -> list[list[int]]:
@@ -656,17 +689,19 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
     Before any draw, one worker process per usable CPU, and no more than
     the ladder has rungs, is forked. The rungs are dealt to them by
-    _deal, and each worker draws and decides its share (_ladder_task)
+    _deal, and each worker draws and decides its share (_ladder_task),
+    forking a helper for each rung of at least _HELPER_NODES nodes,
     while this process runs _MAIN_LANE; each sample stream is drawn by
     the first stage that reads it, through Catalog.draws. One join then
     reads the workers in the order they were forked, adds their draws
     and verdicts to the catalog and reaps them all, and _AFTER_JOIN
     runs; so no rung is decided in this process. The forks and the wait
-    at the join are timed as draw-samples, and what the workers spent
-    goes in the timings of the ladder:bds-verdict-bit row
-    (_note_workers). The reports and timings stay in SUITE_STAGES order.
-    The workers are reaped however the run ends, and the exception of
-    the first worker read that raised reaches the caller."""
+    at the join are timed as draw-samples, and what the workers and
+    their helpers spent goes in the timings of the ladder:bds-verdict-bit
+    row (_note_workers). The reports and timings stay in SUITE_STAGES
+    order. The workers are reaped however the run ends, a helper dies
+    with its worker, and the exception of the first worker read that
+    raised, its helper's included, reaches the caller."""
     check_config(config)
     cat = catalog_mod.build_catalog(config)
     done: dict[str, tuple[Report, int]] = {}
@@ -690,11 +725,13 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             run(stage)
         t0 = time.perf_counter_ns()
         rung_ns = {}
+        helpers = 0
         for worker in workers:
-            drawn, verdicts, times = worker.result()
+            drawn, verdicts, times, forked = worker.result()
             cat.drawn.update(drawn)
             cat.verdicts.update(verdicts)
             rung_ns.update(times)
+            helpers += forked
         draw_ns += time.perf_counter_ns() - t0
     finally:
         for worker in workers:
@@ -702,7 +739,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     for stage in _AFTER_JOIN:
         run(stage)
     _note_workers(done["witness:bds-verdict-bit"][0], config, rung_ns,
-                  [worker.usage for worker in workers])
+                  [worker.usage for worker in workers], helpers)
 
     return SuiteReport(
         environment={"seed": config.seed, "config": config_echo(config)},
@@ -711,17 +748,20 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     )
 
 
-def _note_workers(rep: Report, config: SuiteConfig, rung_ns: dict, usages: list) -> None:
+def _note_workers(rep: Report, config: SuiteConfig, rung_ns: dict, usages: list,
+                  helpers: int) -> None:
     """Put what the ladder workers spent in the timings of rep's
     ladder:bds-verdict-bit row, whose own wall_time_ns then times table
     hits: each rung's draw_ns and decide_ns from the worker that drew and
     decided it, and the workers' count, total CPU ns and largest peak
-    RSS in KB."""
+    RSS in KB, and the count of their helpers. A worker's usage, as
+    os.wait4 gives it on Linux, holds its reaped helpers' too."""
     i = next(i for i, row in enumerate(rep.checks) if row.name == "ladder:bds-verdict-bit")
     row = rep.checks[i]
     rungs = [dict(rung, draw_ns=rung_ns[size][0], decide_ns=rung_ns[size][1])
              for rung, size in zip(row.timings["rungs"], config.ladder)]
     workers = {"count": len(usages),
                "cpu_ns": round(sum(u.ru_utime + u.ru_stime for u in usages) * 1e9),
-               "peak_rss_kb": max(u.ru_maxrss for u in usages)}
+               "peak_rss_kb": max(u.ru_maxrss for u in usages),
+               "helpers": helpers}
     rep.checks[i] = replace(row, timings={**row.timings, "rungs": rungs, "workers": workers})

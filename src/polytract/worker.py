@@ -4,7 +4,8 @@ on with other work.
     worker = Worker(fn, *args)
     worker.result()    # waits for the call: its value, or its exception
     worker.close()     # kills the worker if it still runs, and reaps it
-    worker.usage       # the reaped worker's resource usage (os.wait4)
+    worker.usage       # the reaped worker's resource usage (os.wait4), on
+                       # Linux with that of the workers it reaped
 
 The worker is a fork of this process, so the call needs no pickling and
 sees this process's state as it was at the fork. It makes the call, then
@@ -14,9 +15,12 @@ worker leaves with os._exit, so it runs no exit handler and flushes no
 stream of this process. A fork copies only the thread that forks, so the
 call must take no lock another thread of this process may hold;
 run_suite's ladder task, which draws and decides a share of the bds
-ladder rungs, takes none. On Linux the worker is killed when the thread
-that forked it dies, so a worker whose call never returns does not
-outlive a parent that is killed before it can close the worker.
+ladder rungs, takes none. A worker may start a Worker of its own, as
+the ladder task does to decide a large rung's instances in parallel.
+On Linux the worker is killed when the thread that forked it dies, so
+a worker whose call never returns does not outlive a parent that is
+killed before it can close the worker, and a worker's own worker dies
+with it in turn.
 """
 from __future__ import annotations
 

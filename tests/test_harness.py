@@ -5,6 +5,8 @@ import multiprocessing
 import os
 import random
 import re
+import signal
+import sys
 import time
 import weakref
 from dataclasses import fields, replace
@@ -526,19 +528,25 @@ def test_the_suite_decides_no_rung_in_this_process(monkeypatch):
     assert rungs_decided() == len(blocks)
 
 
-def test_the_workers_time_lands_in_the_bds_ladder_row():
-    report = run_suite(HANDOFF)
-    witness = next(r for r in report.reports if r.name == "witness:bds-verdict-bit")
-    row = next(c for c in witness.checks if c.name == "ladder:bds-verdict-bit")
-    rungs, workers = row.timings["rungs"], row.timings["workers"]
-    assert len(rungs) == len(HANDOFF.ladder)
-    assert all(rung["draw_ns"] > 0 and rung["decide_ns"] > 0 for rung in rungs)
-    assert workers["count"] == min(len(HANDOFF.ladder), _usable_cpus())
-    assert workers["cpu_ns"] > 0 and workers["peak_rss_kb"] > 0
-    # all of it under the row's timings, so a stripped report has none of it
-    assert "timings" not in strip_timings(row.to_dict())
-    # and SuiteReport.timings stays one number per entry
-    assert all(isinstance(v, int) for v in report.timings.values())
+def test_the_workers_time_lands_in_the_bds_ladder_row(monkeypatch):
+    # The smallest rung a helper decides, and the helpers HANDOFF's
+    # ladder then forks: none at the default, one per rung of at least
+    # that size.
+    for nodes, helpers in [(harness._HELPER_NODES, 0), (256, 2), (0, 4)]:
+        monkeypatch.setattr(harness, "_HELPER_NODES", nodes)
+        report = run_suite(HANDOFF)
+        witness = next(r for r in report.reports if r.name == "witness:bds-verdict-bit")
+        row = next(c for c in witness.checks if c.name == "ladder:bds-verdict-bit")
+        rungs, workers = row.timings["rungs"], row.timings["workers"]
+        assert len(rungs) == len(HANDOFF.ladder)
+        assert all(rung["draw_ns"] > 0 and rung["decide_ns"] > 0 for rung in rungs)
+        assert workers["count"] == min(len(HANDOFF.ladder), _usable_cpus())
+        assert workers["cpu_ns"] > 0 and workers["peak_rss_kb"] > 0
+        assert workers["helpers"] == helpers
+        # all of it under the row's timings, so a stripped report has none of it
+        assert "timings" not in strip_timings(row.to_dict())
+        # and SuiteReport.timings stays one number per entry
+        assert all(isinstance(v, int) for v in report.timings.values())
 
 
 def test_worker_draws_are_the_catalog_draws(monkeypatch):
@@ -631,6 +639,84 @@ def test_a_failing_worker_draw_reaches_the_caller(monkeypatch):
     with pytest.raises(DrawFailed, match="no rung of 512 nodes"):
         run_suite(HANDOFF)
     _no_process_left()
+
+
+class DecideFailed(Exception):
+    """Raised by a sabotaged decide in a ladder worker's helper."""
+
+
+@pytest.fixture
+def alarm():
+    """Raise TimeoutError in the test if it runs for more than 60 s, so a
+    process test that hangs fails instead."""
+    def expired(signum, frame):
+        raise TimeoutError("the test ran for more than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _ended(pid: int) -> bool:
+    """Whether process `pid` is gone, or a zombie no reaper has collected."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return True
+
+
+def test_a_failing_helper_decide_reaches_the_caller(monkeypatch, alarm):
+    def failed(instances):
+        raise DecideFailed(f"no verdict for {len(instances)} instance")
+
+    monkeypatch.setattr(harness, "_HELPER_NODES", 0)
+    monkeypatch.setattr(harness, "_decide", failed)
+    with pytest.raises(DecideFailed, match="no verdict for 1 instance"):
+        run_suite(HANDOFF)
+    _no_process_left()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the parent-death signal is Linux only")
+def test_a_failing_stage_ends_a_deciding_helper(monkeypatch, tmp_path, alarm):
+    # A helper is its worker's child, not this process's: killing the
+    # worker ends it through the parent-death signal, so the test reads
+    # the helpers' pids from files they write.
+    def stuck(instances):
+        (tmp_path / str(os.getpid())).touch()
+        time.sleep(60)
+
+    def failed(cat, config):
+        while not any(tmp_path.iterdir()):
+            time.sleep(0.005)
+        raise ConfigError("stage failed")
+
+    monkeypatch.setattr(harness, "_HELPER_NODES", 0)
+    monkeypatch.setattr(harness, "_decide", stuck)
+    monkeypatch.setitem(harness._CHECKS, "separation", failed)
+    with pytest.raises(ConfigError, match="stage failed"):
+        run_suite(HANDOFF)
+    _no_process_left()
+    helpers = [int(path.name) for path in tmp_path.iterdir()]
+    deadline = time.monotonic() + 15
+    while not all(map(_ended, helpers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert helpers and all(map(_ended, helpers))
+
+
+def test_helpers_change_no_byte_and_decide_each_pair_once(monkeypatch):
+    _untimed_fits(monkeypatch)
+    default = dump_json(strip_timings(run_suite(HANDOFF).to_dict()))
+    # every rung forks a helper
+    monkeypatch.setattr(harness, "_HELPER_NODES", 0)
+    assert dump_json(strip_timings(run_suite(HANDOFF).to_dict())) == default
+    # the helpers are forks too, so suite_decides counts their decides
+    out = bench.suite_decides(HANDOFF)
+    assert out["block_member_calls"] == out["distinct_pairs"] == out["table_entries"] > 0
 
 
 def test_suite_decides_each_bds_pair_once(monkeypatch, tmp_path):
